@@ -10,9 +10,8 @@ precision.  Every table carries a crude but certified growth bound
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -24,6 +23,8 @@ __all__ = [
     "FunctionId",
     "ArithTable",
     "build_table",
+    "multiplicative",
+    "divisor_sum",
     "dirichlet_convolve",
     "mobius_invert",
     "h_transform",
@@ -97,31 +98,6 @@ def divisors(n: int, spf=None) -> list:
 
 _PARAM_TAGS = {"jordan": float, "sigma": float, "ramanujan": int, "mu_k": int}
 
-_TAGS = {
-    "one",
-    "mobius",
-    "mobius_abs",
-    "totient",
-    "jordan",
-    "mangoldt",
-    "sigma",
-    "divisor_d",
-    "divisor_d_sq",
-    "liouville",
-    "omega",
-    "two_pow_omega",
-    "ramanujan",
-    "r2",
-    "r4",
-    "r8",
-    "chi1",
-    "core_gamma",
-    "mu_k",
-    "neg_one_pow_omega",
-    "phi_abs_mu",
-    "custom",
-}
-
 
 @dataclass(frozen=True)
 class FunctionId:
@@ -131,7 +107,7 @@ class FunctionId:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
+        if self.tag not in _BUILDERS and self.tag != "custom":
             raise DomainError(f"unknown function tag {self.tag!r}")
         if self.tag in _PARAM_TAGS:
             if len(self.params) != 1:
@@ -149,7 +125,7 @@ class FunctionId:
         """Parse the CLI grammar ``name[:param[,param]]``."""
         name, _, rest = spec.partition(":")
         name = name.strip()
-        if name not in _TAGS or name == "custom":
+        if name not in _BUILDERS:
             raise DomainError(f"unknown function spec {spec!r}")
         if not rest:
             return cls(name)
@@ -162,8 +138,11 @@ class FunctionId:
                 val = conv(tok)
             except ValueError:
                 raise DomainError(f"bad parameter {tok!r} in {spec!r}") from None
-            if conv is float and val == int(val):
-                val = int(val)
+            if conv is float:
+                if not math.isfinite(val):
+                    raise DomainError(f"non-finite parameter {tok!r} in {spec!r}")
+                if val == int(val):
+                    val = int(val)
             params.append(val)
         return cls(name, tuple(params))
 
@@ -187,7 +166,6 @@ class ArithTable:
     values: list
     growth: tuple
     exact: bool
-    meta: dict = field(default_factory=dict)
 
     def __getitem__(self, n: int):
         if not 1 <= n <= self.N:
@@ -196,24 +174,171 @@ class ArithTable:
 
     def growth_holds(self, n: int) -> bool:
         C, beta = self.growth
-        return abs(self.values[n]) <= C * mpf(n) ** beta + mpf(2) ** (-mp.prec + 8)
+        v = self.values[n]
+        if isinstance(v, Fraction):  # mpf does not compare with Fraction
+            v = mpf(v.numerator) / v.denominator
+        return abs(v) <= C * mpf(n) ** beta + mpf(2) ** (-mp.prec + 8)
 
 
 # ---------------------------------------------------------------------------
 # table construction
 
-def _omega_bigomega(N: int, spf):
-    omega = [0] * (N + 1)
-    bigomega = [0] * (N + 1)
+def multiplicative(N: int, rule: Callable, one=1) -> list:
+    """Values of the multiplicative function with f(1) = ``one`` on 0..N.
+
+    One pass over the SPF sieve sets f(n) = f(n / p^a) * rule(p, a), where p
+    is the smallest prime factor of n and p^a exactly divides n.  ``rule``
+    runs once per prime power.
+    """
+    spf = smallest_prime_factors(max(N, 4))
+    vals = [0] * (N + 1)
+    vals[1] = one
+    memo = {}
     for n in range(2, N + 1):
-        m = n
-        while m > 1:
-            p = spf[m]
-            omega[n] += 1
-            while m % p == 0:
-                m //= p
-                bigomega[n] += 1
-    return omega, bigomega
+        p = spf[n]
+        m, a = n // p, 1
+        while m % p == 0:
+            m //= p
+            a += 1
+        pk = n // m
+        r = memo.get(pk)
+        if r is None:
+            r = memo[pk] = rule(p, a)
+        vals[n] = vals[m] * r
+    return vals
+
+
+def divisor_sum(N: int, t: Callable, u=None, zero=0) -> list:
+    """s[n] = sum over d|n of t(d) * u[n/d] on 0..N, with u = 1 when None.
+
+    Terms are added in increasing d, so inexact sums are reproducible.
+    """
+    out = [zero] * (N + 1)
+    for d in range(1, N + 1):
+        td = t(d)
+        if not td:
+            continue
+        if u is None:
+            for m in range(d, N + 1, d):
+                out[m] += td
+        else:
+            for m in range(1, N // d + 1):
+                out[d * m] += td * u[m]
+    return out
+
+
+def _mult(rule, growth):
+    return lambda N: (multiplicative(N, rule), growth)
+
+
+def _mobius_rule(p, a):
+    return -1 if a == 1 else 0
+
+
+def _chi1(n):
+    return (0, 1, 0, -1)[n % 4]
+
+
+def _omega(N):
+    # omega(n) = omega(n/p) + [p does not divide n/p], p = spf(n)
+    spf = smallest_prime_factors(max(N, 4))
+    vals = [0] * (N + 1)
+    for n in range(2, N + 1):
+        m = n // spf[n]
+        vals[n] = vals[m] + (m % spf[n] != 0)
+    return vals
+
+
+def _jordan(N, alpha):
+    if alpha < 0:
+        raise DomainError("jordan exponent must be >= 0")
+    if alpha == int(alpha):
+        k = int(alpha)
+        return multiplicative(N, lambda p, a: p ** (k * a) - p ** (k * a - k)), (1, k)
+    x = mpf(alpha)
+
+    def rule(p, a):  # J_alpha(p^a) = p^(a alpha) - p^((a-1) alpha)
+        return mpf(p) ** (x * a) - mpf(p) ** (x * (a - 1))
+
+    return multiplicative(N, rule, mpf(1)), (1, alpha)
+
+
+def _sigma(N, s):
+    growth = (2, max(float(s), 0.0) + 1)
+    if s == int(s):
+        k = abs(int(s))
+        vals = divisor_sum(N, lambda d: d**k)
+        if s < 0:  # sigma_{-k}(n) = sigma_k(n) / n^k
+            vals = [0] + [Fraction(vals[n], n**k) for n in range(1, N + 1)]
+        return vals, growth
+    x = mpf(s)
+
+    def rule(p, a):  # sigma_s(p^a) = sum of p^(j s), j = 0..a
+        return sum(mpf(p) ** (x * j) for j in range(a + 1))
+
+    return multiplicative(N, rule, mpf(1)), growth
+
+
+def _mangoldt(N):
+    vals = [mpf(0)] * (N + 1)
+    for p in primes(N):
+        lp, pk = mp.log(p), p
+        while pk <= N:
+            vals[pk] = lp
+            pk *= p
+    return vals, (1, 1)
+
+
+def _ramanujan(N, v):
+    # c_n(v) = sum over d | gcd(n, v) of d mu(n/d)
+    v = int(v)
+    mob = multiplicative(N, _mobius_rule)
+    return divisor_sum(N, lambda d: d if v % d == 0 else 0, mob), (sum(divisors(v)), 0)
+
+
+def _r8(N):
+    # (-1)^n r8(n) = 16 * sum_{d|n} (-1)^d d^3 (the divisor form of the
+    # classical eight-square formula)
+    s = divisor_sum(N, lambda d: (-1) ** d * d**3)
+    return [16 * (-1) ** n * s[n] for n in range(N + 1)], (32, 3)  # r8(n) <= 16 zeta(3) n^3
+
+
+def _mu_k(N, k):
+    mob = multiplicative(N, _mobius_rule)
+    if k == 1:  # exp(pi*i*omega) = (-1)^omega: stays exact
+        return mob, (1, 0)
+    root = mp.expjpi(mpf(1) / int(k))
+    omega = _omega(N)
+    return [mpc(0)] + [root ** omega[n] if mob[n] else mpc(0) for n in range(1, N + 1)], (1, 0)
+
+
+# tag -> builder(N, *params) returning (values, growth)
+_BUILDERS = {
+    "one": lambda N: ([1] * (N + 1), (1, 0)),
+    "mobius": _mult(_mobius_rule, (1, 0)),
+    "mobius_abs": _mult(lambda p, a: int(a == 1), (1, 0)),
+    "totient": _mult(lambda p, a: p ** (a - 1) * (p - 1), (1, 1)),
+    "jordan": _jordan,
+    "mangoldt": _mangoldt,
+    "sigma": _sigma,
+    "divisor_d": _mult(lambda p, a: a + 1, (4, 1)),
+    "divisor_d_sq": _mult(lambda p, a: 2 * a + 1, (4, 1)),
+    "liouville": _mult(lambda p, a: (-1) ** a, (1, 0)),
+    "omega": lambda N: (_omega(N), (2, 0.5)),  # omega(n) <= log2(n) <= 2 sqrt(n)
+    "two_pow_omega": _mult(lambda p, a: 2, (4, 1)),
+    "neg_one_pow_omega": _mult(lambda p, a: -1, (1, 0)),
+    "ramanujan": _ramanujan,
+    # r2(n) = 4 sum_{d|n} chi_1(d) <= 4 d(n) <= 8 sqrt(n)
+    "r2": lambda N: ([4 * s for s in divisor_sum(N, _chi1)], (8, 0.5)),
+    # r4(n) = 8 sum_{d|n, 4 does not divide d} d <= 8 n d(n) <= 16 n^1.5, with slack
+    "r4": lambda N: ([8 * s for s in divisor_sum(N, lambda d: d if d % 4 else 0)],
+                     (48, 1.5)),
+    "r8": _r8,
+    "chi1": lambda N: ([_chi1(n) for n in range(N + 1)], (1, 0)),
+    "core_gamma": _mult(lambda p, a: p, (1, 1)),
+    "mu_k": _mu_k,
+    "phi_abs_mu": _mult(lambda p, a: p - 1 if a == 1 else 0, (1, 1)),
+}
 
 
 def build_table(fid: FunctionId, N: int) -> ArithTable:
@@ -222,202 +347,10 @@ def build_table(fid: FunctionId, N: int) -> ArithTable:
         fid = FunctionId.parse(fid)
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    spf = smallest_prime_factors(max(N, 4))
-    tag = fid.tag
-    vals = [0] * (N + 1)
-    exact = True
-    meta: dict = {}
-
-    if tag == "one":
-        vals = [1] * (N + 1)
-        growth = (1, 0)
-    elif tag == "mobius":
-        vals[1] = 1
-        for n in range(2, N + 1):
-            fac = factorize(n, spf)
-            vals[n] = 0 if any(a > 1 for _, a in fac) else (-1) ** len(fac)
-        growth = (1, 0)
-    elif tag == "mobius_abs":
-        vals[1] = 1
-        for n in range(2, N + 1):
-            vals[n] = int(all(a == 1 for _, a in factorize(n, spf)))
-        growth = (1, 0)
-    elif tag == "totient":
-        vals = list(range(N + 1))
-        for n in range(2, N + 1):
-            if spf[n] == n:  # prime
-                for m in range(n, N + 1, n):
-                    vals[m] -= vals[m] // n
-        vals[0] = 0
-        growth = (1, 1)
-    elif tag == "jordan":
-        alpha = fid.params[0]
-        if isinstance(alpha, int) or float(alpha).is_integer():
-            k = int(alpha)
-            if k < 0:
-                raise DomainError("jordan exponent must be >= 0")
-            vals[1] = 1
-            for n in range(2, N + 1):
-                v = n**k
-                for p, _ in factorize(n, spf):
-                    v -= v // p**k
-                vals[n] = v
-            growth = (1, k)
-        else:
-            if alpha < 0:
-                raise DomainError("jordan exponent must be >= 0")
-            exact = False
-            vals[1] = mpf(1)
-            a = mpf(alpha)
-            for n in range(2, N + 1):
-                v = mpf(n) ** a
-                for p, _ in factorize(n, spf):
-                    v *= 1 - mpf(p) ** (-a)
-                vals[n] = v
-            growth = (1, alpha)
-    elif tag == "mangoldt":
-        exact = False
-        base = [0] * (N + 1)
-        vals = [mpf(0)] * (N + 1)
-        for p in primes(N):
-            lp = mp.log(p)
-            pk = p
-            while pk <= N:
-                vals[pk] = lp
-                base[pk] = p
-                pk *= p
-        meta["prime_base"] = base
-        growth = (1, 1)
-    elif tag == "sigma":
-        s = fid.params[0]
-        if isinstance(s, int) or float(s).is_integer():
-            k = int(s)
-            for d in range(1, N + 1):
-                t = d ** abs(k)
-                for m in range(d, N + 1, d):
-                    vals[m] += t
-            if k < 0:
-                # sigma_{-k}(n) = sigma_k(n) / n^k
-                vals = [Fraction(0)] + [
-                    Fraction(vals[n], n ** abs(k)) for n in range(1, N + 1)
-                ]
-        else:
-            exact = False
-            se = mpf(s)
-            vals = [mpf(0)] * (N + 1)
-            for n in range(1, N + 1):
-                vals[n] = sum(mpf(d) ** se for d in divisors(n, spf))
-        growth = (2, max(float(s), 0.0) + 1)
-    elif tag == "divisor_d":
-        for n in range(1, N + 1):
-            v = 1
-            for _, a in factorize(n, spf):
-                v *= a + 1
-            vals[n] = v
-        growth = (4, 1)
-    elif tag == "divisor_d_sq":
-        for n in range(1, N + 1):
-            v = 1
-            for _, a in factorize(n, spf):
-                v *= 2 * a + 1
-            vals[n] = v
-        growth = (4, 1)
-    elif tag == "liouville":
-        vals[1] = 1
-        for n in range(2, N + 1):
-            vals[n] = (-1) ** sum(a for _, a in factorize(n, spf))
-        growth = (1, 0)
-    elif tag == "omega":
-        for n in range(1, N + 1):
-            vals[n] = len(factorize(n, spf))
-        growth = (2, 0.5)  # omega(n) <= log2(n) <= 2 sqrt(n)
-    elif tag in ("two_pow_omega", "neg_one_pow_omega"):
-        base = 2 if tag == "two_pow_omega" else -1
-        vals[1] = 1
-        for n in range(2, N + 1):
-            vals[n] = base ** len(factorize(n, spf))
-        growth = (4, 1) if tag == "two_pow_omega" else (1, 0)
-    elif tag == "ramanujan":
-        v = int(fid.params[0])
-        mob = build_table(FunctionId("mobius"), N)
-        sigma1_v = sum(divisors(v))
-        for d in divisors(v):
-            for m in range(d, N + 1, d):
-                vals[m] += d * mob[m // d]
-        growth = (sigma1_v, 0)
-    elif tag == "r2":
-        chi = build_table(FunctionId("chi1"), N)
-        for d in range(1, N + 1):
-            c = chi[d]
-            if c:
-                for m in range(d, N + 1, d):
-                    vals[m] += c
-        for n in range(1, N + 1):
-            vals[n] *= 4
-        vals[0] = 0
-        growth = (8, 0.5)  # r2(n) <= 4 d(n) <= 8 sqrt(n)
-    elif tag == "r4":
-        for d in range(1, N + 1):
-            if d % 4 != 0:
-                for m in range(d, N + 1, d):
-                    vals[m] += d
-        for n in range(1, N + 1):
-            vals[n] *= 8
-        growth = (48, 1.5)  # 8*sigma1(n) <= 8 n d(n) <= 16 n^1.5, with slack
-    elif tag == "r8":
-        # (-1)^n r8(n) = 16 * sum_{d|n} (-1)^d d^3 (the divisor form of the
-        # classical eight-square formula).
-        for d in range(1, N + 1):
-            t = (-1) ** d * d**3
-            for m in range(d, N + 1, d):
-                vals[m] += t
-        for n in range(1, N + 1):
-            vals[n] = 16 * (-1) ** n * vals[n]
-        growth = (32, 3)  # r8(n) <= 16 sigma3(n) <= 16 zeta(3) n^3
-    elif tag == "chi1":
-        for n in range(1, N + 1):
-            m = n % 4
-            vals[n] = 1 if m == 1 else (-1 if m == 3 else 0)
-        growth = (1, 0)
-    elif tag == "core_gamma":
-        vals[1] = 1
-        for n in range(2, N + 1):
-            v = 1
-            for p, _ in factorize(n, spf):
-                v *= p
-            vals[n] = v
-        growth = (1, 1)
-    elif tag == "mu_k":
-        k = int(fid.params[0])
-        if k == 1:
-            # exp(pi*i*omega) = (-1)^omega: stays exact
-            vals[1] = 1
-            for n in range(2, N + 1):
-                fac = factorize(n, spf)
-                vals[n] = 0 if any(a > 1 for _, a in fac) else (-1) ** len(fac)
-        else:
-            exact = False
-            root = mp.expjpi(mpf(1) / k)
-            vals = [mpc(0)] * (N + 1)
-            vals[1] = mpc(1)
-            for n in range(2, N + 1):
-                fac = factorize(n, spf)
-                vals[n] = mpc(0) if any(a > 1 for _, a in fac) else root ** len(fac)
-        growth = (1, 0)
-    elif tag == "phi_abs_mu":
-        tot = build_table(FunctionId("totient"), N)
-        mu2 = build_table(FunctionId("mobius_abs"), N)
-        for n in range(1, N + 1):
-            vals[n] = tot[n] * mu2[n]
-        growth = (1, 1)
-    elif tag == "custom":
+    if fid.tag == "custom":
         raise DomainError("custom tables are built directly, not sieved")
-    else:  # pragma: no cover
-        raise DomainError(f"unhandled tag {tag}")
-
-    if isinstance(vals, list) and len(vals) != N + 1:
-        vals = vals[: N + 1]
-    return ArithTable(fid, N, vals, growth, exact, meta)
+    vals, growth = _BUILDERS[fid.tag](N, *fid.params)
+    return ArithTable(fid, N, vals, growth, not isinstance(vals[1], (mpf, mpc)))
 
 
 def custom_table(label: str, values: list, growth: tuple, exact: bool = True) -> ArithTable:
@@ -429,34 +362,17 @@ def custom_table(label: str, values: list, growth: tuple, exact: bool = True) ->
 # ---------------------------------------------------------------------------
 # Dirichlet algebra
 
-def _promote(x):
-    if isinstance(x, (mpf, mpc)):
-        return x
-    if isinstance(x, Fraction):
-        return x
-    return x  # int
-
-
 def dirichlet_convolve(a: ArithTable, b: ArithTable) -> ArithTable:
     """(a*b)(n) = sum over d|n of a(d) b(n/d), O(N log N)."""
     if a.N != b.N:
         raise DomainError("tables must share the same N")
-    N = a.N
-    inexact = not (a.exact and b.exact)
-    zero = mpf(0) if inexact else 0
-    out = [zero] * (N + 1)
-    av, bv = a.values, b.values
-    for d in range(1, N + 1):
-        ad = av[d]
-        if not ad:
-            continue
-        for m in range(1, N // d + 1):
-            out[d * m] = out[d * m] + ad * bv[m]
+    exact = a.exact and b.exact
+    out = divisor_sum(a.N, a.values.__getitem__, b.values, 0 if exact else mpf(0))
     Ca, ba = a.growth
     Cb, bb = b.growth
     growth = (2 * Ca * Cb, max(ba, bb) + 0.5)  # d(n) <= 2 sqrt(n) absorbs the divisor count
     fid = FunctionId("custom", (f"({a.fid}*{b.fid})",))
-    return ArithTable(fid, N, out, growth, a.exact and b.exact)
+    return ArithTable(fid, a.N, out, growth, exact)
 
 
 def mobius_invert(f: ArithTable) -> ArithTable:
@@ -473,24 +389,16 @@ def h_transform(f: ArithTable) -> ArithTable:
     Equivalently n h(n) = sum_{d|n} d f(d) mu(n/d).
     """
     N = f.N
-    mob = build_table(FunctionId("mobius"), N)
-    exact = f.exact
-    out = [Fraction(0) if exact else mpf(0)] * (N + 1)
-    for d in range(1, N + 1):
-        md = mob[d]
-        if not md:
-            continue
-        if exact:
-            w = Fraction(md, d)
-        else:
-            w = mpf(md) / d
-        for m in range(1, N // d + 1):
-            out[d * m] = out[d * m] + w * f.values[m]
+    mob = build_table(FunctionId("mobius"), N).values
+    if f.exact:
+        out = divisor_sum(N, lambda d: Fraction(mob[d], d), f.values, Fraction(0))
+    else:
+        out = divisor_sum(N, lambda d: mpf(mob[d]) / d, f.values, mpf(0))
     Cf, bf = f.growth
     # |h(n)| <= sum_{d|n} |f(n/d)| <= Cf n^bf d(n) <= 2 Cf n^(bf+1/2)
     growth = (2 * Cf, bf + 0.5)
     fid = FunctionId("custom", (f"h_transform({f.fid})",))
-    return ArithTable(fid, N, out, growth, exact)
+    return ArithTable(fid, N, out, growth, f.exact)
 
 
 def gcd_sum_transform(g: ArithTable, n: int):

@@ -45,7 +45,6 @@ class RunConfig:
     tol: object = DEFAULT_TOL
     max_terms: int = DEFAULT_MAX_TERMS
     format: str = "human"
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.precision_bits < 53:

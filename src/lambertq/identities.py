@@ -13,18 +13,18 @@ grid point can cross a fixed threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from mpmath import mp, mpf, mpc
 
 from . import arith
-from .arith import ArithTable, FunctionId, build_table, custom_table, h_transform
+from .arith import ArithTable, build_table, custom_table, h_transform
 from .numerics import (
     ConvergenceError,
     DomainError,
     catalan,
-    dirichlet_beta,
     euler_gamma,
     glaisher,
     basis_extrapolate,
@@ -81,206 +81,104 @@ class UnknownIdError(KeyError):
 _table_cache: dict = {}
 
 
-def _sieve_range(N):
-    return arith.smallest_prime_factors(max(N, 4))
+def _pointwise(N, fn, *specs):
+    """[fn(n, f1(n), f2(n), ...)] for n = 1..N over standard tables f1, f2, ...
+
+    Slot 0 holds 0.
+    """
+    cols = [islice(build_table(spec, N).values, 1, None) for spec in specs]
+    return [0] + list(map(fn, range(1, N + 1), *cols))
 
 
-def _int_series(N, fn):
-    vals = [0] * (N + 1)
-    for n in range(1, N + 1):
-        vals[n] = fn(n)
-    return vals
+def _over_pow(N, spec, k):
+    """f(n) / n^k in exact rationals."""
+    return _pointwise(N, lambda n, v: Fraction(v, n**k), spec)
+
+
+def _pow(N, arg):
+    a = float(arg)
+    if a != int(a):
+        return _pointwise(N, lambda n: mpf(n) ** a), (1, max(a, 0.0))
+    k = int(a)
+    if k >= 0:
+        return [n**k for n in range(N + 1)], (1, k)
+    return _pointwise(N, lambda n: Fraction(1, n ** (-k))), (1, 0)
+
+
+def _f_muk(N, arg):
+    k = int(arg)
+    if k == 1:  # (1 + e^(i pi))^omega(n) = [n = 1], kept exact
+        return _pointwise(N, lambda n: int(n == 1)), (1, 0)
+    w = 1 + mp.expjpi(mpf(1) / k)
+    return arith.multiplicative(N, lambda p, a: w, mpc(1)), (2, 0.5)
+
+
+def _j2k_ratio(N, arg):
+    k = int(arg)
+    vals = _pointwise(N, lambda n, jk, j2k: Fraction(j2k, n**k * jk),
+                      f"jordan:{k}", f"jordan:{2 * k}")
+    # J_2k/(n^k J_k) = prod (1 + p^-k) <= 2^omega(n) <= 2 sqrt(n)
+    return vals, (2, 0.5)
+
+
+# key name -> builder(N, arg) returning (values, growth); every table here
+# is a pointwise map over standard tables, a divisor sum or a product over
+# prime powers
+_NAMED = {
+    "id": lambda N, _: (list(range(N + 1)), (1, 1)),
+    "unit_e": lambda N, _: (_pointwise(N, lambda n: int(n == 1)), (1, 0)),
+    "log_n": lambda N, _: (_pointwise(N, mp.log), (2, 0.5)),
+    "mu_log": lambda N, _: (_pointwise(N, lambda n, m: m * mp.log(n), "mobius"), (2, 0.5)),
+    "two_pow_omega_mu": lambda N, _: (
+        _pointwise(N, lambda n, m, w: m * w, "mobius", "two_pow_omega"), (2, 0.5)),
+    "mu_over_n": lambda N, _: (_over_pow(N, "mobius", 1), (1, 0)),
+    "phi_over_n": lambda N, _: (_over_pow(N, "totient", 1), (1, 0)),
+    "mu2_over_phi": lambda N, _: (
+        _pointwise(N, lambda n, m, t: Fraction(m, t), "mobius_abs", "totient"), (1, 0)),
+    # n/phi(n) = prod p/(p-1) <= 2^omega(n) <= d(n) <= 2 sqrt(n)
+    "n_over_phi": lambda N, _: (_pointwise(N, lambda n, t: Fraction(n, t), "totient"), (2, 0.5)),
+    "pow": _pow,
+    "mu_over_pow": lambda N, k: (_over_pow(N, "mobius", int(k)), (1, 0)),
+    "absmu_over_pow": lambda N, k: (_over_pow(N, "mobius_abs", int(k)), (1, 0)),
+    "jk_over_pow": lambda N, k: (_over_pow(N, f"jordan:{k}", int(k)), (1, 0)),
+    "j2k_ratio": _j2k_ratio,
+    "d_squared": lambda N, _: (_pointwise(N, lambda n, d: d**2, "divisor_d"), (4, 1)),
+    "issquare": lambda N, _: (_pointwise(N, lambda n: int(math.isqrt(n) ** 2 == n)), (1, 0)),
+    "divides": lambda N, v: (_pointwise(N, lambda n: n if int(v) % n == 0 else 0), (int(v), 0)),
+    "neg4chi1": lambda N, _: (_pointwise(N, lambda n, c: -4 * c, "chi1"), (4, 0)),
+    "neg_r2": lambda N, _: (_pointwise(N, lambda n, r: -r, "r2"), (8, 0.5)),
+    "not_div4": lambda N, _: (_pointwise(N, lambda n: int(n % 4 != 0)), (1, 0)),
+    "r4_over8": lambda N, _: (_pointwise(N, lambda n, r: r // 8, "r4"), (2, 1.5)),
+    "odd_ind": lambda N, _: (_pointwise(N, lambda n: n % 2), (1, 0)),
+    "odd_sigma": lambda N, _: (arith.divisor_sum(N, lambda d: d % 2 * d), (2, 1.5)),
+    "signed_nsq": lambda N, _: (_pointwise(N, lambda n: (-1) ** (n + 1) * n * n), (1, 2)),
+    "neg_signed_nsq": lambda N, _: (_pointwise(N, lambda n: (-1) ** n * n * n), (1, 2)),
+    # sum_{d|n} (-1)^d d^3 = (-1)^n r8(n) / 16
+    "signed_cube": lambda N, _: (_pointwise(N, lambda n, r: (-1) ** n * r // 16, "r8"), (2, 3)),
+    "neg_signed_cube": lambda N, _: (
+        _pointwise(N, lambda n, r: (-1) ** (n + 1) * r // 16, "r8"), (2, 3)),
+    "mu_nsq": lambda N, _: (_pointwise(N, lambda n, m: m * n * n, "mobius"), (1, 2)),
+    "prod1mp2": lambda N, _: (arith.multiplicative(N, lambda p, a: 1 - p * p), (1, 2)),
+    "f_muk": _f_muk,
+    "conv_one_d": lambda N, _: (
+        arith.divisor_sum(N, build_table("divisor_d", N).values.__getitem__), (8, 1.5)),
+    # sum_k gcd(n,k) mu(gcd(n,k)) = sum_{d|n} d mu(d) phi(n/d) = mu(n): the
+    # first step is EQ2.6, the second the Dirichlet series 1/zeta(s-1) *
+    # zeta(s-1)/zeta(s).  The growth bound is the one of the literal gcd sum.
+    "gcdsum_mu": lambda N, _: (_over_pow(N, "mobius", 1), (2, 0.5)),
+}
 
 
 def _build_named(key: str, N: int) -> ArithTable:
     name, _, arg = key.partition(":")
-    spf = _sieve_range(N)
-
     if name == "std":
-        return build_table(FunctionId.parse(arg), N)
-    if name == "id":
-        return custom_table("id", list(range(N + 1)), (1, 1))
-    if name == "unit_e":
-        vals = [0] * (N + 1)
-        vals[1] = 1
-        return custom_table("unit_e", vals, (1, 0))
-    if name == "log_n":
-        vals = [mpf(0)] * (N + 1)
-        for n in range(2, N + 1):
-            vals[n] = mp.log(n)
-        return custom_table("log_n", vals, (2, 0.5), exact=False)
-    if name == "mu_log":
-        mob = build_table("mobius", N)
-        vals = [mpf(0)] * (N + 1)
-        for n in range(2, N + 1):
-            if mob[n]:
-                vals[n] = mob[n] * mp.log(n)
-        return custom_table("mu_log", vals, (2, 0.5), exact=False)
-    if name == "two_pow_omega_mu":
-        mob = build_table("mobius", N)
-        vals = [0] * (N + 1)
-        vals[1] = 1
-        for n in range(2, N + 1):
-            if mob[n]:
-                vals[n] = mob[n] * 2 ** len(arith.factorize(n, spf))
-        return custom_table("two_pow_omega_mu", vals, (2, 0.5))
-    if name == "mu_over_n":
-        mob = build_table("mobius", N)
-        vals = [Fraction(0)] + [Fraction(mob[n], n) for n in range(1, N + 1)]
-        return custom_table("mu_over_n", vals, (1, 0))
-    if name == "phi_over_n":
-        tot = build_table("totient", N)
-        vals = [Fraction(0)] + [Fraction(tot[n], n) for n in range(1, N + 1)]
-        return custom_table("phi_over_n", vals, (1, 0))
-    if name == "mu2_over_phi":
-        tot = build_table("totient", N)
-        mu2 = build_table("mobius_abs", N)
-        vals = [Fraction(0)] + [Fraction(mu2[n], tot[n]) for n in range(1, N + 1)]
-        return custom_table("mu2_over_phi", vals, (1, 0))
-    if name == "n_over_phi":
-        tot = build_table("totient", N)
-        vals = [Fraction(0)] + [Fraction(n, tot[n]) for n in range(1, N + 1)]
-        # n/phi(n) = prod p/(p-1) <= 2^omega(n) <= d(n) <= 2 sqrt(n)
-        return custom_table("n_over_phi", vals, (2, 0.5))
-    if name == "pow":
-        a = float(arg)
-        if a == int(a):
-            k = int(a)
-            if k >= 0:
-                vals = [n**k for n in range(N + 1)]
-                return custom_table(key, vals, (1, k))
-            vals = [Fraction(0)] + [Fraction(1, n ** (-k)) for n in range(1, N + 1)]
-            return custom_table(key, vals, (1, 0))
-        vals = [mpf(0)] + [mpf(n) ** a for n in range(1, N + 1)]
-        return custom_table(key, vals, (1, max(a, 0.0)), exact=False)
-    if name == "mu_over_pow":
-        k = int(arg)
-        mob = build_table("mobius", N)
-        vals = [Fraction(0)] + [Fraction(mob[n], n**k) for n in range(1, N + 1)]
-        return custom_table(key, vals, (1, 0))
-    if name == "absmu_over_pow":
-        k = int(arg)
-        mu2 = build_table("mobius_abs", N)
-        vals = [Fraction(0)] + [Fraction(mu2[n], n**k) for n in range(1, N + 1)]
-        return custom_table(key, vals, (1, 0))
-    if name == "jk_over_pow":
-        k = int(arg)
-        jk = build_table(f"jordan:{k}", N)
-        vals = [Fraction(0)] + [Fraction(jk[n], n**k) for n in range(1, N + 1)]
-        return custom_table(key, vals, (1, 0))
-    if name == "j2k_ratio":
-        k = int(arg)
-        jk = build_table(f"jordan:{k}", N)
-        j2k = build_table(f"jordan:{2 * k}", N)
-        vals = [Fraction(0)] + [
-            Fraction(j2k[n], n**k * jk[n]) for n in range(1, N + 1)
-        ]
-        # J_2k/(n^k J_k) = prod (1 + p^-k) <= 2^omega(n) <= 2 sqrt(n)
-        return custom_table(key, vals, (2, 0.5))
-    if name == "d_squared":
-        d = build_table("divisor_d", N)
-        vals = [0] + [d[n] ** 2 for n in range(1, N + 1)]
-        return custom_table("d_squared", vals, (4, 1))
-    if name == "issquare":
-        vals = [0] * (N + 1)
-        k = 1
-        while k * k <= N:
-            vals[k * k] = 1
-            k += 1
-        return custom_table("issquare", vals, (1, 0))
-    if name == "divides":
-        v = int(arg)
-        vals = [0] * (N + 1)
-        for n in range(1, N + 1):
-            if v % n == 0:
-                vals[n] = n
-        return custom_table(key, vals, (v, 0))
-    if name == "neg4chi1":
-        chi = build_table("chi1", N)
-        vals = [0] + [-4 * chi[n] for n in range(1, N + 1)]
-        return custom_table("neg4chi1", vals, (4, 0))
-    if name == "neg_r2":
-        r2 = build_table("r2", N)
-        vals = [0] + [-r2[n] for n in range(1, N + 1)]
-        return custom_table("neg_r2", vals, (8, 0.5))
-    if name == "not_div4":
-        vals = [0] + [int(n % 4 != 0) for n in range(1, N + 1)]
-        return custom_table("not_div4", vals, (1, 0))
-    if name == "r4_over8":
-        vals = [0] * (N + 1)
-        for d in range(1, N + 1):
-            if d % 4 != 0:
-                for m in range(d, N + 1, d):
-                    vals[m] += d
-        return custom_table("r4_over8", vals, (2, 1.5))
-    if name == "odd_ind":
-        vals = [0] + [n % 2 for n in range(1, N + 1)]
-        return custom_table("odd_ind", vals, (1, 0))
-    if name == "odd_sigma":
-        vals = [0] * (N + 1)
-        for d in range(1, N + 1, 2):
-            for m in range(d, N + 1, d):
-                vals[m] += d
-        return custom_table("odd_sigma", vals, (2, 1.5))
-    if name == "signed_nsq":
-        vals = [0] + [(-1) ** (n + 1) * n * n for n in range(1, N + 1)]
-        return custom_table("signed_nsq", vals, (1, 2))
-    if name == "neg_signed_nsq":
-        vals = [0] + [(-1) ** n * n * n for n in range(1, N + 1)]
-        return custom_table("neg_signed_nsq", vals, (1, 2))
-    if name in ("signed_cube", "neg_signed_cube"):
-        vals = [0] * (N + 1)
-        for d in range(1, N + 1):
-            t = (-1) ** d * d**3
-            for m in range(d, N + 1, d):
-                vals[m] += t
-        if name == "neg_signed_cube":
-            vals = [-v for v in vals]
-        return custom_table(name, vals, (2, 3))
-    if name == "mu_nsq":
-        mob = build_table("mobius", N)
-        vals = [0] + [mob[n] * n * n for n in range(1, N + 1)]
-        return custom_table("mu_nsq", vals, (1, 2))
-    if name == "prod1mp2":
-        vals = [0] * (N + 1)
-        vals[1] = 1
-        for n in range(2, N + 1):
-            v = 1
-            for p, _ in arith.factorize(n, spf):
-                v *= 1 - p * p
-            vals[n] = v
-        return custom_table("prod1mp2", vals, (1, 2))
-    if name == "f_muk":
-        k = int(arg)
-        w = 1 + mp.expjpi(mpf(1) / k)
-        omega = [0] * (N + 1)
-        for n in range(2, N + 1):
-            omega[n] = len(arith.factorize(n, spf))
-        maxw = max(omega) if N > 1 else 0
-        powers = [mpc(1)]
-        for _ in range(maxw):
-            powers.append(powers[-1] * w)
-        if k == 1:
-            vals = [0] * (N + 1)
-            vals[1] = 1
-            return custom_table(key, vals, (1, 0))
-        vals = [mpc(0)] + [powers[omega[n]] for n in range(1, N + 1)]
-        vals[1] = mpc(1)
-        return custom_table(key, vals, (2, 0.5), exact=False)
-    if name == "conv_one_d":
-        one = build_table("one", N)
-        d = build_table("divisor_d", N)
-        return arith.dirichlet_convolve(one, d)
+        return build_table(arg, N)
     if name == "h_of_d":
         return h_transform(build_table("divisor_d", N))
-    if name == "gcdsum_mu":
-        mob = build_table("mobius", N)
-        vals = [Fraction(0)] * (N + 1)
-        for n in range(1, N + 1):
-            vals[n] = Fraction(arith.gcd_sum_transform(mob, n), n)
-        # |sum_k gcd * mu(gcd)| <= sum_k gcd(n,k) <= n d(n) <= 2 n^1.5, /n
-        return custom_table("gcdsum_mu", vals, (2, 0.5))
-    raise DomainError(f"unknown table key {key!r}")
+    if name not in _NAMED:
+        raise DomainError(f"unknown table key {key!r}")
+    vals, growth = _NAMED[name](N, arg)
+    return custom_table(key, vals, growth, exact=not isinstance(vals[1], (mpf, mpc)))
 
 
 def _get_table(key: str, N: int) -> ArithTable:
@@ -427,24 +325,29 @@ def _dec(x):
 # ---------------------------------------------------------------------------
 # record evaluation
 
+def _closed(value):
+    """A closed-form side: exact up to the last few bits of the working precision."""
+    return SeriesValue(value, mpf(2) ** (-mp.prec + 4) * (1 + abs(value)), 0)
+
+
 def _record_sides(rec: IdentityRecord, pt: QPoint, tol, max_terms):
     """Return (lhs, rhs) SeriesValues, already oriented for comparison."""
+    if rec.g_key in ("__intro3__", "__intro4__"):
+        lhs = _intro_product_log(pt, tol, odd_ratio=rec.g_key == "__intro4__")
+        return lhs, _closed(rec.closed_rhs(pt))
 
     def run(N):
         if rec.value_space:
             f = _get_table(rec.f_key, N)
             kern = KernelForm("minus", rec.weight)
             lhs = lambert_sum(f, kern, pt, tol=tol, max_terms=max_terms)
-            rhs_val = rec.closed_rhs(pt)
-            return lhs, SeriesValue(rhs_val, mpf(2) ** (-mp.prec + 4) * (1 + abs(rhs_val)), 0)
+            return lhs, _closed(rec.closed_rhs(pt))
         g = _get_table(rec.g_key, N)
         lhs = weighted_product_log(
             g, pt, form=rec.form, weight=rec.weight, tol=tol, max_terms=max_terms
         )
         if rec.closed_rhs is not None:
-            rv = rec.closed_rhs(pt)
-            rhs = SeriesValue(rv, mpf(2) ** (-mp.prec + 4) * (1 + abs(rv)), 0)
-            return lhs, rhs
+            return lhs, _closed(rec.closed_rhs(pt))
         f = _get_table(rec.f_key, N)
         kern = KernelForm("minus" if rec.form == "A" else "plus",
                           rec.f_weight or rec.weight)
@@ -829,18 +732,6 @@ def _intro_product_log(pt, tol, odd_ratio: bool):
     return _adaptive(run)
 
 
-_orig_record_sides = _record_sides
-
-
-def _record_sides(rec, pt, tol, max_terms):  # noqa: F811 - wraps the generic path
-    if rec.g_key in ("__intro3__", "__intro4__"):
-        lhs = _intro_product_log(pt, tol, odd_ratio=rec.g_key == "__intro4__")
-        rv = rec.closed_rhs(pt)
-        rhs = SeriesValue(rv, mpf(2) ** (-mp.prec + 4) * (1 + abs(rv)), 0)
-        return lhs, rhs
-    return _orig_record_sides(rec, pt, tol, max_terms)
-
-
 # ---------------------------------------------------------------------------
 # limit targets
 
@@ -884,9 +775,7 @@ def _t_3_43a(k):
     if k == 1:
         return mp.exp(mpf(-1))
     w = 1 + mp.expjpi(mpf(1) / k)
-    prod = mpc(1)
-    for p in arith.primes(200000):
-        prod *= 1 + w / mpf(p * p - 1)
+    prod, _ = _euler_product(lambda p: 1 + w / mpf(p * p - 1))
     return mp.exp(-prod)
 
 

@@ -390,12 +390,11 @@ def theta_sum(z, q, tol=None) -> SeriesValue:
     sq = mp.sqrt(q)
     Z = max(abs(z), 1 / abs(z))
     acc = mpc(1) if isinstance(z, mpc) else mpf(1)  # n = 0 term
-    acc = acc * 1
     n = 0
     while True:
         n += 1
         qn2 = q ** (mpf(n) ** 2 / 2)
-        acc = acc + qn2 * ((-z) ** n + (-1 / z) ** (-n) * 0 + (-z) ** (-n))
+        acc = acc + qn2 * ((-z) ** n + (-z) ** (-n))
         # term ratio for |m| > n: q^(m+1/2) Z; once < 1/2 the tail telescopes
         ratio = sq * q**n * Z
         bound_term = q ** (mpf(n + 1) ** 2 / 2) * Z ** (n + 1)

@@ -1,0 +1,76 @@
+"""The library names that the benchmark's traced run wraps.
+
+``benchmarks/spans.py`` replaces these module attributes at run time with
+wrappers that record spans and counts, and it relies on their call
+signatures and on the table cache's key.  A rename or a changed signature
+would break ``benchmarks/run.py --trace 1`` without failing any other test.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+from mpmath import mp
+
+from lambertq import arith, cli, identities, qseries
+from lambertq.numerics import set_precision
+
+
+@pytest.fixture(autouse=True)
+def _fixed_precision():
+    set_precision(128)
+    yield
+    set_precision(128)
+
+
+def _params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_wrapped_names_exist():
+    wrapped = {
+        identities: ("lambert_sum", "weighted_product_log", "_build_named",
+                     "_get_table", "_adaptive", "richardson_extrapolate",
+                     "basis_extrapolate", "verify", "limit_check", "limit_targets"),
+        qseries: ("log_qpoch_inf",),
+        cli: ("lambert_sum", "weighted_product_log", "qpoch_inf_direct",
+              "build_table", "main"),
+    }
+    for mod, names in wrapped.items():
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{mod.__name__}.{name}"
+    assert isinstance(identities._table_cache, dict)
+    assert isinstance(identities._limit_cache, list)
+    assert isinstance(identities._limit_index, dict)
+    assert issubclass(qseries.TableTooShortError, Exception)
+
+
+def test_wrapped_signatures():
+    assert _params(arith.build_table) == ["fid", "N"]
+    assert cli.build_table is arith.build_table
+    assert _params(identities._build_named) == ["key", "N"]
+    assert _params(identities._get_table) == ["key", "N"]
+    assert _params(identities._adaptive)[:3] == ["eval_fn", "start", "cap"]
+    assert _params(identities.richardson_extrapolate) == ["xs", "ys"]
+    assert _params(identities.basis_extrapolate) == ["xs", "ys", "basis"]
+
+
+def test_table_hooks_behave_as_the_wrappers_expect():
+    assert identities._build_named("std:mobius", 16).N == 16
+    assert cli.build_table("mobius", 4).N == 4
+    identities._get_table("std:mobius", 16)
+    assert ("std:mobius", 16, mp.prec) in identities._table_cache
+
+    seen = []
+
+    def eval_fn(N):
+        seen.append(N)
+        if len(seen) == 1:
+            raise qseries.TableTooShortError("short")
+        return N
+
+    assert identities._adaptive(eval_fn, start=8, cap=64) == 16
+    assert seen == [8, 16]
+
+    rec = next(r for r in identities.limit_targets() if r.target_fn is not None)
+    assert dataclasses.replace(rec, target_fn=rec.target_fn) == rec

@@ -45,6 +45,15 @@ def test_sieve_unknown_spec_exits_2(capsys):
     assert code == 2 and "parse error" in err
 
 
+@pytest.mark.parametrize("argv", [("sieve", "sigma:nan", "3"),
+                                  ("sieve", "sigma:inf", "3"),
+                                  ("sieve", "jordan:1e400", "3"),
+                                  ("eval", "lambert", "--f", "sigma:nan")])
+def test_non_finite_spec_parameter_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "parse error" in err
+
+
 def test_sieve_to_file(tmp_path, capsys):
     path = tmp_path / "mu.csv"
     code, out, _ = run(capsys, "sieve", "mobius", "4", "--out", str(path))

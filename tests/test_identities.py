@@ -1,11 +1,14 @@
 """Catalog integrity, verification reports, and the limit engine."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, mpc
 
 from lambertq import identities as idmod
+from lambertq.arith import build_table, gcd_sum_transform
 from lambertq.identities import (
     UnknownIdError,
     catalog,
@@ -171,3 +174,52 @@ def test_hypothesis_checks_growth_condition_scale():
     # f(n) = d(n^2) satisfies f(n) log^2(n+1)/n bounded on the sampled range
     out = hypothesis_check("EQ3.23a", N=2000)
     assert out["sup_ratio"] < 50
+
+
+# ---------------------------------------------------------------------------
+# the named tables behind the catalog and the limit records
+
+def _record_table_keys():
+    keys = {k for r in catalog() for k in (r.g_key, r.f_key)}
+    keys |= {r.f_key for r in limit_targets()}
+    return sorted(k for k in keys if k and not k.startswith("__"))
+
+
+def test_record_tables_satisfy_growth_certificates():
+    keys = _record_table_keys()
+    assert len(keys) == 75
+    N = 1 << 10
+    for key in keys:
+        tab = idmod._build_named(key, N)
+        assert tab.N == N
+        for n in range(1, N + 1):
+            assert tab.growth_holds(n), f"{key} growth fails at n={n}"
+
+
+# sha256 over (type name, value) of every exact-valued record table at
+# N = 2^12 and 128 bits, taken from the if-chain builders that the
+# prime-power rules, divisor sums and pointwise maps replaced
+_EXACT_TABLES_DIGEST = "51d38a8c430fe880649692fc21677bc0985ed4bd95b0a1f4a3094c1895244d11"
+
+
+def test_exact_record_tables_match_digest():
+    N = 1 << 12
+    h = hashlib.sha256()
+    n_exact = 0
+    for key in _record_table_keys():
+        tab = idmod._build_named(key, N)
+        if tab.exact:
+            n_exact += 1
+            h.update(f"{key}\n".encode())
+            for v in tab.values[1:N + 1]:
+                h.update(f"{type(v).__name__} {v}\n".encode())
+    assert n_exact == 65
+    assert h.hexdigest() == _EXACT_TABLES_DIGEST
+
+
+def test_gcdsum_mu_matches_literal_gcd_sum():
+    N = 300
+    mob = build_table("mobius", N)
+    tab = idmod._build_named("gcdsum_mu", N)
+    for n in range(1, N + 1):
+        assert tab[n] == Fraction(gcd_sum_transform(mob, n), n)
