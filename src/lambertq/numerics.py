@@ -31,6 +31,7 @@ __all__ = [
 DEFAULT_PRECISION_BITS = 128
 
 _ENV_BITS = "LAMBERTQ_PRECISION_BITS"
+_HALF = mpf("0.5")
 
 
 class DomainError(ValueError):
@@ -101,7 +102,7 @@ def _alternating_sum(term, n: int) -> mpf:
     for k in range(n):
         c = b - c
         s += c * term(k)
-        b *= mpf((k + n) * (k - n)) / ((k + mpf("0.5")) * (k + 1))
+        b *= mpf((k + n) * (k - n)) / ((k + _HALF) * (k + 1))
     return s / d
 
 

@@ -10,9 +10,14 @@ underflowing.  Tail estimates use the crude inequality
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import (
+    fzero, from_man_exp, mpc_add, mpc_log, mpf_log, mpf_pos, round_nearest, round_up,
+    to_fixed, to_float,
+)
 
 from .arith import ArithTable
 from .numerics import ConvergenceError, DomainError
@@ -39,6 +44,7 @@ __all__ = [
 
 DEFAULT_TOL = mpf("1e-25")
 DEFAULT_MAX_TERMS = 10**6
+_HALF = mpf("0.5")
 
 
 class TableTooShortError(ConvergenceError):
@@ -124,15 +130,151 @@ def _to_mp(x):
 
 
 # ---------------------------------------------------------------------------
+# fixed-point product kernels
+#
+# The q-Pochhammer products run on Python ints at F = mp.prec + _GUARD
+# fractional bits, mpmath's own idiom for its elementary functions.  Every
+# truncating operation is off by less than one unit of 2^-F, so the
+# round-off is counted and added to the certified bound next to _roundoff.
+
+_GUARD = 32
+_LN2 = math.log(2)
+# a complex product is sent through log before the summed |z q^j| of its
+# factors passes this, so each partial product keeps its principal argument
+_ARG_FLUSH = 1.2
+
+
+def _ln(x):
+    """Natural log of a positive mpf as a float, accurate near 1."""
+    if x > _HALF:
+        return math.log1p(-float(1 - x))
+    if not x:
+        return -math.inf
+    man, exp = x.man_exp
+    return math.log(man) + exp * _LN2
+
+
+def _ln1m(x):
+    """log(1 - x) of an mpf 0 <= x < 1 as a float."""
+    return math.log1p(-float(x)) if x < _HALF else _ln(1 - x)
+
+
+def _first_term(lw, lq, lt, holds, name):
+    """Smallest J >= 1 at which a geometric tail test holds.
+
+    The test is lw + J*lq <= lt in natural logs (lq < 0), and ``holds(J)``
+    is the same test in working-precision mpf.  The float root decides
+    unless an integer lies within its rounding window, where ``holds`` does.
+    """
+    if -math.inf in (lw, lq):
+        return 1
+    x = (lt - lw) / lq if lq else math.inf
+    if x > DEFAULT_MAX_TERMS + 1:
+        raise ConvergenceError(
+            f"{name} needs J={x:.6g} terms, more than the cap of {DEFAULT_MAX_TERMS}")
+    win = 1e-9 * (abs(lt) + abs(lw) + 1) / -lq
+    j, last = math.ceil(x - win), math.ceil(x + win)
+    while j < last and (j < 1 or not holds(j)):
+        j += 1
+    return max(j, 1)
+
+
+def _fx(x, F):
+    """An mpf or mpc as an (re, im) pair of ints at F fractional bits."""
+    if isinstance(x, mpc):
+        re, im = x._mpc_
+        return to_fixed(re, F), to_fixed(im, F)
+    return to_fixed(x._mpf_, F), 0
+
+
+def _round(x):
+    """A raw mpf value rounded to the working precision."""
+    return mpf_pos(x, mp.prec, round_nearest)
+
+
+def _from_fx(re, im, e, cplx):
+    """The value (re + i im) 2^e at working precision, as mpf or mpc."""
+    if cplx:
+        return mp.make_mpc((_round(from_man_exp(re, e)), _round(from_man_exp(im, e))))
+    return mp.make_mpf(_round(from_man_exp(re, e)))
+
+
+def _fx_product(z, q, J, F, flush):
+    """prod_{j<J} (1 - z q^j) for int pairs z, q at F fractional bits.
+
+    The running product is a mantissa of F + 1 bits with a binary exponent,
+    so it neither underflows nor overflows.  A complex product is split into
+    pieces before the summed |z q^j| of a piece passes ``flush``.  Returns
+    (pieces, smin): each piece is (re, im, e), the value (re + i im) 2^e,
+    and every factor has |1 - z q^j| >= 2^(smin - 2 - F).
+    """
+    one, F1 = 1 << F, F + 1
+    wr, wi = z
+    qr, qi = q
+    pr, pi, es, smin = one, 0, 0, F1
+    if not (wi or qi):
+        for _ in range(J):
+            t = pr * (one - wr)
+            s = t.bit_length() - F1
+            pr = t >> s if s >= 0 else t << -s
+            es += s
+            if s < smin:
+                smin = s
+            wr = wr * qr >> F
+        return [(pr, 0, es - F * (J + 1))], smin
+    pieces = []
+    aw = math.hypot(wr / one, wi / one)
+    aq = math.hypot(qr / one, qi / one)
+    budget, j0 = 0.0, 0
+    for j in range(J):
+        fr = one - wr
+        tr, ti = pr * fr + pi * wi, pi * fr - pr * wi
+        s = (abs(tr) | abs(ti)).bit_length() - F1
+        if s >= 0:
+            pr, pi = tr >> s, ti >> s
+        else:
+            pr, pi = tr << -s, ti << -s
+        es += s
+        if s < smin:
+            smin = s
+        wr, wi = (wr * qr - wi * qi) >> F, (wr * qi + wi * qr) >> F
+        budget += aw
+        aw *= aq
+        if budget > flush:
+            pieces.append((pr, pi, es - F * (j - j0 + 2)))
+            pr, pi, es, budget, j0 = one, 0, 0, 0.0, j + 1
+    pieces.append((pr, pi, es - F * (J - j0 + 1)))
+    return pieces, smin
+
+
+def _factor_error(J, absq, absw, smin, F):
+    """Round-off of a J-factor product loop, in units of 2^-F.
+
+    Each computed w_j = z q^j is off by at most ew = 4 (1/(1-|q|) +
+    J max(1, |z|) + 1) units: one truncation per multiply, the inputs'
+    truncation, and their growth through |q|^i.  So factor j is off by a
+    relative dmax = ew 2^(2 - smin) at most, and each renormalisation by 2
+    units.  Returns (J (dmax 2^F + 2), ew), with None in place of the first
+    when dmax >= 1/2, where a factor is within round-off of 0.
+    """
+    ew = 4 * (1 / float(1 - absq) + J * max(1.0, float(absw)) + 1)
+    if math.log2(ew) + 3 >= smin:
+        return None, ew
+    d = 2 + F - smin  # beyond float range only above 1000 bits of precision
+    return J * ((math.ldexp if d < 1000 else mp.ldexp)(ew, d) + 2), ew
+
+
+# ---------------------------------------------------------------------------
 # q-Pochhammer primitives
 
 def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
     """log (z;q)_inf = sum_{j>=0} log(1 - z q^j), for |z| < 1, |q| < 1.
 
-    q may be complex (used by the eta/theta evaluators); the certified tail
-    bound is |z| |q|^(J+1) / ((1-|q|)(1-|z|)).  Factors are accumulated as a
-    running product and flushed through log before the product's argument can
-    wrap, so the principal branch is preserved.
+    z and q may be complex.  The certified tail bound is
+    |z| |q|^J / ((1-|q|)(1-|z|)), and the term count J is the first at which
+    it is <= tol, found before the fixed-point product loop runs.  A complex
+    product goes through log before its argument can wrap, so the principal
+    branch is preserved.
     """
     q = q if isinstance(q, (mpf, mpc)) else mpf(q)
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
@@ -144,66 +286,72 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
         raise DomainError(f"log_qpoch_inf requires |z| < 1, got |z|={absz}")
     if z == 0:
         return SeriesValue(mpf(0), mpf(0), 0)
-    if tol is None:
-        tol = mpf(2) ** (-mp.prec)
+    tol = mpf(2) ** (-mp.prec) if tol is None else mpf(tol)
 
     pref = 1 / ((1 - absq) * (1 - absz))
-    acc = mpf(0)
-    prod = mpf(1) if (isinstance(z, mpf) and isinstance(q, mpf)) else mpc(1)
-    argbudget = mpf(0)
-    w = z
-    absw = absz
-    j = 0
-    while True:
-        prod = prod * (1 - w)
-        argbudget += absw
-        if argbudget > mpf("1.2"):
-            acc = acc + mp.log(prod)
-            prod = prod * 0 + 1
-            argbudget = mpf(0)
-        w = w * q
-        absw = absw * absq
-        j += 1
-        tail = absw * pref
-        if tail <= tol:
-            break
-        if j > DEFAULT_MAX_TERMS:
-            raise ConvergenceError("log_qpoch_inf did not reach tolerance")
-    acc = acc + mp.log(prod)
-    return SeriesValue(acc, tail + _roundoff(j, acc), j)
+    J = _first_term(_ln(absz), _ln(absq), _ln(tol) + _ln1m(absq) + _ln1m(absz),
+                    lambda j: absz * absq**j * pref <= tol, "log_qpoch_inf")
+    F = mp.prec + _GUARD
+    pieces, smin = _fx_product(_fx(z, F), _fx(q, F), J, F, _ARG_FLUSH)
+    units, _ = _factor_error(J, absq, absz, smin, F)
+    if units is None:
+        raise ConvergenceError("log_qpoch_inf: a factor 1 - z q^j is within round-off of 0")
+    # the factors' round-off moves the log by at most 2 units; each log and
+    # each addition at F bits by at most 4 |log| more
+    units *= 2
+    cplx = isinstance(z, mpc) or isinstance(q, mpc)
+    if cplx:
+        acc = (fzero, fzero)
+        for pr, pi, e in pieces:
+            lg = mpc_log((from_man_exp(pr, e), from_man_exp(pi, e)), F)
+            acc = mpc_add(acc, lg, F)
+            units += 4 * (abs(to_float(lg[0])) + abs(to_float(lg[1])))
+        value = mp.make_mpc((_round(acc[0]), _round(acc[1])))
+    else:
+        pr, _, e = pieces[0]
+        acc = mpf_log(from_man_exp(pr, e), F)
+        units += 4 * abs(to_float(acc))
+        value = mp.make_mpf(_round(acc))
+    tail = absz * absq**J * pref
+    return SeriesValue(value, tail + mp.ldexp(units, -F) + _roundoff(J, value), J)
 
 
 def qpoch_inf_direct(a, q, rel_tol=None) -> SeriesValue:
     """(a;q)_inf by direct factor multiplication; works for any a.
 
     Used where |a| >= 1 rules out the log-series path (e.g. the q^(1/2)/z
-    factor of the triple product).  The certified bound is relative and is
-    converted to an absolute one on the returned value.
+    factor of the triple product) and by the eta/theta evaluators, with
+    complex q.  The certified bound is relative and is converted to an
+    absolute one on the returned value.
     """
     q = q if isinstance(q, (mpf, mpc)) else mpf(q)
     a = a if isinstance(a, (mpf, mpc)) else mpf(a)
     absq = abs(q)
     if not absq < 1:
         raise DomainError(f"|q| must be < 1, got {absq}")
-    if rel_tol is None:
-        rel_tol = mpf(2) ** (-mp.prec + 2)
-    prod = mpf(1) if (isinstance(a, mpf) and isinstance(q, mpf)) else mpc(1)
-    w = a
-    absw = abs(a)
-    n = 0
-    while True:
-        prod = prod * (1 - w)
-        w = w * q
-        absw = absw * absq
-        n += 1
-        # once |w| <= 1/2: |log prod_tail| <= sum 2|w| <= 2|w|/(1-|q|)
-        if absw <= mpf("0.5"):
-            logtail = 2 * absw / (1 - absq)
-            if logtail <= rel_tol:
-                break
-        if n > DEFAULT_MAX_TERMS:
-            raise ConvergenceError("qpoch_inf_direct did not reach tolerance")
-    err = abs(prod) * mp.expm1(logtail) + _roundoff(n, prod)
+    rel_tol = mpf(2) ** (-mp.prec + 2) if rel_tol is None else mpf(rel_tol)
+    absa = abs(a)
+
+    # once |a q^n| <= 1/2: |log prod_tail| <= sum 2|a q^j| <= 2|a q^n|/(1-|q|)
+    def holds(n):
+        absw = absa * absq**n
+        return absw <= _HALF and 2 * absw / (1 - absq) <= rel_tol
+
+    n = _first_term(_ln(absa), _ln(absq),
+                    min(-_LN2, _ln(rel_tol) + _ln1m(absq) - _LN2), holds,
+                    "qpoch_inf_direct")
+    logtail = 2 * absa * absq**n / (1 - absq)
+    F = mp.prec + _GUARD
+    pieces, smin = _fx_product(_fx(a, F), _fx(q, F), n, F, math.inf)
+    pr, pi, e = pieces[0]
+    prod = _from_fx(pr, pi, e, isinstance(a, mpc) or isinstance(q, mpc))
+    units, ew = _factor_error(n, absq, absa, smin, F)
+    if units is None:
+        # a factor within round-off of 0: every factor is at most 1 + |a q^j|
+        fx_err = mp.exp(absa / (1 - absq)) * mp.expm1(mp.ldexp(2 * n * (ew + 2), -F))
+    else:
+        fx_err = abs(prod) * mp.expm1(mp.ldexp(2 * units, -F))
+    err = abs(prod) * mp.expm1(logtail) + fx_err + _roundoff(n, prod)
     return SeriesValue(prod, err, n)
 
 
@@ -292,7 +440,7 @@ def E_q_series(z, q, tol=None) -> SeriesValue:
         poch = poch * (1 - q ** (n + 1))
         n += 1
         ratio = abs(z) * q**n  # |term_{n+1}|/|term_n| decreases in n
-        if ratio < mpf("0.5"):
+        if ratio < _HALF:
             tail = 2 * abs(term_num) / floor
             if tail <= tol:
                 break
@@ -398,7 +546,7 @@ def theta_sum(z, q, tol=None) -> SeriesValue:
         # term ratio for |m| > n: q^(m+1/2) Z; once < 1/2 the tail telescopes
         ratio = sq * q**n * Z
         bound_term = q ** (mpf(n + 1) ** 2 / 2) * Z ** (n + 1)
-        if ratio < mpf("0.5"):
+        if ratio < _HALF:
             tail = 4 * bound_term
             if tail <= tol:
                 break
@@ -539,6 +687,9 @@ def weighted_product_log(
     Form B: sum_n g(n)/n^w * [log (q^(n(z+1)); q^(2n))_inf
                               - log (q^(nz); q^(2n))_inf].
     The outer tail uses |log (q^(nz);q^n)_inf| <= r^n / ((1-q)(1-r)).
+    Each inner log-Pochhammer stops where log_qpoch_inf would.  At real
+    z = a/b with b <= 16 it is a strided sum over the cached table of
+    log(1 - q^(k/b)); otherwise it calls log_qpoch_inf.
     """
     if form not in ("A", "B"):
         raise DomainError(f"form must be 'A' or 'B', got {form!r}")
@@ -549,32 +700,24 @@ def weighted_product_log(
     C, beta = _growth(g)
     w = 1 if weight == "over_n" else 0
     p = beta - w
-    rez = z.real if isinstance(z, mpc) else z
+    complex_z = isinstance(z, mpc)
+    rez = z.real if complex_z else z
     r = q**rez
     pref = C / ((1 - q) * (1 - r))
     if form == "B":
         pref = 2 * pref
+    if C == 0:
+        return SeriesValue(mpc(0) if complex_z else mpf(0), mpf(0), 0)
 
-    complex_z = isinstance(z, mpc)
-    logq = mp.log(q)
-    if form == "A":
-        qz = mp.exp(z * logq) if complex_z else q**z
-        base_step = q
-    else:
-        qz = mp.exp(z * logq) if complex_z else q**z
-        qz1 = mp.exp((z + 1) * logq) if complex_z else q ** (z + 1)
-        base_step = q * q
-        b1n = qz1 * 0 + 1
+    inner_tol = mpf(2) ** (-mp.prec)
+    ab = None if complex_z else _small_fraction(z)
+    inner = (_table_inner(q, ab, form, inner_tol) if ab
+             else _pochhammer_inner(q, z, form, inner_tol))
     acc = mpc(0) if complex_z else mpf(0)
     err_acc = mpf(0)
-    inner_tol = mpf(2) ** (-mp.prec)
-    an = qz * 0 + 1
-    base_n = mpf(1)
     n = 0
     check_at = 1
     inner_terms = 0
-    if C == 0:
-        return SeriesValue(acc, mpf(0), 0)
     while True:
         if n >= max_terms:
             raise ConvergenceError(
@@ -587,26 +730,13 @@ def weighted_product_log(
                 side="product",
             )
         n += 1
-        an = an * qz
-        base_n = base_n * base_step
-        if form == "B":
-            b1n = b1n * qz1
         gv = g.values[n]
         if gv:
             c = _to_mp(gv)
             if w:
                 c = c / n
-            if form == "A":
-                inner = log_qpoch_inf(an, base_n, tol=inner_tol)
-                val = inner.value
-                ierr = inner.err_bound
-                inner_terms += inner.terms_used
-            else:
-                i1 = log_qpoch_inf(b1n, base_n, tol=inner_tol)
-                i2 = log_qpoch_inf(an, base_n, tol=inner_tol)
-                val = i1.value - i2.value
-                ierr = i1.err_bound + i2.err_bound
-                inner_terms += i1.terms_used + i2.terms_used
+            val, ierr, terms = inner(n)
+            inner_terms += terms
             acc = acc + c * val
             err_acc += abs(c) * ierr
         if n >= check_at:
@@ -615,3 +745,126 @@ def weighted_product_log(
                 break
             check_at = n + max(4, n // 16)
     return SeriesValue(acc, tail + err_acc + _roundoff(n + inner_terms, acc), n)
+
+
+# weighted_product_log at real z = a/b with b <= _MAX_DENOM reads its inner
+# products from a table of log(1 - q^(k/b)), cached per (q, b, precision);
+# the oldest table is dropped beyond _MAX_LOG_TABLES
+_MAX_DENOM = 16
+_MAX_LOG_TABLES = 32
+_log_tables = {}
+
+
+def _small_fraction(z):
+    """(a, b) with z = a/b exactly and b <= _MAX_DENOM, else None."""
+    man, exp = z.man_exp
+    if exp >= 0:
+        return man << exp, 1
+    if 1 << -exp <= _MAX_DENOM:
+        return man, 1 << -exp
+    return None
+
+
+def _pochhammer_inner(q, z, form, inner_tol):
+    """n -> (value, bound, terms) of the inner log-Pochhammer of
+    weighted_product_log, through log_qpoch_inf."""
+    logq = mp.log(q)
+    complex_z = isinstance(z, mpc)
+    qz = mp.exp(z * logq) if complex_z else q**z
+    if form == "A":
+        qz1, base_step = None, q
+    else:
+        qz1 = mp.exp((z + 1) * logq) if complex_z else q ** (z + 1)
+        base_step = q * q
+    # q^(nz), q^(n(z+1)) and the base at n = k, advanced one n at a time
+    k, an, b1n, base_n = 0, qz * 0 + 1, qz * 0 + 1, mpf(1)
+
+    def inner(n):
+        nonlocal k, an, b1n, base_n
+        while k < n:
+            k += 1
+            an = an * qz
+            base_n = base_n * base_step
+            if qz1 is not None:
+                b1n = b1n * qz1
+        i2 = log_qpoch_inf(an, base_n, tol=inner_tol)
+        if qz1 is None:
+            return i2.value, i2.err_bound, i2.terms_used
+        i1 = log_qpoch_inf(b1n, base_n, tol=inner_tol)
+        return (i1.value - i2.value, i1.err_bound + i2.err_bound,
+                i1.terms_used + i2.terms_used)
+
+    return inner
+
+
+def _table_inner(q, ab, form, inner_tol):
+    """As _pochhammer_inner, at real z = a/b: each inner log-Pochhammer is a
+    strided sum over the cached table L[k] = log(1 - Q^k), Q = q^(1/b).
+
+    Its term count J is the one log_qpoch_inf finds for the same arguments,
+    and each table entry is within 3 units of 2^-F.
+    """
+    a, b = ab
+    prec = mp.prec
+    F = prec + _GUARD
+    lnQ = _ln(q) / b
+    lt = _ln(inner_tol)
+    step = b if form == "A" else 2 * b
+    entry_units = 2.0 ** (2 - _GUARD)  # 3 units of 2^-F, in units of 2^-prec
+
+    def strided(start, stride):
+        # log (Q^start; Q^stride)_inf = sum_j L[start + j stride]
+        lw, lb = start * lnQ, stride * lnQ
+        l1w, l1b = math.log(-math.expm1(lw)), math.log(-math.expm1(lb))
+
+        def holds(j):
+            wv, bv = q ** (mpf(start) / b), q ** (mpf(stride) / b)
+            return wv * bv**j * (1 / ((1 - bv) * (1 - wv))) <= inner_tol
+
+        J = _first_term(lw, lb, lt + l1b + l1w, holds, "log_qpoch_inf")
+        L = _log1m_table(q, b, start + stride * (J - 1))
+        val = sum(L[start:start + stride * J:stride])
+        tail = math.exp(lw + J * lb - l1b - l1w + prec * _LN2)
+        # the tail, _roundoff as log_qpoch_inf counts it, and the entries
+        absval = to_float(from_man_exp(abs(val), -F), rnd=round_up)
+        err = tail + 16 * (J + 2) * (1 + absval) + J * entry_units
+        return val, err, J
+
+    def inner(n):
+        v, e, j = strided(n * a, n * step)
+        if form == "B":
+            v1, e1, j1 = strided(n * (a + b), n * step)
+            v, e, j = v1 - v, e1 + e, j1 + j
+        # 1e-9 covers the float rounding of e
+        return _from_fx(v, 0, -F, False), mp.ldexp(e * (1 + 1e-9), -prec), j
+
+    return inner
+
+
+def _log1m_table(q, b, kmax):
+    """L with L[k] = log(1 - q^(k/b)) at F = mp.prec + _GUARD fractional bits,
+    for 1 <= k <= kmax at least (L[0] = 0 is unused).
+
+    Tables are cached per (q, b, mp.prec) and grown on demand, one entry at a
+    time, so an entry does not depend on the order of the calls.  Powers of
+    Q = q^(1/b) carry FH = F + H bits with 2^-H 6/(1-Q)^3 <= 1, so each entry
+    is within 3 units of 2^-F: the power's error through the log, the log's
+    own, and its truncation.
+    """
+    F = mp.prec + _GUARD
+    key = (q, b, mp.prec)
+    tab = _log_tables.get(key)
+    if tab is None:
+        if len(_log_tables) >= _MAX_LOG_TABLES:
+            del _log_tables[next(iter(_log_tables))]
+        FH = F + 3 + 3 * math.ceil(-math.log2(-math.expm1(_ln(q) / b)))
+        with mp.workprec(FH + 8):
+            Q = q if b == 1 else mp.root(q, b)
+        tab = _log_tables[key] = [[0], 1 << FH, to_fixed(Q._mpf_, FH), FH]
+    L, x, Qh, FH = tab
+    one = 1 << FH
+    while len(L) <= kmax:
+        x = x * Qh >> FH
+        L.append(to_fixed(mpf_log(from_man_exp(one - x, -FH), FH), F))
+    tab[1] = x
+    return L

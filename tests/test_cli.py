@@ -1,6 +1,7 @@
 """Exit-code contract, output formats, and determinism of the CLI."""
 
 import json
+import time
 
 import pytest
 
@@ -101,6 +102,13 @@ def test_eval_convergence_failure_exits_5(capsys):
     code, _, err = run(capsys, "eval", "lambert", "--f", "divisor_d",
                        "--q", "0.99", "--z", "1", "--max-terms", "50")
     assert code == 5 and "convergence" in err
+
+
+def test_eval_qpoch_beyond_the_term_cap_exits_5_at_once(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "eval", "qpoch", "--q", "0.99999", "--z", "0.5")
+    assert code == 5 and "needs J=" in err and "cap" in err
+    assert time.perf_counter() - t0 < 2
 
 
 def test_eval_bad_function_exits_2(capsys):

@@ -1,11 +1,19 @@
 """Certified q-series primitives against independent oracles."""
 
+import time
+
 import mpmath
 import pytest
+from mpf_kernels import (
+    oracle_log_qpoch_inf,
+    oracle_qpoch_inf_direct,
+    oracle_weighted_product_log,
+)
 from mpmath import mp, mpf, mpc
 
+from lambertq import qseries
 from lambertq.arith import FunctionId, build_table, dirichlet_convolve
-from lambertq.numerics import ConvergenceError, DomainError, set_precision
+from lambertq.numerics import ConvergenceError, DomainError, precision, set_precision
 from lambertq.qseries import (
     E_q,
     E_q_series,
@@ -72,21 +80,52 @@ def test_series_value_rejects_bad_bounds():
 # ---------------------------------------------------------------------------
 # q-Pochhammer primitives
 
-@pytest.mark.parametrize("q", Q_GRID)
-@pytest.mark.parametrize("z", [mpf("0.3"), mpf("-0.6"), mpc("0.2", "0.4")])
+# a fixed sample: q near 0, near 1 and complex; z real, negative, complex,
+# and |z| = 0.95 (0.57^2 + 0.76^2 = 0.95^2)
+LOG_Q = Q_GRID + [mpf("0.9"), mpf("0.99"), mpc("0.3", "0.4")]
+LOG_Z = [mpf("0.3"), mpf("-0.6"), mpc("0.2", "0.4"), mpf("0.95"), mpf("-0.95"),
+         mpc("0.57", "0.76")]
+
+
+@pytest.mark.parametrize("q", LOG_Q)
+@pytest.mark.parametrize("z", LOG_Z)
 def test_log_qpoch_against_mpmath(q, z):
     sv = log_qpoch_inf(z, q)
-    oracle = mpmath.qp(z, q)
+    ref = oracle_log_qpoch_inf(z, q)
+    assert sv.terms_used == ref.terms_used
+    assert abs(sv.value - ref.value) <= sv.err_bound + ref.err_bound
+    oracle = mpmath.qp(z, q, maxterms=10**6)
     assert abs(mp.exp(sv.value) - oracle) <= abs(oracle) * mp.expm1(sv.err_bound) \
         + mpf(2) ** (-mp.prec + 24)
 
 
-@pytest.mark.parametrize("a", [mpf(2), mpf("-3.5"), mpc(1, 1)])
+# each entry is an (a, q) pair: |a| >= 1 and |a| < 1, real and complex q,
+# and (q;q)_inf = 7.4e-713 at q = 0.999, which only a running exponent holds
+DIRECT_SAMPLE = [
+    (mpf(2), mpf("0.4")), (mpf("-3.5"), mpf("0.4")), (mpc(1, 1), mpf("0.4")),
+    (mpf(2), mpf("0.9")), (mpf("-0.95"), mpf("0.99")), (mpf(3), mpc("0.3", "0.4")),
+    (mpc("0.57", "0.76"), mpc("0.3", "0.4")), (mpf("0.999"), mpf("0.999")),
+]
+
+
+@pytest.mark.parametrize("a", DIRECT_SAMPLE)
 def test_qpoch_direct_against_mpmath(a):
-    q = mpf("0.4")
+    a, q = a
     sv = qpoch_inf_direct(a, q)
-    oracle = mpmath.qp(a, q)
+    ref = oracle_qpoch_inf_direct(a, q)
+    assert sv.terms_used == ref.terms_used
+    assert abs(sv.value - ref.value) <= sv.err_bound + ref.err_bound
+    oracle = mpmath.qp(a, q, maxterms=10**6)
     assert abs(sv.value - oracle) <= sv.err_bound + mpf(2) ** (-mp.prec + 24)
+
+
+def test_kernels_fail_at_once_beyond_the_term_cap():
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"log_qpoch_inf needs J=.* cap of 1000000"):
+        log_qpoch_inf(mpf("0.5"), 1 - mpf(2) ** -30)
+    with pytest.raises(ConvergenceError, match=r"qpoch_inf_direct needs J=.* cap of 1000000"):
+        qpoch_inf_direct(mpf("0.5"), mpf("0.99999"))
+    assert time.perf_counter() - t0 < 2
 
 
 @pytest.mark.parametrize("q", Q_GRID)
@@ -279,3 +318,43 @@ def test_tightening_tol_tightens_certificate():
     assert tight.terms_used >= loose.terms_used
     assert tight.err_bound < loose.err_bound
     assert abs(tight.value - loose.value) <= loose.err_bound
+
+
+# ---------------------------------------------------------------------------
+# the cached log(1 - q^(k/b)) table of weighted_product_log
+
+@pytest.mark.parametrize("g_key, form", [("totient", "A"), ("mobius", "B")])
+@pytest.mark.parametrize("z", [mpf(1), mpf(2), mpf("0.5")])
+def test_product_table_against_mpf_loop(monkeypatch, g_key, form, z):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("rational real z must not call log_qpoch_inf")
+
+    monkeypatch.setattr(qseries, "log_qpoch_inf", unexpected)
+    g = table(g_key)
+    pt = QPoint(mpf("0.7"), z)
+    new = weighted_product_log(g, pt, form=form)
+    ref = oracle_weighted_product_log(g, pt, form=form)
+    assert new.terms_used == ref.terms_used
+    assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
+
+
+def test_product_table_value_does_not_depend_on_cache_state():
+    g = table("totient")
+    pt = QPoint(mpf("0.7"), mpf("0.5"))
+    key = (pt.q, 2, mp.prec)
+    qseries._log_tables.pop(key, None)
+    cold = weighted_product_log(g, pt, form="B")
+    used = len(qseries._log_tables[key][0])
+
+    qseries._log_tables.pop(key, None)
+    # other points with b = 2 fill the (0.7, 2) table first, further than needed
+    weighted_product_log(table("mobius"), QPoint(mpf("0.7"), mpf("1.5")), form="A")
+    weighted_product_log(table("divisor_d"), QPoint(mpf("0.7"), mpf("0.5")), form="B",
+                         weight="plain")
+    assert len(qseries._log_tables[key][0]) > used
+    warm = weighted_product_log(g, pt, form="B")
+
+    with precision(192):
+        weighted_product_log(g, QPoint(mpf("0.7"), mpf("0.5")), form="B")
+    again = weighted_product_log(g, pt, form="B")
+    assert cold == warm == again
