@@ -96,9 +96,14 @@ class SeriesValue:
             raise ValueError("err_bound must be finite and nonnegative")
 
 
+def _roundoff_units(nterms, absscale):
+    # generous cover for accumulated rounding, in units of 2^-mp.prec;
+    # truncation always dominates
+    return 16 * (nterms + 2) * (1 + absscale)
+
+
 def _roundoff(nterms, scale):
-    # generous cover for accumulated rounding; truncation always dominates
-    return mpf(2) ** (-mp.prec + 4) * (nterms + 2) * (1 + abs(scale))
+    return mp.ldexp(_roundoff_units(nterms, abs(scale)), -mp.prec)
 
 
 def _poly_geom_tail(p, r, N):
@@ -177,6 +182,25 @@ def _first_term(lw, lq, lt, holds, name):
     while j < last and (j < 1 or not holds(j)):
         j += 1
     return max(j, 1)
+
+
+def _qpoch_tail(aw, ab, J):
+    """|w| |b|^J / ((1-|b|)(1-|w|)), which bounds the tail
+    |sum_{j>=J} log(1 - w b^j)| for |w|, |b| < 1."""
+    return aw * ab**J * (1 / ((1 - ab) * (1 - aw)))
+
+
+def _qpoch_terms(lw, lb, lpref, tol, exact, name):
+    """Term count of log_qpoch_inf for sum_j log(1 - w b^j), and its tail.
+
+    J is the first J >= 1 with _qpoch_tail(|w|, |b|, J) <= tol.  lw, lb and
+    lpref are the natural logs of |w|, |b| and 1/((1-|b|)(1-|w|)) as
+    floats, and ``exact()`` gives (|w|, |b|) as mpf for the test near an
+    integer root.  Returns J and the log of the tail bound at J, as a float.
+    """
+    J = _first_term(lw, lb, _ln(tol) - lpref, lambda j: _qpoch_tail(*exact(), j) <= tol,
+                    name)
+    return J, lw + J * lb + lpref
 
 
 def _fx(x, F):
@@ -288,9 +312,8 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
         return SeriesValue(mpf(0), mpf(0), 0)
     tol = mpf(2) ** (-mp.prec) if tol is None else mpf(tol)
 
-    pref = 1 / ((1 - absq) * (1 - absz))
-    J = _first_term(_ln(absz), _ln(absq), _ln(tol) + _ln1m(absq) + _ln1m(absz),
-                    lambda j: absz * absq**j * pref <= tol, "log_qpoch_inf")
+    J, _ = _qpoch_terms(_ln(absz), _ln(absq), -_ln1m(absq) - _ln1m(absz), tol,
+                        lambda: (absz, absq), "log_qpoch_inf")
     F = mp.prec + _GUARD
     pieces, smin = _fx_product(_fx(z, F), _fx(q, F), J, F, _ARG_FLUSH)
     units, _ = _factor_error(J, absq, absz, smin, F)
@@ -312,7 +335,7 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
         acc = mpf_log(from_man_exp(pr, e), F)
         units += 4 * abs(to_float(acc))
         value = mp.make_mpf(_round(acc))
-    tail = absz * absq**J * pref
+    tail = _qpoch_tail(absz, absq, J)
     return SeriesValue(value, tail + mp.ldexp(units, -F) + _roundoff(J, value), J)
 
 
@@ -688,8 +711,9 @@ def weighted_product_log(
                               - log (q^(nz); q^(2n))_inf].
     The outer tail uses |log (q^(nz);q^n)_inf| <= r^n / ((1-q)(1-r)).
     Each inner log-Pochhammer stops where log_qpoch_inf would.  At real
-    z = a/b with b <= 16 it is a strided sum over the cached table of
-    log(1 - q^(k/b)); otherwise it calls log_qpoch_inf.
+    z = a/b with b <= 2 it is a strided sum over the cached table of
+    log(1 - q^(k/b)), unless a is so large that most of the table would go
+    unread; otherwise it calls log_qpoch_inf.
     """
     if form not in ("A", "B"):
         raise DomainError(f"form must be 'A' or 'B', got {form!r}")
@@ -711,8 +735,9 @@ def weighted_product_log(
 
     inner_tol = mpf(2) ** (-mp.prec)
     ab = None if complex_z else _small_fraction(z)
-    inner = (_table_inner(q, ab, form, inner_tol) if ab
-             else _pochhammer_inner(q, z, form, inner_tol))
+    inner = _table_inner(q, ab, form, inner_tol) if ab else None
+    if inner is None:
+        inner = _pochhammer_inner(q, z, form, inner_tol)
     acc = mpc(0) if complex_z else mpf(0)
     err_acc = mpf(0)
     n = 0
@@ -749,8 +774,10 @@ def weighted_product_log(
 
 # weighted_product_log at real z = a/b with b <= _MAX_DENOM reads its inner
 # products from a table of log(1 - q^(k/b)), cached per (q, b, precision);
-# the oldest table is dropped beyond _MAX_LOG_TABLES
-_MAX_DENOM = 16
+# the oldest table is dropped beyond _MAX_LOG_TABLES.  b = 1 and 2 are the
+# denominators whose timings were measured against the log_qpoch_inf path;
+# the table's cost per entry read grows with b.
+_MAX_DENOM = 2
 _MAX_LOG_TABLES = 32
 _log_tables = {}
 
@@ -801,33 +828,35 @@ def _table_inner(q, ab, form, inner_tol):
     """As _pochhammer_inner, at real z = a/b: each inner log-Pochhammer is a
     strided sum over the cached table L[k] = log(1 - Q^k), Q = q^(1/b).
 
-    Its term count J is the one log_qpoch_inf finds for the same arguments,
-    and each table entry is within 3 units of 2^-F.
+    Its term count J and its tail bound are the ones log_qpoch_inf finds for
+    the same arguments, and each table entry is within 3 units of 2^-F.
+    Returns None where the products at n = 1 would read less than a quarter
+    of the table they need, as they do once q^z is near the tolerance.
     """
     a, b = ab
     prec = mp.prec
     F = prec + _GUARD
     lnQ = _ln(q) / b
-    lt = _ln(inner_tol)
     step = b if form == "A" else 2 * b
+    firsts = (a,) if form == "A" else (a, a + b)
     entry_units = 2.0 ** (2 - _GUARD)  # 3 units of 2^-F, in units of 2^-prec
+
+    def terms(start, stride):
+        lw, lb = start * lnQ, stride * lnQ
+        lpref = -math.log(-math.expm1(lw)) - math.log(-math.expm1(lb)) if lb else math.inf
+        return _qpoch_terms(lw, lb, lpref, inner_tol,
+                            lambda: (q ** (mpf(start) / b), q ** (mpf(stride) / b)),
+                            "log_qpoch_inf")
 
     def strided(start, stride):
         # log (Q^start; Q^stride)_inf = sum_j L[start + j stride]
-        lw, lb = start * lnQ, stride * lnQ
-        l1w, l1b = math.log(-math.expm1(lw)), math.log(-math.expm1(lb))
-
-        def holds(j):
-            wv, bv = q ** (mpf(start) / b), q ** (mpf(stride) / b)
-            return wv * bv**j * (1 / ((1 - bv) * (1 - wv))) <= inner_tol
-
-        J = _first_term(lw, lb, lt + l1b + l1w, holds, "log_qpoch_inf")
+        J, ltail = terms(start, stride)
         L = _log1m_table(q, b, start + stride * (J - 1))
         val = sum(L[start:start + stride * J:stride])
-        tail = math.exp(lw + J * lb - l1b - l1w + prec * _LN2)
-        # the tail, _roundoff as log_qpoch_inf counts it, and the entries
+        # in units of 2^-prec: the tail, _roundoff as log_qpoch_inf counts
+        # it, and 3 units of 2^-F per entry
         absval = to_float(from_man_exp(abs(val), -F), rnd=round_up)
-        err = tail + 16 * (J + 2) * (1 + absval) + J * entry_units
+        err = math.exp(ltail + prec * _LN2) + _roundoff_units(J, absval) + J * entry_units
         return val, err, J
 
     def inner(n):
@@ -838,6 +867,12 @@ def _table_inner(q, ab, form, inner_tol):
         # 1e-9 covers the float rounding of e
         return _from_fx(v, 0, -F, False), mp.ldexp(e * (1 + 1e-9), -prec), j
 
+    try:
+        Js = [terms(s, step)[0] for s in firsts]
+    except ConvergenceError:
+        return None  # log_qpoch_inf raises the same error, if n = 1 is used
+    if max(s + step * (J - 1) for s, J in zip(firsts, Js)) > 4 * sum(Js):
+        return None
     return inner
 
 
@@ -863,8 +898,13 @@ def _log1m_table(q, b, kmax):
         tab = _log_tables[key] = [[0], 1 << FH, to_fixed(Q._mpf_, FH), FH]
     L, x, Qh, FH = tab
     one = 1 << FH
-    while len(L) <= kmax:
-        x = x * Qh >> FH
-        L.append(to_fixed(mpf_log(from_man_exp(one - x, -FH), FH), F))
+    try:
+        while len(L) <= kmax:
+            x = x * Qh >> FH
+            L.append(to_fixed(mpf_log(from_man_exp(one - x, -FH), FH), F))
+    except BaseException:
+        # L may have outrun the power stored with it; never keep that pair
+        del _log_tables[key]
+        raise
     tab[1] = x
     return L

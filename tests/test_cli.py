@@ -111,6 +111,14 @@ def test_eval_qpoch_beyond_the_term_cap_exits_5_at_once(capsys):
     assert time.perf_counter() - t0 < 2
 
 
+def test_eval_product_at_large_z_returns_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "product", "--g", "mobius",
+                       "--q", "0.5", "--z", "1e9")
+    assert code == 0 and out
+    assert time.perf_counter() - t0 < 2
+
+
 def test_eval_bad_function_exits_2(capsys):
     code, _, _ = run(capsys, "eval", "lambert", "--f", "nope", "--q", "0.3")
     assert code == 2

@@ -358,3 +358,67 @@ def test_product_table_value_does_not_depend_on_cache_state():
         weighted_product_log(g, QPoint(mpf("0.7"), mpf("0.5")), form="B")
     again = weighted_product_log(g, pt, form="B")
     assert cold == warm == again
+
+
+@pytest.mark.parametrize("z", [mpf(10) ** 9, mpf(2) ** 20, mpf(200)])
+def test_product_at_large_real_z_skips_the_table(z):
+    # q^z is far below the tolerance: a table from Q^1 up to Q^z would hold
+    # z entries to read one, so the general path takes each inner product
+    g = table("mobius")
+    pt = QPoint(mpf("0.5"), z)
+    t0 = time.perf_counter()
+    for form in ("A", "B"):
+        qseries._log_tables.pop((pt.q, 1, mp.prec), None)
+        new = weighted_product_log(g, pt, form=form)
+        ref = oracle_weighted_product_log(g, pt, form=form)
+        assert new.terms_used == ref.terms_used
+        assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
+        assert (pt.q, 1, mp.prec) not in qseries._log_tables
+    assert time.perf_counter() - t0 < 2
+
+
+@pytest.mark.parametrize("z", [mpf("0.25"), mpf("0.75"), mpf(1) / 3])
+def test_product_at_other_real_z_calls_log_qpoch_inf(monkeypatch, z):
+    calls = []
+    orig = qseries.log_qpoch_inf
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(qseries, "log_qpoch_inf", counting)
+    g = table("totient")
+    pt = QPoint(mpf("0.7"), z)
+    new = weighted_product_log(g, pt, form="B")
+    ref = oracle_weighted_product_log(g, pt, form="B")
+    assert calls
+    assert new.terms_used == ref.terms_used
+    assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
+
+
+def test_product_table_interrupted_growth_is_dropped(monkeypatch):
+    class Interrupted(Exception):
+        pass
+
+    g = table("totient")
+    pt = QPoint(mpf("0.7"), mpf(1))
+    key = (pt.q, 1, mp.prec)
+    qseries._log_tables.pop(key, None)
+    cold = weighted_product_log(g, pt, form="B")
+
+    qseries._log_tables.pop(key, None)
+    weighted_product_log(g, pt, form="A")  # a shorter table than form B needs
+    orig, left = qseries.mpf_log, [3]
+
+    def failing(*args):
+        left[0] -= 1
+        if left[0] < 0:
+            raise Interrupted
+        return orig(*args)
+
+    monkeypatch.setattr(qseries, "mpf_log", failing)
+    with pytest.raises(Interrupted):
+        weighted_product_log(g, pt, form="B")
+    assert key not in qseries._log_tables
+    monkeypatch.setattr(qseries, "mpf_log", orig)
+    assert weighted_product_log(g, pt, form="B") == cold
