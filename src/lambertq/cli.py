@@ -70,12 +70,27 @@ def _scalar_str(v) -> str:
     return mp.nstr(mpf(v), mp.dps)
 
 
-def _parse_complex(text: str):
+class ParseError(ValueError):
+    """A command-line value that does not parse."""
+
+
+def _parse_number(text: str, real=True):
+    """A real number as a decimal at the working precision, or else a complex
+    one through Python's complex (1+0.5j)."""
     try:
+        if real:
+            return mpf(text)
         v = complex(text.replace(" ", ""))
     except ValueError:
-        raise DomainError(f"cannot parse number {text!r}") from None
+        raise ParseError(f"parse error: cannot parse number {text!r}") from None
     return mpc(v) if v.imag else mpf(v.real)
+
+
+def _parse_spec(text: str) -> FunctionId:
+    try:
+        return FunctionId.parse(text)
+    except DomainError as exc:
+        raise ParseError(f"parse error: {exc}") from None
 
 
 def _add_global_opts(parser, suppress: bool):
@@ -206,11 +221,7 @@ def _reports_out(reports, cols, fmt: str) -> str:
 # commands
 
 def cmd_sieve(args, cfg: RunConfig) -> int:
-    try:
-        fid = FunctionId.parse(args.spec)
-    except DomainError as exc:
-        print(f"lambertq: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    fid = _parse_spec(args.spec)
     if args.N < 1:
         print("lambertq: N must be >= 1", file=sys.stderr)
         return EXIT_DOMAIN
@@ -222,41 +233,27 @@ def cmd_sieve(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _adaptive_table(spec: str, eval_fn):
-    key = f"std:{spec}"
-    return identities._adaptive(
-        lambda N: eval_fn(identities._get_table(key, N)))
-
-
 def cmd_eval(args, cfg: RunConfig) -> int:
     fmt = cfg.format
     if args.what == "qpoch":
-        sv = qpoch_inf_direct(_parse_complex(args.z), mpf(args.q))
+        sv = qpoch_inf_direct(_parse_number(args.z, real=False), _parse_number(args.q))
         _emit(_series_value_out(sv, fmt))
         return EXIT_OK
     if args.what == "eta":
-        sv = dedekind_eta(_parse_complex(args.tau))
+        sv = dedekind_eta(_parse_number(args.tau, real=False))
         _emit(_series_value_out(sv, fmt))
         return EXIT_OK
-    pt = QPoint(mpf(args.q), _parse_complex(args.z))
+    pt = QPoint(_parse_number(args.q), _parse_number(args.z, real=False))
+    spec = args.fspec if args.what == "lambert" else args.gspec
+    _parse_spec(spec)
     if args.what == "lambert":
-        try:
-            FunctionId.parse(args.fspec)
-        except DomainError as exc:
-            print(f"lambertq: parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
         kern = KernelForm(args.kernel, args.weight)
-        sv = _adaptive_table(args.fspec, lambda f: lambert_sum(
+        sv = identities._with_table(f"std:{spec}", lambda f: lambert_sum(
             f, kern, pt, tol=cfg.tol, max_terms=cfg.max_terms))
         _emit(_series_value_out(sv, fmt))
         return EXIT_OK
     # product: reports the log of the weighted product plus its exponential
-    try:
-        FunctionId.parse(args.gspec)
-    except DomainError as exc:
-        print(f"lambertq: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    sv = _adaptive_table(args.gspec, lambda g: weighted_product_log(
+    sv = identities._with_table(f"std:{spec}", lambda g: weighted_product_log(
         g, pt, form=args.form, weight=args.weight,
         tol=cfg.tol, max_terms=cfg.max_terms))
     prod = mp.exp(sv.value)
@@ -269,8 +266,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if args.id == "all":
         reports = identities.verify_all(tol=cfg.tol, max_terms=cfg.max_terms)
     else:
-        q = mpf(args.q) if args.q is not None else None
-        z = _parse_complex(args.z) if args.z is not None else None
+        q = _parse_number(args.q) if args.q is not None else None
+        z = _parse_number(args.z, real=False) if args.z is not None else None
         reports = [identities.verify(args.id, q, z, tol=cfg.tol,
                                      max_terms=cfg.max_terms)]
     _emit(_reports_out(reports, _VERIFY_COLS, cfg.format))
@@ -278,7 +275,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_limit(args, cfg: RunConfig) -> int:
-    tol = mpf(args.limit_tol)
+    tol = _parse_number(args.limit_tol)
     if args.id == "all":
         reports = identities.limit_check_all(tol)
     else:
@@ -293,7 +290,7 @@ def main(argv=None) -> int:
         cfg = RunConfig(
             precision_bits=args.precision if args.precision is not None
             else mp.prec,
-            tol=mpf(args.tol) if args.tol is not None else DEFAULT_TOL,
+            tol=_parse_number(args.tol) if args.tol is not None else DEFAULT_TOL,
             max_terms=args.max_terms,
             format=args.format,
         )
@@ -301,7 +298,7 @@ def main(argv=None) -> int:
         handler = {"sieve": cmd_sieve, "eval": cmd_eval,
                    "verify": cmd_verify, "limit": cmd_limit}[args.command]
         return handler(args, cfg)
-    except identities.UnknownIdError as exc:
+    except (ParseError, identities.UnknownIdError) as exc:
         print(f"lambertq: {exc.args[0]}", file=sys.stderr)
         return EXIT_PARSE
     except OverflowError as exc:

@@ -38,6 +38,8 @@ from .qseries import (
     QPoint,
     SeriesValue,
     TableTooShortError,
+    _poly_geom_tail,
+    _truncation,
     lambert_sum,
     weighted_product_log,
 )
@@ -76,7 +78,7 @@ class UnknownIdError(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# table registry (cached, adaptive N)
+# table registry (one cached table per key, sized on demand)
 
 _table_cache: dict = {}
 
@@ -182,26 +184,29 @@ def _build_named(key: str, N: int) -> ArithTable:
 
 
 def _get_table(key: str, N: int) -> ArithTable:
-    ck = (key, N, mp.prec)
+    """The one cached table of ``key`` at this precision, rebuilt at the next
+    power of two >= max(N, 512) when it is shorter than N."""
+    ck = (key, mp.prec)
     tab = _table_cache.get(ck)
-    if tab is None:
-        tab = _build_named(key, N)
-        _table_cache[ck] = tab
+    if tab is None or tab.N < N:
+        tab = _table_cache[ck] = _build_named(key, max(_TABLE_START_N, 1 << (N - 1).bit_length()))
     return tab
 
 
 def _adaptive(eval_fn, start=_TABLE_START_N, cap=_TABLE_CAP_N):
-    """Run eval_fn(N) with doubling table size until the tails certify."""
-    N = start
-    while True:
-        try:
-            return eval_fn(N)
-        except TableTooShortError:
-            if N >= cap:
-                raise ConvergenceError(
-                    f"certified truncation point exceeds table cap {cap}"
-                )
-            N *= 2
+    """eval_fn(N) on a table of length >= N; a TableTooShortError, raised
+    before any term is summed, names the length to retry at, up to ``cap``."""
+    try:
+        return eval_fn(start)
+    except TableTooShortError as exc:
+        if exc.needed > cap:
+            raise ConvergenceError(f"needs N*={exc.needed:.6g} > table cap {cap}") from None
+        return eval_fn(exc.needed)
+
+
+def _with_table(key: str, eval_fn):
+    """eval_fn(table) on the cached table of ``key``, sized by _adaptive."""
+    return _adaptive(lambda N: eval_fn(_get_table(key, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +336,23 @@ def _closed(value):
 
 
 def _record_sides(rec: IdentityRecord, pt: QPoint, tol, max_terms):
-    """Return (lhs, rhs) SeriesValues, already oriented for comparison."""
+    """(lhs, rhs) SeriesValues oriented for comparison, each sized on its own table."""
     if rec.g_key in ("__intro3__", "__intro4__"):
-        lhs = _intro_product_log(pt, tol, odd_ratio=rec.g_key == "__intro4__")
+        lhs = _with_table("std:totient", lambda tot: _intro_product_log(
+            tot, pt.q, tol, max_terms, odd_ratio=rec.g_key == "__intro4__"))
+    elif rec.value_space:
+        kern = KernelForm("minus", rec.weight)
+        lhs = _with_table(rec.f_key, lambda f: lambert_sum(
+            f, kern, pt, tol=tol, max_terms=max_terms))
+    else:
+        lhs = _with_table(rec.g_key, lambda g: weighted_product_log(
+            g, pt, form=rec.form, weight=rec.weight, tol=tol, max_terms=max_terms))
+    if rec.closed_rhs is not None:
         return lhs, _closed(rec.closed_rhs(pt))
-
-    def run(N):
-        if rec.value_space:
-            f = _get_table(rec.f_key, N)
-            kern = KernelForm("minus", rec.weight)
-            lhs = lambert_sum(f, kern, pt, tol=tol, max_terms=max_terms)
-            return lhs, _closed(rec.closed_rhs(pt))
-        g = _get_table(rec.g_key, N)
-        lhs = weighted_product_log(
-            g, pt, form=rec.form, weight=rec.weight, tol=tol, max_terms=max_terms
-        )
-        if rec.closed_rhs is not None:
-            return lhs, _closed(rec.closed_rhs(pt))
-        f = _get_table(rec.f_key, N)
-        kern = KernelForm("minus" if rec.form == "A" else "plus",
-                          rec.f_weight or rec.weight)
-        s = lambert_sum(f, kern, pt, tol=tol, max_terms=max_terms)
-        return lhs, SeriesValue(rec.rhs_sign * s.value, s.err_bound, s.terms_used)
-
-    return _adaptive(run)
+    kern = KernelForm("minus" if rec.form == "A" else "plus", rec.f_weight or rec.weight)
+    s = _with_table(rec.f_key, lambda f: lambert_sum(
+        f, kern, pt, tol=tol, max_terms=max_terms))
+    return lhs, SeriesValue(rec.rhs_sign * s.value, s.err_bound, s.terms_used)
 
 
 def verify(id: str, q=None, z=None, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS):
@@ -702,34 +700,22 @@ def lookup(id: str) -> IdentityRecord:
 
 
 # the two intro products use single factors (1 -+ q^n), not full Pochhammers,
-# so they get their own small evaluators
-def _intro_product_log(pt, tol, odd_ratio: bool):
-    q = pt.q
-
-    def run(N):
-        tot = _get_table("std:totient", N)
-        acc = mpf(0)
-        n = 0
-        while True:
-            if n >= N:
-                raise TableTooShortError("intro product needs a longer table",
-                                         side="product")
-            n += 1
-            if odd_ratio and n % 2 == 0:
-                continue
-            qn = q**n
-            w = mpf(tot.values[n]) / n
-            if odd_ratio:
-                acc += w * (mp.log(1 + qn) - mp.log(1 - qn))
-            else:
-                acc += w * mp.log(1 - qn)
-            # |log(1 -+ x)| <= x/(1-x) and phi(m)/m <= 1
-            tail = 2 * q ** (n + 1) / ((1 - q) ** 2)
-            if tail <= tol:
-                break
-        return SeriesValue(acc, tail + mpf(2) ** (-mp.prec + 6) * n, n)
-
-    return _adaptive(run)
+# so they get their own small evaluator
+def _intro_product_log(tot, q, tol, max_terms, odd_ratio: bool):
+    # |log(1 -+ x)| <= x/(1-x) and phi(m)/m <= 1: the tail after N terms is
+    # at most 2 q^(N+1)/(1-q)^2, which is pref * _poly_geom_tail(0, q, N)
+    pref = 2 * (1 - mp.sqrt(q)) / (1 - q) ** 2
+    N = _truncation(tot, pref, 0, q, tol, max_terms, "intro product", "product")
+    acc = mpf(0)
+    for n in range(1, N + 1, 2 if odd_ratio else 1):
+        qn = q**n
+        w = mpf(tot.values[n]) / n
+        if odd_ratio:
+            acc += w * (mp.log(1 + qn) - mp.log(1 - qn))
+        else:
+            acc += w * mp.log(1 - qn)
+    tail = pref * _poly_geom_tail(0, q, N)
+    return SeriesValue(acc, tail + mpf(2) ** (-mp.prec + 6) * N, N)
 
 
 # ---------------------------------------------------------------------------
@@ -948,11 +934,8 @@ def _limit_exponent(rec: LimitTarget, j: int, abs_tol):
     else:
         inner_tol = abs_tol
 
-    def run(N):
-        return lambert_sum(_get_table(rec.f_key, N), kern, pt,
-                           tol=inner_tol, max_terms=2 * DEFAULT_MAX_TERMS)
-
-    s = _adaptive(run, start=4096, cap=_TABLE_CAP_N)
+    s = _with_table(rec.f_key, lambda f: lambert_sum(
+        f, kern, pt, tol=inner_tol, max_terms=2 * DEFAULT_MAX_TERMS))
     scale = x if rec.form == "A" else mpf(1)
     return rec.sign * scale * s.value, scale * s.err_bound
 

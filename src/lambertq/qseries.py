@@ -48,7 +48,11 @@ _HALF = mpf("0.5")
 
 
 class TableTooShortError(ConvergenceError):
-    """The certified truncation point exceeds the tabulated range."""
+    """The certified truncation point ``needed`` exceeds the tabulated range."""
+
+    def __init__(self, message, side=None, needed=None):
+        super().__init__(message, side)
+        self.needed = needed
 
 
 @dataclass(frozen=True)
@@ -164,24 +168,43 @@ def _ln1m(x):
     return math.log1p(-float(x)) if x < _HALF else _ln(1 - x)
 
 
-def _first_term(lw, lq, lt, holds, name):
-    """Smallest J >= 1 at which a geometric tail test holds.
+_SOLVE_LIMIT = 1 << 128
 
-    The test is lw + J*lq <= lt in natural logs (lq < 0), and ``holds(J)``
-    is the same test in working-precision mpf.  The float root decides
-    unless an integer lies within its rounding window, where ``holds`` does.
+
+def _first_term(logb, lt, holds, guess=1.0):
+    """Smallest n >= 1 with logb(n) <= lt, or math.inf past _SOLVE_LIMIT.
+
+    logb is a float log-bound, nonincreasing in n; ``holds(n)`` is the same
+    test in working-precision mpf and decides where logb(n) lies within its
+    rounding window of lt.  The search gallops from ``guess``, then bisects.
     """
-    if -math.inf in (lw, lq):
-        return 1
-    x = (lt - lw) / lq if lq else math.inf
-    if x > DEFAULT_MAX_TERMS + 1:
+    def ok(n):
+        v = logb(n)
+        if abs(v - lt) > 1e-9 * (abs(lt) + abs(v) + 1):
+            return v < lt
+        return holds(n)
+
+    hi = math.ceil(min(guess, _SOLVE_LIMIT)) if guess > 1 else 1
+    lo, step = hi - 1, 1
+    while not ok(hi):
+        if hi >= _SOLVE_LIMIT:
+            return math.inf
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo and ok(lo):
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
+def _linear_terms(lw, lq, lt, holds, name):
+    """Smallest J >= 1 with lw + J lq <= lt (lq <= 0), up to the term cap."""
+    J = _first_term(lambda j: lw + j * lq, lt, holds, (lt - lw) / lq if lq else math.inf)
+    if J > DEFAULT_MAX_TERMS + 1:
         raise ConvergenceError(
-            f"{name} needs J={x:.6g} terms, more than the cap of {DEFAULT_MAX_TERMS}")
-    win = 1e-9 * (abs(lt) + abs(lw) + 1) / -lq
-    j, last = math.ceil(x - win), math.ceil(x + win)
-    while j < last and (j < 1 or not holds(j)):
-        j += 1
-    return max(j, 1)
+            f"{name} needs J={J:.6g} terms, more than the cap of {DEFAULT_MAX_TERMS}")
+    return J
 
 
 def _qpoch_tail(aw, ab, J):
@@ -190,7 +213,7 @@ def _qpoch_tail(aw, ab, J):
     return aw * ab**J * (1 / ((1 - ab) * (1 - aw)))
 
 
-def _qpoch_terms(lw, lb, lpref, tol, exact, name):
+def _qpoch_terms(lw, lb, lpref, tol, exact):
     """Term count of log_qpoch_inf for sum_j log(1 - w b^j), and its tail.
 
     J is the first J >= 1 with _qpoch_tail(|w|, |b|, J) <= tol.  lw, lb and
@@ -198,8 +221,8 @@ def _qpoch_terms(lw, lb, lpref, tol, exact, name):
     floats, and ``exact()`` gives (|w|, |b|) as mpf for the test near an
     integer root.  Returns J and the log of the tail bound at J, as a float.
     """
-    J = _first_term(lw, lb, _ln(tol) - lpref, lambda j: _qpoch_tail(*exact(), j) <= tol,
-                    name)
+    J = _linear_terms(lw, lb, _ln(tol) - lpref,
+                      lambda j: _qpoch_tail(*exact(), j) <= tol, "log_qpoch_inf")
     return J, lw + J * lb + lpref
 
 
@@ -313,7 +336,7 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
     tol = mpf(2) ** (-mp.prec) if tol is None else mpf(tol)
 
     J, _ = _qpoch_terms(_ln(absz), _ln(absq), -_ln1m(absq) - _ln1m(absz), tol,
-                        lambda: (absz, absq), "log_qpoch_inf")
+                        lambda: (absz, absq))
     F = mp.prec + _GUARD
     pieces, smin = _fx_product(_fx(z, F), _fx(q, F), J, F, _ARG_FLUSH)
     units, _ = _factor_error(J, absq, absz, smin, F)
@@ -360,9 +383,9 @@ def qpoch_inf_direct(a, q, rel_tol=None) -> SeriesValue:
         absw = absa * absq**n
         return absw <= _HALF and 2 * absw / (1 - absq) <= rel_tol
 
-    n = _first_term(_ln(absa), _ln(absq),
-                    min(-_LN2, _ln(rel_tol) + _ln1m(absq) - _LN2), holds,
-                    "qpoch_inf_direct")
+    n = _linear_terms(_ln(absa), _ln(absq),
+                      min(-_LN2, _ln(rel_tol) + _ln1m(absq) - _LN2), holds,
+                      "qpoch_inf_direct")
     logtail = 2 * absa * absq**n / (1 - absq)
     F = mp.prec + _GUARD
     pieces, smin = _fx_product(_fx(a, F), _fx(q, F), n, F, math.inf)
@@ -638,6 +661,31 @@ def _growth(f: ArithTable):
     return mpf(C), mpf(beta)
 
 
+def _truncation(f, pref, p, r, tol, max_terms, name, side):
+    """N*, the smallest N >= 1 with pref * _poly_geom_tail(p, r, N) <= tol (inf
+    if r rounds to 1), checked against max_terms and the table f's length."""
+    lr, N = _ln(r), math.inf
+    if lr < 0:
+        lu, pf, lt = -lr / 2, float(p), _ln(tol)
+        base = _ln(pref) - math.log(-math.expm1(-lu))
+
+        def logb(n):  # log of pref * _poly_geom_tail(p, r, n), as a float
+            x = n + 1
+            if pf <= lu * x:
+                return base + pf * math.log(x) - 2 * lu * x
+            return base + pf * (math.log(pf / lu) - 1) - lu * x
+
+        N = _first_term(logb, lt, lambda n: pref * _poly_geom_tail(p, r, n) <= tol,
+                        (base - lt) / -lr - 1)
+    if N > max_terms:
+        raise ConvergenceError(
+            f"{name} needs N*={N:.6g} terms, more than max_terms={max_terms}", side=side)
+    if N > f.N:
+        raise TableTooShortError(
+            f"{name} needs N*={N:.6g} tabulated values, more than {f.N}", side=side, needed=N)
+    return N
+
+
 def lambert_sum(
     f: ArithTable,
     kernel: KernelForm,
@@ -649,35 +697,26 @@ def lambert_sum(
 
     The truncation point N is certified from the table's growth bound
     (C, beta): tail <= C/(1-q) * sum_{n>N} n^(beta-w) r^n with r = q^Re(z).
+    N is the smallest such N, found before any table value is read.
     """
     q, z = pt.q, pt.z
     tol = mpf(tol)
     C, beta = _growth(f)
+    complex_z = isinstance(z, mpc)
+    if C == 0:
+        return SeriesValue(mpc(0) if complex_z else mpf(0), mpf(0), 0)
     w = 1 if kernel.weight == "over_n" else 0
     p = beta - w
-    rez = z.real if isinstance(z, mpc) else z
-    r = q**rez
+    r = q ** (z.real if complex_z else z)
     pref = C / (1 - q)
-    sign = -1 if kernel.kernel == "plus" else 1
+    N = _truncation(f, pref, p, r, tol, max_terms, "lambert_sum", "lambert")
 
-    qz = q**z if not isinstance(z, mpc) else mp.exp(z * mp.log(q))
-    acc = mpf(0) if not isinstance(z, mpc) else mpc(0)
+    sign = -1 if kernel.kernel == "plus" else 1
+    qz = mp.exp(z * mp.log(q)) if complex_z else q**z
+    acc = mpc(0) if complex_z else mpf(0)
     qn = mpf(1)
     qzn = qz * 0 + 1
-    n = 0
-    check_at = 1
-    if C == 0:
-        return SeriesValue(acc, mpf(0), 0)
-    while True:
-        if n >= max_terms:
-            raise ConvergenceError(
-                f"lambert_sum needs more than max_terms={max_terms} terms", side="lambert"
-            )
-        if n >= f.N:
-            raise TableTooShortError(
-                f"lambert_sum needs more than {f.N} tabulated values", side="lambert"
-            )
-        n += 1
+    for n in range(1, N + 1):
         qn = qn * q
         qzn = qzn * qz
         fv = f.values[n]
@@ -686,14 +725,8 @@ def lambert_sum(
             if w:
                 term = term / n
             acc = acc + term
-        # the closed-form tail bound is monotone in n, so checking it on a
-        # geometric schedule loses at most a constant factor in terms_used
-        if n >= check_at:
-            tail = pref * _poly_geom_tail(p, r, n)
-            if tail <= tol:
-                break
-            check_at = n + max(8, n // 8)
-    return SeriesValue(acc, tail + _roundoff(n, acc), n)
+    tail = pref * _poly_geom_tail(p, r, N)
+    return SeriesValue(acc, tail + _roundoff(N, acc), N)
 
 
 def weighted_product_log(
@@ -709,11 +742,11 @@ def weighted_product_log(
     Form A: sum_n g(n)/n^w * log (q^(nz); q^n)_inf.
     Form B: sum_n g(n)/n^w * [log (q^(n(z+1)); q^(2n))_inf
                               - log (q^(nz); q^(2n))_inf].
-    The outer tail uses |log (q^(nz);q^n)_inf| <= r^n / ((1-q)(1-r)).
-    Each inner log-Pochhammer stops where log_qpoch_inf would.  At real
-    z = a/b with b <= 2 it is a strided sum over the cached table of
-    log(1 - q^(k/b)), unless a is so large that most of the table would go
-    unread; otherwise it calls log_qpoch_inf.
+    The outer tail uses |log (q^(nz);q^n)_inf| <= r^n / ((1-q)(1-r)), and N
+    is sized as in lambert_sum.  Each inner log-Pochhammer stops where
+    log_qpoch_inf would.  At real z = a/b with b <= 2 it is a strided sum
+    over the cached table of log(1 - q^(k/b)), unless a is so large that
+    most of the table would go unread; otherwise it calls log_qpoch_inf.
     """
     if form not in ("A", "B"):
         raise DomainError(f"form must be 'A' or 'B', got {form!r}")
@@ -722,16 +755,15 @@ def weighted_product_log(
     q, z = pt.q, pt.z
     tol = mpf(tol)
     C, beta = _growth(g)
-    w = 1 if weight == "over_n" else 0
-    p = beta - w
     complex_z = isinstance(z, mpc)
-    rez = z.real if complex_z else z
-    r = q**rez
-    pref = C / ((1 - q) * (1 - r))
-    if form == "B":
-        pref = 2 * pref
     if C == 0:
         return SeriesValue(mpc(0) if complex_z else mpf(0), mpf(0), 0)
+    w = 1 if weight == "over_n" else 0
+    p = beta - w
+    r = q ** (z.real if complex_z else z)
+    # r rounds to 1 once Re z is below about 2^-prec; no N certifies then
+    pref = (2 if form == "B" else 1) * C / ((1 - q) * (1 - r)) if r < 1 else mp.inf
+    N = _truncation(g, pref, p, r, tol, max_terms, "weighted_product_log", "product")
 
     inner_tol = mpf(2) ** (-mp.prec)
     ab = None if complex_z else _small_fraction(z)
@@ -740,21 +772,8 @@ def weighted_product_log(
         inner = _pochhammer_inner(q, z, form, inner_tol)
     acc = mpc(0) if complex_z else mpf(0)
     err_acc = mpf(0)
-    n = 0
-    check_at = 1
     inner_terms = 0
-    while True:
-        if n >= max_terms:
-            raise ConvergenceError(
-                f"weighted_product_log needs more than max_terms={max_terms} terms",
-                side="product",
-            )
-        if n >= g.N:
-            raise TableTooShortError(
-                f"weighted_product_log needs more than {g.N} tabulated values",
-                side="product",
-            )
-        n += 1
+    for n in range(1, N + 1):
         gv = g.values[n]
         if gv:
             c = _to_mp(gv)
@@ -764,21 +783,18 @@ def weighted_product_log(
             inner_terms += terms
             acc = acc + c * val
             err_acc += abs(c) * ierr
-        if n >= check_at:
-            tail = pref * _poly_geom_tail(p, r, n)
-            if tail <= tol:
-                break
-            check_at = n + max(4, n // 16)
-    return SeriesValue(acc, tail + err_acc + _roundoff(n + inner_terms, acc), n)
+    tail = pref * _poly_geom_tail(p, r, N)
+    return SeriesValue(acc, tail + err_acc + _roundoff(N + inner_terms, acc), N)
 
 
 # weighted_product_log at real z = a/b with b <= _MAX_DENOM reads its inner
-# products from a table of log(1 - q^(k/b)), cached per (q, b, precision);
-# the oldest table is dropped beyond _MAX_LOG_TABLES.  b = 1 and 2 are the
-# denominators whose timings were measured against the log_qpoch_inf path;
-# the table's cost per entry read grows with b.
+# products from a table of log(1 - q^(k/b)), cached per (q, b, precision).
+# A table holds about b prec ln 2/(1 - q) entries, so the cache caps their
+# total: before a table grows past it, the oldest other tables are dropped.
+# b = 1 and 2 are the denominators whose timings were measured against the
+# log_qpoch_inf path; the table's cost per entry read grows with b.
 _MAX_DENOM = 2
-_MAX_LOG_TABLES = 32
+_MAX_LOG_ENTRIES = 1 << 20
 _log_tables = {}
 
 
@@ -845,8 +861,7 @@ def _table_inner(q, ab, form, inner_tol):
         lw, lb = start * lnQ, stride * lnQ
         lpref = -math.log(-math.expm1(lw)) - math.log(-math.expm1(lb)) if lb else math.inf
         return _qpoch_terms(lw, lb, lpref, inner_tol,
-                            lambda: (q ** (mpf(start) / b), q ** (mpf(stride) / b)),
-                            "log_qpoch_inf")
+                            lambda: (q ** (mpf(start) / b), q ** (mpf(stride) / b)))
 
     def strided(start, stride):
         # log (Q^start; Q^stride)_inf = sum_j L[start + j stride]
@@ -890,13 +905,16 @@ def _log1m_table(q, b, kmax):
     key = (q, b, mp.prec)
     tab = _log_tables.get(key)
     if tab is None:
-        if len(_log_tables) >= _MAX_LOG_TABLES:
-            del _log_tables[next(iter(_log_tables))]
         FH = F + 3 + 3 * math.ceil(-math.log2(-math.expm1(_ln(q) / b)))
         with mp.workprec(FH + 8):
             Q = q if b == 1 else mp.root(q, b)
         tab = _log_tables[key] = [[0], 1 << FH, to_fixed(Q._mpf_, FH), FH]
     L, x, Qh, FH = tab
+    if len(L) <= kmax:
+        others = [k for k in _log_tables if k != key]
+        while others and (kmax + 1 - len(L) + sum(len(t[0]) for t in _log_tables.values())
+                          > _MAX_LOG_ENTRIES):
+            del _log_tables[others.pop(0)]
     one = 1 << FH
     try:
         while len(L) <= kmax:

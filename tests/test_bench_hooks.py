@@ -13,7 +13,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from lambertq import arith, cli, identities, qseries
-from lambertq.numerics import set_precision
+from lambertq.numerics import ConvergenceError, set_precision
 
 
 @pytest.fixture(autouse=True)
@@ -58,19 +58,34 @@ def test_wrapped_signatures():
 def test_table_hooks_behave_as_the_wrappers_expect():
     assert identities._build_named("std:mobius", 16).N == 16
     assert cli.build_table("mobius", 4).N == 4
-    identities._get_table("std:mobius", 16)
-    assert ("std:mobius", 16, mp.prec) in identities._table_cache
+    # one table per (key, precision), rebuilt at the next power of two
+    identities._table_cache.pop(("std:mobius", mp.prec), None)
+    short = identities._get_table("std:mobius", 16)
+    assert identities._table_cache[("std:mobius", mp.prec)] is short
+    assert short.N == 512
+    long = identities._get_table("std:mobius", 600)
+    assert identities._table_cache[("std:mobius", mp.prec)] is long
+    assert long.N == 1024 and identities._get_table("std:mobius", 16) is long
 
     seen = []
 
     def eval_fn(N):
         seen.append(N)
         if len(seen) == 1:
-            raise qseries.TableTooShortError("short")
+            raise qseries.TableTooShortError("short", needed=40)
         return N
 
-    assert identities._adaptive(eval_fn, start=8, cap=64) == 16
-    assert seen == [8, 16]
+    assert identities._adaptive(eval_fn, start=8, cap=64) == 40
+    assert seen == [8, 40]
+
+    def past_cap(N):
+        seen.append(N)
+        raise qseries.TableTooShortError("short", needed=65)
+
+    seen.clear()
+    with pytest.raises(ConvergenceError, match=r"needs N\*=65 > table cap 64"):
+        identities._adaptive(past_cap, start=8, cap=64)
+    assert seen == [8]
 
     rec = next(r for r in identities.limit_targets() if r.target_fn is not None)
     assert dataclasses.replace(rec, target_fn=rec.target_fn) == rec

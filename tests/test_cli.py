@@ -111,12 +111,43 @@ def test_eval_qpoch_beyond_the_term_cap_exits_5_at_once(capsys):
     assert time.perf_counter() - t0 < 2
 
 
+@pytest.mark.parametrize("argv", [
+    # q^Re z rounds to 1: no truncation point certifies
+    ("eval", "lambert", "--q", "0.5", "--z", "1e-50"),
+    ("eval", "product", "--g", "mobius", "--q", "0.5", "--z", "1e-50"),
+    ("eval", "product", "--g", "mobius", "--q", "0.5", "--z", "1e-50+1j"),
+    # past max_terms, and past the table cap
+    ("eval", "product", "--g", "mobius", "--q", "0.5", "--z", "1e-30"),
+    ("eval", "lambert", "--f", "one", "--q", "0.99999"),
+    ("eval", "lambert", "--f", "mobius", "--q", "0.9999"),
+])
+def test_eval_past_the_certified_range_exits_5_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert code == 5 and "needs N*=" in err
+    assert time.perf_counter() - t0 < 2
+
+
 def test_eval_product_at_large_z_returns_at_once(capsys):
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "eval", "product", "--g", "mobius",
                        "--q", "0.5", "--z", "1e9")
     assert code == 0 and out
     assert time.perf_counter() - t0 < 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "lambert", "--q", "abc"),
+    ("eval", "lambert", "--q", "0.5+1j"),
+    ("verify", "EQ3.1", "--q", "0.5+1j"),
+    ("--tol", "abc", "eval", "lambert"),
+    ("limit", "EQ3.1a", "--limit-tol", "abc"),
+    ("eval", "lambert", "--z", "abc"),
+    ("eval", "eta", "--tau", "abc"),
+])
+def test_unparseable_number_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "parse error" in err
 
 
 def test_eval_bad_function_exits_2(capsys):

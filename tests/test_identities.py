@@ -104,6 +104,21 @@ def test_verify_is_deterministic():
     assert a.lhs_value == b.lhs_value and a.abs_diff == b.abs_diff
 
 
+@pytest.mark.parametrize("id, keys, z", [
+    ("EQ3.29", ("std:liouville", "issquare"), mpf(1)),
+    ("EQ3.41", ("std:phi_abs_mu", "std:core_gamma"), mpc(1, "0.5")),
+    ("INTRO-3", ("std:totient",), mpf(1)),
+])
+def test_verify_does_not_depend_on_cached_table_length(id, keys, z):
+    for key in keys:
+        idmod._table_cache.pop((key, mp.prec), None)
+    cold = verify(id, mpf("0.7"), z).to_json_dict()
+    for key in keys:
+        idmod._table_cache.pop((key, mp.prec), None)
+        assert idmod._get_table(key, 5000).N == 8192
+    assert verify(id, mpf("0.7"), z).to_json_dict() == cold
+
+
 def test_report_json_round_trip():
     rep = verify("EQ3.43-k2", mpf("0.3"), 1)
     blob = json.dumps(rep.to_json_dict())

@@ -1,9 +1,12 @@
 """Certified q-series primitives against independent oracles."""
 
+import dataclasses
 import time
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpf_kernels import (
     oracle_log_qpoch_inf,
     oracle_qpoch_inf_direct,
@@ -258,6 +261,25 @@ def table(spec, N=2048):
     return build_table(FunctionId.parse(spec), N)
 
 
+def outer_tail(f, pt, N, product=True, form="A", weight="over_n"):
+    """The certified outer tail after N terms of weighted_product_log
+    (``product``) or lambert_sum over the table f."""
+    C, beta = f.growth
+    q = pt.q
+    r = q ** (pt.z.real if isinstance(pt.z, mpc) else pt.z)
+    pref = mpf(C) / (1 - q)
+    if product:
+        pref = (2 if form == "B" else 1) * pref / (1 - r)
+    return pref * qseries._poly_geom_tail(mpf(beta) - (weight == "over_n"), r, N)
+
+
+def assert_minimal(sv, tail, tol=qseries.DEFAULT_TOL):
+    """sv.terms_used is the smallest N >= 1 with tail(N) <= tol."""
+    N = sv.terms_used
+    assert tail(N) <= tol
+    assert N == 1 or tail(N - 1) > tol
+
+
 @pytest.mark.parametrize("q", Q_GRID)
 def test_mobius_lambert_collapses_to_q(q):
     # sum mu(n) q^n/(1-q^n) = q
@@ -309,6 +331,76 @@ def test_lambert_table_too_short():
                     QPoint("0.9", 1))
 
 
+class _Unreadable:
+    def __getitem__(self, n):
+        raise AssertionError(f"a short table's value {n} was read")
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda f: lambert_sum(f, KernelForm("minus", "over_n"), QPoint("0.9", 1)),
+    lambda f: weighted_product_log(f, QPoint("0.9", mpc(1, "0.5")), form="B"),
+])
+def test_short_table_is_rejected_before_any_value_is_read(evaluate):
+    short = dataclasses.replace(table("mobius", N=8), values=_Unreadable())
+    with pytest.raises(TableTooShortError) as exc:
+        evaluate(short)
+    assert evaluate(table("mobius", N=exc.value.needed)).terms_used == exc.value.needed
+
+
+# ---------------------------------------------------------------------------
+# certificate audit: the value lies within err_bound of a reference at twice
+# the precision and tol 1e-6, and the term count is the smallest certified
+
+_PROP_TABLES = {}
+
+
+def _prop_table(spec):
+    if spec not in _PROP_TABLES:
+        _PROP_TABLES[spec] = table(spec, N=4096)
+    return _PROP_TABLES[spec]
+
+
+def _points(max_q):
+    """(q, z) with q = k/100 <= max_q and 0.5 <= Re z <= 3, z real or complex."""
+    q = st.integers(5, int(max_q * 100)).map(lambda k: mpf(k) / 100)
+    re = st.integers(50, 300).map(lambda k: mpf(k) / 100)
+    im = st.integers(-200, 200).filter(bool).map(lambda k: mpf(k) / 100)
+    z = st.one_of(st.sampled_from([mpf(1), mpf(2), mpf("0.5"), mpf("1.5")]), re,
+                  st.builds(mpc, re, im))
+    return st.builds(QPoint, q, z)
+
+
+_PROP_SETTINGS = settings(max_examples=12, derandomize=True, deadline=None, database=None)
+_PROP_KEYS = st.sampled_from(["mobius", "totient", "divisor_d", "liouville", "sigma:0.5",
+                              "r2"])
+_PROP_TOLS = st.sampled_from([mpf("1e-8"), mpf("1e-15"), mpf("1e-25"), mpf("1e-30")])
+_WEIGHTS = st.sampled_from(["over_n", "plain"])
+
+
+@_PROP_SETTINGS
+@given(pt=_points(0.85), key=_PROP_KEYS, tol=_PROP_TOLS,
+       kernel=st.sampled_from(["minus", "plus"]), weight=_WEIGHTS)
+def test_lambert_sum_certificate(pt, key, tol, kernel, weight):
+    f, kern = _prop_table(key), KernelForm(kernel, weight)
+    sv = lambert_sum(f, kern, pt, tol=tol)
+    with precision(2 * mp.prec):
+        ref = lambert_sum(f, kern, pt, tol=tol * mpf("1e-6"))
+        assert abs(sv.value - ref.value) <= sv.err_bound
+    assert_minimal(sv, lambda N: outer_tail(f, pt, N, product=False, weight=weight), tol)
+
+
+@_PROP_SETTINGS
+@given(pt=_points(0.6), key=_PROP_KEYS, tol=_PROP_TOLS, form=st.sampled_from(["A", "B"]),
+       weight=_WEIGHTS)
+def test_weighted_product_log_certificate(pt, key, tol, form, weight):
+    g = _prop_table(key)
+    sv = weighted_product_log(g, pt, form=form, weight=weight, tol=tol)
+    with precision(2 * mp.prec):
+        ref = weighted_product_log(g, pt, form=form, weight=weight, tol=tol * mpf("1e-6"))
+        assert abs(sv.value - ref.value) <= sv.err_bound
+    assert_minimal(sv, lambda N: outer_tail(g, pt, N, form=form, weight=weight), tol)
+
+
 def test_tightening_tol_tightens_certificate():
     pt = QPoint("0.5", 1)
     loose = lambert_sum(table("divisor_d"), KernelForm("minus", "over_n"),
@@ -334,7 +426,8 @@ def test_product_table_against_mpf_loop(monkeypatch, g_key, form, z):
     pt = QPoint(mpf("0.7"), z)
     new = weighted_product_log(g, pt, form=form)
     ref = oracle_weighted_product_log(g, pt, form=form)
-    assert new.terms_used == ref.terms_used
+    assert new.terms_used <= ref.terms_used
+    assert_minimal(new, lambda N: outer_tail(g, pt, N, form=form))
     assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
 
 
@@ -371,7 +464,8 @@ def test_product_at_large_real_z_skips_the_table(z):
         qseries._log_tables.pop((pt.q, 1, mp.prec), None)
         new = weighted_product_log(g, pt, form=form)
         ref = oracle_weighted_product_log(g, pt, form=form)
-        assert new.terms_used == ref.terms_used
+        assert new.terms_used <= ref.terms_used
+        assert_minimal(new, lambda N: outer_tail(g, pt, N, form=form))
         assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
         assert (pt.q, 1, mp.prec) not in qseries._log_tables
     assert time.perf_counter() - t0 < 2
@@ -392,7 +486,8 @@ def test_product_at_other_real_z_calls_log_qpoch_inf(monkeypatch, z):
     new = weighted_product_log(g, pt, form="B")
     ref = oracle_weighted_product_log(g, pt, form="B")
     assert calls
-    assert new.terms_used == ref.terms_used
+    assert new.terms_used <= ref.terms_used
+    assert_minimal(new, lambda N: outer_tail(g, pt, N, form="B"))
     assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
 
 
@@ -422,3 +517,22 @@ def test_product_table_interrupted_growth_is_dropped(monkeypatch):
     assert key not in qseries._log_tables
     monkeypatch.setattr(qseries, "mpf_log", orig)
     assert weighted_product_log(g, pt, form="B") == cold
+
+
+def test_log_table_cache_caps_total_entries(monkeypatch):
+    monkeypatch.setattr(qseries, "_MAX_LOG_ENTRIES", 20000)
+    monkeypatch.setattr(qseries, "_log_tables", {})
+    keys = [(mpf(q), 1, mp.prec) for q in ("0.99", "0.995", "0.998")]
+
+    def total():
+        return sum(len(t[0]) for t in qseries._log_tables.values())
+
+    for key, kmax in zip(keys, (6000, 8000, 10000)):
+        L = qseries._log1m_table(key[0], 1, kmax)
+        assert len(L) > kmax and qseries._log_tables[key][0] is L
+        assert total() <= 20000
+    # the 0.99 table, the oldest, made room for the 0.998 one
+    assert list(qseries._log_tables) == keys[1:]
+    # a table is never dropped while it grows, even past the cap alone
+    L = qseries._log1m_table(keys[2][0], 1, 25000)
+    assert list(qseries._log_tables) == keys[2:] and len(L) == total() == 25001
