@@ -49,6 +49,8 @@ class RunConfig:
     def __post_init__(self):
         if self.precision_bits < 53:
             raise DomainError("precision_bits must be >= 53")
+        if self.max_terms < 1:
+            raise DomainError("max_terms must be >= 1")
         if not mpf(self.tol) > 0:
             raise DomainError("tol must be positive")
 

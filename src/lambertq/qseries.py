@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import (
@@ -57,7 +58,7 @@ class TableTooShortError(ConvergenceError):
 
 @dataclass(frozen=True)
 class QPoint:
-    """Evaluation point: base q in (0,1) and exponent shift z with Re z > 0."""
+    """Evaluation point: base q in (0,1) and finite exponent shift z with Re z > 0."""
 
     q: object
     z: object
@@ -67,6 +68,8 @@ class QPoint:
         if not 0 < q < 1:
             raise DomainError(f"q must lie in (0,1), got {self.q}")
         z = mpc(self.z)
+        if not mp.isfinite(z):
+            raise DomainError(f"z must be finite, got {self.z}")
         if not z.real > 0:
             raise DomainError(f"Re(z) must be positive, got {self.z}")
         object.__setattr__(self, "q", q)
@@ -698,6 +701,32 @@ def lambert_sum(
     The truncation point N is certified from the table's growth bound
     (C, beta): tail <= C/(1-q) * sum_{n>N} n^(beta-w) r^n with r = q^Re(z).
     N is the smallest such N, found before any table value is read.
+
+    The N terms are summed on Python ints at F = prec + G fractional bits,
+    G = 32 + 2 ceil(log2 1/(1-q)).  q^n and x_n = q^(nz) advance by one
+    multiply and shift each; every table value enters exactly, as
+    (cr + i ci) 2^e / den, and each term is one floor division.  Round-off,
+    in units u = 2^-F:
+
+    * A power a^n built as p_n = trunc(p_{n-1} a~), with |a~ - a| <= d u,
+      one truncation of at most t units and |a~| <= a' < 1, is off by
+      E_n <= a' E_{n-1} + d a^(n-1) + t, so E_n <= d n a'^(n-1) + t/(1-a')
+      <= (d + t)/(1 - a'), as n a'^(n-1) <= sum_{k<n} a'^k.  For q^n, d = t
+      = 1: Eq = 2/(1 - q - u).  For q^(nz), q^z is worked out 16 bits above
+      F, so it is off by less than 2 units per component and t = 1 per
+      component: d + t <= 3 sqrt(2) < 5 and a' <= r + 3u, so
+      Ex = 5/(1 - r - 3u) covers real and complex z.
+    * With D = 1 -+ q^n >= Dmin (1 - q for minus, 1 for plus), D~ its
+      computed value and M = |f(n)|/n^w <= C n^p, p = beta - w, the value
+      divided is off by M |x/D - x~/D~| <= M (Ex/D~ + r^n Eq/(D D~)) units,
+      and the floor division by less than one unit per component.
+
+    Summed over n <= N, with sum n^p r^n <= sum n^p <= N max(1, N^p), the
+    round-off is at most k N + C N max(1, N^p) (Ex + Eq/Dmin)/D~min units,
+    k = 1 for a real and 2 for a complex sum; a factor 1.01 covers the
+    rounding of this bound and table values a rounding above C n^beta.  The
+    sum is exact; its final rounding to the working precision lies inside
+    the unchanged _roundoff cover.
     """
     q, z = pt.q, pt.z
     tol = mpf(tol)
@@ -711,22 +740,64 @@ def lambert_sum(
     pref = C / (1 - q)
     N = _truncation(f, pref, p, r, tol, max_terms, "lambert_sum", "lambert")
 
-    sign = -1 if kernel.kernel == "plus" else 1
-    qz = mp.exp(z * mp.log(q)) if complex_z else q**z
-    acc = mpc(0) if complex_z else mpf(0)
-    qn = mpf(1)
-    qzn = qz * 0 + 1
-    for n in range(1, N + 1):
-        qn = qn * q
-        qzn = qzn * qz
-        fv = f.values[n]
-        if fv:
-            term = _to_mp(fv) * qzn / (1 - sign * qn)
-            if w:
-                term = term / n
-            acc = acc + term
+    # the minus kernel carries the error of q^n into the term by 1/(1-q^n)^2
+    F = mp.prec + 32 + 2 * math.ceil(-math.log2(float(1 - q)))
+    with mp.workprec(F + 16):
+        qz = mp.exp(z * mp.log(q)) if complex_z else q**z
+    one, Q = 1 << F, to_fixed(q._mpf_, F)
+    br, bi = _fx(qz, F)
+    minus = kernel.kernel == "minus"
+    ar = ai = xi = 0
+    sn, xr = -one if minus else one, one  # sn = -+q^n: 1 -+ q^n is one + sn
+    cplx = complex_z
+    for n, c in enumerate(islice(f.values, 1, N + 1), 1):
+        sn = sn * Q >> F
+        if bi:
+            xr, xi = (xr * br - xi * bi) >> F, (xr * bi + xi * br) >> F
+        else:
+            xr = xr * br >> F
+        if not c:
+            continue
+        div = (one + sn) * n if w else one + sn
+        if type(c) is int:
+            ar += (c * xr << F) // div
+            if xi:
+                ai += (c * xi << F) // div
+            continue
+        cr, ci, e, den = _fixed_coeff(c)
+        cplx = cplx or isinstance(c, mpc)
+        sh, div = F + e, div * den
+        nr, ni = cr * xr - ci * xi, cr * xi + ci * xr
+        if sh < 0:
+            div <<= -sh
+            sh = 0
+        ar += (nr << sh) // div
+        if ni:
+            ai += (ni << sh) // div
+    acc = _from_fx(ar, ai, -F, cplx)
+
+    u = mp.ldexp(1, -F)
+    dmin = 1 - q if minus else mpf(1)
+    eq = 2 / (1 - q - u)
+    dhat = dmin - eq * u
+    ex = 5 / (1 - r - 3 * u)
+    units = (2 if cplx else 1) * N + C * N * max(1, mpf(N) ** p) * (ex + eq / dmin) / dhat
     tail = pref * _poly_geom_tail(p, r, N)
-    return SeriesValue(acc, tail + _roundoff(N, acc), N)
+    return SeriesValue(acc, tail + mpf("1.01") * units * u + _roundoff(N, acc), N)
+
+
+def _fixed_coeff(c):
+    """A Fraction, mpf or mpc table value c as exact ints (cr, ci, e, den)
+    with c = (cr + i ci) 2^e / den."""
+    if isinstance(c, mpf):
+        sgn, man, e, _ = c._mpf_
+        return -man if sgn else man, 0, e, 1
+    if isinstance(c, mpc):
+        (s1, m1, e1, _), (s2, m2, e2, _) = c._mpc_
+        e = min(e1 if m1 else e2, e2 if m2 else e1)
+        return ((-m1 if s1 else m1) << (e1 - e) if m1 else 0,
+                (-m2 if s2 else m2) << (e2 - e) if m2 else 0, e, 1)
+    return c.numerator, 0, 0, c.denominator
 
 
 def weighted_product_log(

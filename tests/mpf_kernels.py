@@ -1,10 +1,10 @@
 """Reference oracles: the q-Pochhammer kernels as plain mpf loops.
 
 These are term-by-term mpf versions of ``log_qpoch_inf``,
-``qpoch_inf_direct`` and ``weighted_product_log``.  They stop on the same
-tail inequalities as the library's fixed-point kernels, so the tests can
-require equal term counts and agreement within the sum of both certified
-bounds.
+``qpoch_inf_direct``, ``weighted_product_log`` and ``lambert_sum``.  They
+stop on the same tail inequalities as the library's fixed-point kernels, so
+the tests can require equal term counts and agreement within the sum of both
+certified bounds.
 """
 
 from mpmath import mp, mpc, mpf
@@ -14,6 +14,7 @@ from lambertq.numerics import ConvergenceError, DomainError
 from lambertq.qseries import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
+    KernelForm,
     QPoint,
     SeriesValue,
     TableTooShortError,
@@ -21,6 +22,7 @@ from lambertq.qseries import (
     _poly_geom_tail,
     _roundoff,
     _to_mp,
+    _truncation,
 )
 
 
@@ -181,3 +183,42 @@ def oracle_weighted_product_log(
                 break
             check_at = n + max(4, n // 16)
     return SeriesValue(acc, tail + err_acc + _roundoff(n + inner_terms, acc), n)
+
+
+def oracle_lambert_sum(
+    f: ArithTable,
+    kernel: KernelForm,
+    pt: QPoint,
+    tol=DEFAULT_TOL,
+    max_terms: int = DEFAULT_MAX_TERMS,
+) -> SeriesValue:
+    """lambert_sum with one mpf operation per step: the same N* from
+    _truncation, then an mpf loop and the _roundoff cover alone."""
+    q, z = pt.q, pt.z
+    tol = mpf(tol)
+    C, beta = _growth(f)
+    complex_z = isinstance(z, mpc)
+    if C == 0:
+        return SeriesValue(mpc(0) if complex_z else mpf(0), mpf(0), 0)
+    w = 1 if kernel.weight == "over_n" else 0
+    p = beta - w
+    r = q ** (z.real if complex_z else z)
+    pref = C / (1 - q)
+    N = _truncation(f, pref, p, r, tol, max_terms, "lambert_sum", "lambert")
+
+    sign = -1 if kernel.kernel == "plus" else 1
+    qz = mp.exp(z * mp.log(q)) if complex_z else q**z
+    acc = mpc(0) if complex_z else mpf(0)
+    qn = mpf(1)
+    qzn = qz * 0 + 1
+    for n in range(1, N + 1):
+        qn = qn * q
+        qzn = qzn * qz
+        fv = f.values[n]
+        if fv:
+            term = _to_mp(fv) * qzn / (1 - sign * qn)
+            if w:
+                term = term / n
+            acc = acc + term
+    tail = pref * _poly_geom_tail(p, r, N)
+    return SeriesValue(acc, tail + _roundoff(N, acc), N)

@@ -98,6 +98,24 @@ def test_eval_domain_error_exits_4(capsys):
     assert code == 4 and "domain" in err
 
 
+@pytest.mark.parametrize("cmd", [("eval", "lambert", "--f", "mobius"),
+                                 ("eval", "product", "--g", "mobius"),
+                                 ("verify", "EQ3.29")])
+@pytest.mark.parametrize("point", [("--z", "inf"), ("--z", "1+infj"), ("--z", "inf+1j"),
+                                   ("--z", "nan"), ("--q", "inf"), ("--q", "nan")])
+def test_non_finite_point_exits_4(capsys, cmd, point):
+    argv = cmd + ("--q", "0.5", "--z", "1")
+    code, out, err = run(capsys, *argv, *point)
+    assert code == 4 and "domain" in err and out == ""
+
+
+@pytest.mark.parametrize("max_terms", ["0", "-5"])
+def test_max_terms_below_one_exits_4(capsys, max_terms):
+    code, _, err = run(capsys, "eval", "lambert", "--f", "mobius", "--q", "0.5",
+                       "--max-terms", max_terms)
+    assert code == 4 and "max_terms must be >= 1" in err
+
+
 def test_eval_convergence_failure_exits_5(capsys):
     code, _, err = run(capsys, "eval", "lambert", "--f", "divisor_d",
                        "--q", "0.99", "--z", "1", "--max-terms", "50")

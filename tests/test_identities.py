@@ -166,6 +166,25 @@ def test_limit_failure_when_tolerance_is_unreachable():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("id", ["EQ3.30-1", "EQ3.32-1-v4"])
+def test_limit_ladder_builds_its_table_once(monkeypatch, id):
+    rec = limit_lookup(id)
+    idmod._table_cache.pop((rec.f_key, mp.prec), None)
+    builds, orig = [], idmod._build_named
+
+    def counting(key, N):
+        builds.append((key, N))
+        return orig(key, N)
+
+    monkeypatch.setattr(idmod, "_build_named", counting)
+    rep = limit_check(id)
+    assert rep.passed and rep.mode == "extrapolation"
+    # _adaptive's first attempt, which sums nothing, then one table for the
+    # whole ladder, not one per doubling of N* along it
+    assert [key for key, _ in builds] == [rec.f_key] * 2
+    assert builds[0][1] == idmod._TABLE_START_N < builds[1][1]
+
+
 def test_limit_report_schema():
     rep = limit_check("EQ3.31-1-v6")
     d = rep.to_json_dict()

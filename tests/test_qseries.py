@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpf_kernels import (
+    oracle_lambert_sum,
     oracle_log_qpoch_inf,
     oracle_qpoch_inf_direct,
     oracle_weighted_product_log,
 )
 from mpmath import mp, mpf, mpc
 
-from lambertq import qseries
+from lambertq import identities, qseries
 from lambertq.arith import FunctionId, build_table, dirichlet_convolve
 from lambertq.numerics import ConvergenceError, DomainError, precision, set_precision
 from lambertq.qseries import (
@@ -64,6 +65,12 @@ def test_qpoint_validation():
             QPoint(bad_q, 1)
     with pytest.raises(DomainError):
         QPoint("0.5", mpc(-1, 2))
+    for bad_z in (mp.inf, mpc(1, mp.inf), mpc(mp.inf, 1), mp.nan):
+        with pytest.raises(DomainError, match="finite"):
+            QPoint("0.5", bad_z)
+    for bad_q in (mp.inf, mp.nan):
+        with pytest.raises(DomainError):
+            QPoint(bad_q, 1)
 
 
 def test_kernel_form_validation():
@@ -354,10 +361,10 @@ def test_short_table_is_rejected_before_any_value_is_read(evaluate):
 _PROP_TABLES = {}
 
 
-def _prop_table(spec):
-    if spec not in _PROP_TABLES:
-        _PROP_TABLES[spec] = table(spec, N=4096)
-    return _PROP_TABLES[spec]
+def _prop_table(key):
+    if key not in _PROP_TABLES:
+        _PROP_TABLES[key] = identities._build_named(key, 4096)
+    return _PROP_TABLES[key]
 
 
 def _points(max_q):
@@ -371,8 +378,9 @@ def _points(max_q):
 
 
 _PROP_SETTINGS = settings(max_examples=12, derandomize=True, deadline=None, database=None)
-_PROP_KEYS = st.sampled_from(["mobius", "totient", "divisor_d", "liouville", "sigma:0.5",
-                              "r2"])
+# int, mpf (sigma:0.5), Fraction (phi_over_n) and mpc (mu_k:2) tables
+_PROP_KEYS = st.sampled_from(["std:mobius", "std:totient", "std:divisor_d", "std:liouville",
+                              "std:sigma:0.5", "std:r2", "phi_over_n", "std:mu_k:2"])
 _PROP_TOLS = st.sampled_from([mpf("1e-8"), mpf("1e-15"), mpf("1e-25"), mpf("1e-30")])
 _WEIGHTS = st.sampled_from(["over_n", "plain"])
 
@@ -410,6 +418,35 @@ def test_tightening_tol_tightens_certificate():
     assert tight.terms_used >= loose.terms_used
     assert tight.err_bound < loose.err_bound
     assert abs(tight.value - loose.value) <= loose.err_bound
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point lambert_sum against the mpf loop it replaced
+
+# every q pairs with every table: int (mobius, r8), Fraction (phi_over_n),
+# mpf (sigma:0.5) and mpc (mu_k:2); z, kernel, weight and precision rotate
+_ORACLE_Q = [mpf("0.3"), mpf("0.9"), mpf("0.99"), mpf("0.999"), 1 - mpf(2) ** -10]
+_ORACLE_KEYS = ["std:mobius", "std:r8", "phi_over_n", "std:sigma:0.5", "std:mu_k:2"]
+_ORACLE_Z = [mpf(1), mpf(2), mpf("0.5"), mpc(1, "0.5")]
+_ORACLE_SAMPLE = [
+    (_ORACLE_Q[i // 5], _ORACLE_KEYS[i % 5], _ORACLE_Z[i % 4], ("minus", "plus")[i // 4 % 2],
+     ("over_n", "plain")[i // 8 % 2], (64, 128, 256)[i % 3])
+    for i in range(25)
+]
+
+
+@pytest.mark.parametrize("q, key, z, kernel, weight, bits", _ORACLE_SAMPLE,
+                         ids=["-".join(str(x).replace(" ", "") for x in case)
+                              for case in _ORACLE_SAMPLE])
+def test_lambert_sum_against_mpf_loop(q, key, z, kernel, weight, bits):
+    with precision(bits):
+        pt, kern = QPoint(+q, z), KernelForm(kernel, weight)
+        new, ref = identities._with_table(
+            key, lambda f: (lambert_sum(f, kern, pt), oracle_lambert_sum(f, kern, pt)))
+        assert new.terms_used == ref.terms_used
+        assert type(new.value) is type(ref.value)
+        assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
+        assert new.err_bound <= mpf("1.01") * ref.err_bound
 
 
 # ---------------------------------------------------------------------------
