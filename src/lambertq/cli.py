@@ -176,7 +176,7 @@ def _series_value_out(sv, fmt: str, extra=()):
 
 
 _VERIFY_COLS = ("id", "q", "z", "lhs_value", "rhs_value", "abs_diff",
-                "error_budget", "tol_slack", "pass", "terms_used", "note")
+                "error_budget", "pass", "terms_used", "note")
 _LIMIT_COLS = ("id", "estimate", "target_value", "rel_err", "err_estimate",
                "pass", "mode", "note")
 

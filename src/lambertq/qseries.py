@@ -16,8 +16,7 @@ from itertools import islice
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import (
-    fzero, from_man_exp, mpc_add, mpc_log, mpf_log, mpf_pos, round_nearest, round_up,
-    to_fixed, to_float,
+    from_man_exp, mpc_log, mpf_log, round_nearest, to_fixed, to_float,
 )
 
 from .arith import ArithTable
@@ -216,19 +215,6 @@ def _qpoch_tail(aw, ab, J):
     return aw * ab**J * (1 / ((1 - ab) * (1 - aw)))
 
 
-def _qpoch_terms(lw, lb, lpref, tol, exact):
-    """Term count of log_qpoch_inf for sum_j log(1 - w b^j), and its tail.
-
-    J is the first J >= 1 with _qpoch_tail(|w|, |b|, J) <= tol.  lw, lb and
-    lpref are the natural logs of |w|, |b| and 1/((1-|b|)(1-|w|)) as
-    floats, and ``exact()`` gives (|w|, |b|) as mpf for the test near an
-    integer root.  Returns J and the log of the tail bound at J, as a float.
-    """
-    J = _linear_terms(lw, lb, _ln(tol) - lpref,
-                      lambda j: _qpoch_tail(*exact(), j) <= tol, "log_qpoch_inf")
-    return J, lw + J * lb + lpref
-
-
 def _fx(x, F):
     """An mpf or mpc as an (re, im) pair of ints at F fractional bits."""
     if isinstance(x, mpc):
@@ -237,16 +223,13 @@ def _fx(x, F):
     return to_fixed(x._mpf_, F), 0
 
 
-def _round(x):
-    """A raw mpf value rounded to the working precision."""
-    return mpf_pos(x, mp.prec, round_nearest)
-
-
 def _from_fx(re, im, e, cplx):
-    """The value (re + i im) 2^e at working precision, as mpf or mpc."""
+    """The value (re + i im) 2^e rounded to the working precision, as mpf or mpc."""
+    prec = mp.prec
     if cplx:
-        return mp.make_mpc((_round(from_man_exp(re, e)), _round(from_man_exp(im, e))))
-    return mp.make_mpf(_round(from_man_exp(re, e)))
+        return mp.make_mpc((from_man_exp(re, e, prec, round_nearest),
+                            from_man_exp(im, e, prec, round_nearest)))
+    return mp.make_mpf(from_man_exp(re, e, prec, round_nearest))
 
 
 def _fx_product(z, q, J, F, flush):
@@ -297,21 +280,103 @@ def _fx_product(z, q, J, F, flush):
     return pieces, smin
 
 
-def _factor_error(J, absq, absw, smin, F):
+def _factor_error(J, lq, absw, smin, F, ew0=1.0, eq0=1.0):
     """Round-off of a J-factor product loop, in units of 2^-F.
 
-    Each computed w_j = z q^j is off by at most ew = 4 (1/(1-|q|) +
-    J max(1, |z|) + 1) units: one truncation per multiply, the inputs'
-    truncation, and their growth through |q|^i.  So factor j is off by a
+    lq is log |q| as a float.  The inputs w and q are off by at most ew0 and
+    eq0 units.  Each computed w_j = w q^j is then off by at most ew =
+    4 (ew0 + J max(1, |w|) eq0 + 1/(1-|q|)) units: the input errors, carried
+    through |q|^i, and one truncation per multiply.  So factor j is off by a
     relative dmax = ew 2^(2 - smin) at most, and each renormalisation by 2
     units.  Returns (J (dmax 2^F + 2), ew), with None in place of the first
     when dmax >= 1/2, where a factor is within round-off of 0.
     """
-    ew = 4 * (1 / float(1 - absq) + J * max(1.0, float(absw)) + 1)
+    ew = 4 * (ew0 + J * max(1.0, float(absw)) * eq0 - 1 / math.expm1(lq))
     if math.log2(ew) + 3 >= smin:
         return None, ew
     d = 2 + F - smin  # beyond float range only above 1000 bits of precision
     return J * ((math.ldexp if d < 1000 else mp.ldexp)(ew, d) + 2), ew
+
+
+def _log1m(t, F):
+    """log(1 - t) at F fractional bits for an int t with |t| < 2^(F-16), by
+    the series -sum_k t^k/k, whose terms fall by 2^-16 or more each.
+
+    Returns (value, k) with the value off by less than 2k units of 2^-F:
+    each power and each division truncates by less than one unit, and the
+    terms dropped after the last power that is still nonzero sum to less
+    than one unit.
+    """
+    a, s, k = abs(t), 0, 1
+    p = a
+    while p:
+        s += p // k if t < 0 and k & 1 else -(p // k)
+        p = p * a >> F
+        k += 1
+    return s, k
+
+
+def _log_qpoch(seqs, b, lb, lt, F, eb=1.0):
+    """sum_k s_k sum_{j<J_k} log(1 - w_k b^j), the log of a product of
+    q-Pochhammer symbols (w_k; b)_inf^(s_k) with s_k = +-1.
+
+    ``seqs`` holds (s_k, w_k, lw_k, lpref_k, holds_k, ew_k).  w_k and b are
+    int pairs at F = prec + _GUARD fractional bits, |w_k|, |b| < 1, off by
+    at most ew_k and eb units of 2^-F.  lw_k, lpref_k, lb and lt are the
+    natural logs of |w_k|, 1/((1-|b|)(1-|w_k|)), |b| and tol as floats, and
+    ``holds_k(J)`` is the test _qpoch_tail(|w_k|, |b|, J) <= tol in mpf.
+    J_k is the first J >= 1 that passes it, so the discarded tail is at most
+    exp(lw_k + J_k lb + lpref_k).  Returns (re, im, Js, units): the sum as an
+    int pair at F bits, the J_k, and a float bound on the round-off in units
+    of 2^-prec, with the _roundoff cover of its final rounding.  Real
+    products take one log of their quotient, by _log1m within 2^-16 of 1; a
+    complex product goes through log before its argument can wrap, so the
+    principal branch is preserved.
+    """
+    cplx = b[1] or any(w[1] for _, w, _, _, _, _ in seqs)
+    Js, units, num, den, ne, logs = [], 0.0, 1, 1, 0, []
+    for s, w, lw, lpref, holds, ew in seqs:
+        J = _linear_terms(lw, lb, lt - lpref, holds, "log_qpoch_inf")
+        pieces, smin = _fx_product(w, b, J, F, _ARG_FLUSH)
+        fe, _ = _factor_error(J, lb, math.exp(lw), smin, F, ew, eb)
+        if fe is None:
+            raise ConvergenceError("log_qpoch_inf: a factor 1 - z q^j is within round-off of 0")
+        # the factors' round-off moves the log by at most 2 units
+        Js.append(J)
+        units += 2 * fe
+        if cplx:
+            logs += [(s, pr, pi, e) for pr, pi, e in pieces]
+        elif s > 0:
+            num, ne = num * pieces[0][0], ne + pieces[0][2]
+        else:
+            den, ne = den * pieces[0][0], ne - pieces[0][2]
+    # each log moves the sum by at most 4 |log| units and its truncation to F
+    # bits by 1 per component; the quotient is good to 1 part in 2^(F+1)
+    re = im = 0
+    if cplx:
+        fr = fi = 0.0
+        for s, pr, pi, e in logs:
+            lr, li = mpc_log((from_man_exp(pr, e), from_man_exp(pi, e)), F)
+            re, im = re + s * to_fixed(lr, F), im + s * to_fixed(li, F)
+            fr, fi = fr + s * to_float(lr), fi + s * to_float(li)
+            units += 4 * (abs(to_float(lr)) + abs(to_float(li))) + 2
+        absval = math.hypot(fr, fi)
+    else:
+        if den > 1:
+            sh = den.bit_length() + F + 1
+            num, ne = (num << sh) // den, ne - sh
+        d = -ne - F
+        t = (1 << F) - (num >> d if d >= 0 else num << -d)  # 1 - x, within 1 unit
+        if abs(t) >> (F - 16):
+            lg = mpf_log(from_man_exp(num, ne), F)
+            re = to_fixed(lg, F)
+            absval = abs(to_float(lg))
+            units += 4 * absval + 2
+        else:
+            re, k = _log1m(t, F)
+            absval = abs(re) / (1 << F)
+            units += 2 * k + 4
+    return re, im, Js, units / (1 << _GUARD) + _roundoff_units(sum(Js), absval)
 
 
 # ---------------------------------------------------------------------------
@@ -338,31 +403,14 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
         return SeriesValue(mpf(0), mpf(0), 0)
     tol = mpf(2) ** (-mp.prec) if tol is None else mpf(tol)
 
-    J, _ = _qpoch_terms(_ln(absz), _ln(absq), -_ln1m(absq) - _ln1m(absz), tol,
-                        lambda: (absz, absq))
     F = mp.prec + _GUARD
-    pieces, smin = _fx_product(_fx(z, F), _fx(q, F), J, F, _ARG_FLUSH)
-    units, _ = _factor_error(J, absq, absz, smin, F)
-    if units is None:
-        raise ConvergenceError("log_qpoch_inf: a factor 1 - z q^j is within round-off of 0")
-    # the factors' round-off moves the log by at most 2 units; each log and
-    # each addition at F bits by at most 4 |log| more
-    units *= 2
-    cplx = isinstance(z, mpc) or isinstance(q, mpc)
-    if cplx:
-        acc = (fzero, fzero)
-        for pr, pi, e in pieces:
-            lg = mpc_log((from_man_exp(pr, e), from_man_exp(pi, e)), F)
-            acc = mpc_add(acc, lg, F)
-            units += 4 * (abs(to_float(lg[0])) + abs(to_float(lg[1])))
-        value = mp.make_mpc((_round(acc[0]), _round(acc[1])))
-    else:
-        pr, _, e = pieces[0]
-        acc = mpf_log(from_man_exp(pr, e), F)
-        units += 4 * abs(to_float(acc))
-        value = mp.make_mpf(_round(acc))
-    tail = _qpoch_tail(absz, absq, J)
-    return SeriesValue(value, tail + mp.ldexp(units, -F) + _roundoff(J, value), J)
+    seq = (1, _fx(z, F), _ln(absz), -_ln1m(absq) - _ln1m(absz),
+           lambda j: _qpoch_tail(absz, absq, j) <= tol, 1.0)
+    re, im, (J,), units = _log_qpoch([seq], _fx(q, F), _ln(absq), _ln(tol), F)
+    value = _from_fx(re, im, -F, isinstance(z, mpc) or isinstance(q, mpc))
+    # 1e-9 covers the float rounding of units
+    err = _qpoch_tail(absz, absq, J) + mp.ldexp(units * (1 + 1e-9), -mp.prec)
+    return SeriesValue(value, err, J)
 
 
 def qpoch_inf_direct(a, q, rel_tol=None) -> SeriesValue:
@@ -394,7 +442,7 @@ def qpoch_inf_direct(a, q, rel_tol=None) -> SeriesValue:
     pieces, smin = _fx_product(_fx(a, F), _fx(q, F), n, F, math.inf)
     pr, pi, e = pieces[0]
     prod = _from_fx(pr, pi, e, isinstance(a, mpc) or isinstance(q, mpc))
-    units, ew = _factor_error(n, absq, absa, smin, F)
+    units, ew = _factor_error(n, _ln(absq), absa, smin, F)
     if units is None:
         # a factor within round-off of 0: every factor is at most 1 + |a q^j|
         fx_err = mp.exp(absa / (1 - absq)) * mp.expm1(mp.ldexp(2 * n * (ew + 2), -F))
@@ -814,10 +862,13 @@ def weighted_product_log(
     Form B: sum_n g(n)/n^w * [log (q^(n(z+1)); q^(2n))_inf
                               - log (q^(nz); q^(2n))_inf].
     The outer tail uses |log (q^(nz);q^n)_inf| <= r^n / ((1-q)(1-r)), and N
-    is sized as in lambert_sum.  Each inner log-Pochhammer stops where
-    log_qpoch_inf would.  At real z = a/b with b <= 2 it is a strided sum
-    over the cached table of log(1 - q^(k/b)), unless a is so large that
-    most of the table would go unread; otherwise it calls log_qpoch_inf.
+    is sized as in lambert_sum.  Each inner log-Pochhammer is _log_qpoch on
+    w_n = q^(nz) (and q^(n(z+1)) in form B) and b_n = q^n (q^(2n) in form B),
+    which advance as int pairs at F = prec + _GUARD bits by one multiply and
+    shift per n; it stops where log_qpoch_inf would.  Each base is worked out
+    16 bits above F, so by the power lemma of lambert_sum a power of a base of
+    modulus a is off by at most 5/(1 - a - 3u) units u = 2^-F.  The outer sum
+    over n is in mpf.
     """
     if form not in ("A", "B"):
         raise DomainError(f"form must be 'A' or 'B', got {form!r}")
@@ -836,164 +887,47 @@ def weighted_product_log(
     pref = (2 if form == "B" else 1) * C / ((1 - q) * (1 - r)) if r < 1 else mp.inf
     N = _truncation(g, pref, p, r, tol, max_terms, "weighted_product_log", "product")
 
-    inner_tol = mpf(2) ** (-mp.prec)
-    ab = None if complex_z else _small_fraction(z)
-    inner = _table_inner(q, ab, form, inner_tol) if ab else None
-    if inner is None:
-        inner = _pochhammer_inner(q, z, form, inner_tol)
+    prec, F = mp.prec, mp.prec + _GUARD
+    inner_tol, lt, u3 = mp.ldexp(1, -prec), -prec * _LN2, math.ldexp(3, -F)
+    with mp.workprec(F + 16):
+        qz = mp.exp(z * mp.log(q)) if complex_z else q**z
+        ws, base = ((qz,), q) if form == "A" else ((qz * q, qz), q * q)
+    # per power sequence: sign, base q^z or q^(z+1) as an int pair, its
+    # modulus as mpf and its log, and the round-off of its powers
+    seqs = []
+    for sign, x, a in zip((1, -1), ws, (r,) if form == "A" else (r * q, r)):
+        la = _ln(a)
+        seqs.append((sign, _fx(x, F), a, la, 5 / (-math.expm1(la) - u3)))
+    B, lb1 = to_fixed(base._mpf_, F), _ln(base)
+    eb = 5 / (-math.expm1(lb1) - u3)
+    bn, xs = 1 << F, [(1 << F, 0)] * len(seqs)
     acc = mpc(0) if complex_z else mpf(0)
-    err_acc = mpf(0)
     inner_terms = 0
+    err_units = 0.0  # sum of |g(n)/n^w| times the inner bounds, in units of 2^-prec
     for n in range(1, N + 1):
+        bn = bn * B >> F
+        xs = [((xr * wr - xi * wi) >> F, (xr * wi + xi * wr) >> F)
+              for (xr, xi), (_, (wr, wi), _, _, _) in zip(xs, seqs)]
         gv = g.values[n]
-        if gv:
-            c = _to_mp(gv)
-            if w:
-                c = c / n
-            val, ierr, terms = inner(n)
-            inner_terms += terms
-            acc = acc + c * val
-            err_acc += abs(c) * ierr
+        if not gv:
+            continue
+        lb = n * lb1
+        lpb = -math.log(-math.expm1(lb))
+        prods = [(s, x, n * la, lpb - math.log(-math.expm1(n * la)),
+                  lambda j, a=a: _qpoch_tail(a**n, base**n, j) <= inner_tol, ew)
+                 for x, (s, _, a, la, ew) in zip(xs, seqs)]
+        vr, vi, Js, err = _log_qpoch(prods, (bn, 0), lb, lt, F, eb)
+        for (_, _, lw, lpref, _, _), J in zip(prods, Js):
+            err += math.exp(lw + J * lb + lpref + prec * _LN2)
+        inner_terms += sum(Js)
+        c = _to_mp(gv)
+        if w:
+            c = c / n
+        acc = acc + c * _from_fx(vr, vi, -F, complex_z)
+        err_units += abs(complex(gv)) / n**w * err
+    # 1e-9 covers the float rounding of each term of err_units, and tail
+    # terms that underflow to 0, as each err holds at least 48 units of
+    # _roundoff_units; N 2^-50 covers the rounding of their sum
+    err_acc = mp.ldexp(err_units * (1 + 1e-9 + N * 2.0**-50), -prec)
     tail = pref * _poly_geom_tail(p, r, N)
     return SeriesValue(acc, tail + err_acc + _roundoff(N + inner_terms, acc), N)
-
-
-# weighted_product_log at real z = a/b with b <= _MAX_DENOM reads its inner
-# products from a table of log(1 - q^(k/b)), cached per (q, b, precision).
-# A table holds about b prec ln 2/(1 - q) entries, so the cache caps their
-# total: before a table grows past it, the oldest other tables are dropped.
-# b = 1 and 2 are the denominators whose timings were measured against the
-# log_qpoch_inf path; the table's cost per entry read grows with b.
-_MAX_DENOM = 2
-_MAX_LOG_ENTRIES = 1 << 20
-_log_tables = {}
-
-
-def _small_fraction(z):
-    """(a, b) with z = a/b exactly and b <= _MAX_DENOM, else None."""
-    man, exp = z.man_exp
-    if exp >= 0:
-        return man << exp, 1
-    if 1 << -exp <= _MAX_DENOM:
-        return man, 1 << -exp
-    return None
-
-
-def _pochhammer_inner(q, z, form, inner_tol):
-    """n -> (value, bound, terms) of the inner log-Pochhammer of
-    weighted_product_log, through log_qpoch_inf."""
-    logq = mp.log(q)
-    complex_z = isinstance(z, mpc)
-    qz = mp.exp(z * logq) if complex_z else q**z
-    if form == "A":
-        qz1, base_step = None, q
-    else:
-        qz1 = mp.exp((z + 1) * logq) if complex_z else q ** (z + 1)
-        base_step = q * q
-    # q^(nz), q^(n(z+1)) and the base at n = k, advanced one n at a time
-    k, an, b1n, base_n = 0, qz * 0 + 1, qz * 0 + 1, mpf(1)
-
-    def inner(n):
-        nonlocal k, an, b1n, base_n
-        while k < n:
-            k += 1
-            an = an * qz
-            base_n = base_n * base_step
-            if qz1 is not None:
-                b1n = b1n * qz1
-        i2 = log_qpoch_inf(an, base_n, tol=inner_tol)
-        if qz1 is None:
-            return i2.value, i2.err_bound, i2.terms_used
-        i1 = log_qpoch_inf(b1n, base_n, tol=inner_tol)
-        return (i1.value - i2.value, i1.err_bound + i2.err_bound,
-                i1.terms_used + i2.terms_used)
-
-    return inner
-
-
-def _table_inner(q, ab, form, inner_tol):
-    """As _pochhammer_inner, at real z = a/b: each inner log-Pochhammer is a
-    strided sum over the cached table L[k] = log(1 - Q^k), Q = q^(1/b).
-
-    Its term count J and its tail bound are the ones log_qpoch_inf finds for
-    the same arguments, and each table entry is within 3 units of 2^-F.
-    Returns None where the products at n = 1 would read less than a quarter
-    of the table they need, as they do once q^z is near the tolerance.
-    """
-    a, b = ab
-    prec = mp.prec
-    F = prec + _GUARD
-    lnQ = _ln(q) / b
-    step = b if form == "A" else 2 * b
-    firsts = (a,) if form == "A" else (a, a + b)
-    entry_units = 2.0 ** (2 - _GUARD)  # 3 units of 2^-F, in units of 2^-prec
-
-    def terms(start, stride):
-        lw, lb = start * lnQ, stride * lnQ
-        lpref = -math.log(-math.expm1(lw)) - math.log(-math.expm1(lb)) if lb else math.inf
-        return _qpoch_terms(lw, lb, lpref, inner_tol,
-                            lambda: (q ** (mpf(start) / b), q ** (mpf(stride) / b)))
-
-    def strided(start, stride):
-        # log (Q^start; Q^stride)_inf = sum_j L[start + j stride]
-        J, ltail = terms(start, stride)
-        L = _log1m_table(q, b, start + stride * (J - 1))
-        val = sum(L[start:start + stride * J:stride])
-        # in units of 2^-prec: the tail, _roundoff as log_qpoch_inf counts
-        # it, and 3 units of 2^-F per entry
-        absval = to_float(from_man_exp(abs(val), -F), rnd=round_up)
-        err = math.exp(ltail + prec * _LN2) + _roundoff_units(J, absval) + J * entry_units
-        return val, err, J
-
-    def inner(n):
-        v, e, j = strided(n * a, n * step)
-        if form == "B":
-            v1, e1, j1 = strided(n * (a + b), n * step)
-            v, e, j = v1 - v, e1 + e, j1 + j
-        # 1e-9 covers the float rounding of e
-        return _from_fx(v, 0, -F, False), mp.ldexp(e * (1 + 1e-9), -prec), j
-
-    try:
-        Js = [terms(s, step)[0] for s in firsts]
-    except ConvergenceError:
-        return None  # log_qpoch_inf raises the same error, if n = 1 is used
-    if max(s + step * (J - 1) for s, J in zip(firsts, Js)) > 4 * sum(Js):
-        return None
-    return inner
-
-
-def _log1m_table(q, b, kmax):
-    """L with L[k] = log(1 - q^(k/b)) at F = mp.prec + _GUARD fractional bits,
-    for 1 <= k <= kmax at least (L[0] = 0 is unused).
-
-    Tables are cached per (q, b, mp.prec) and grown on demand, one entry at a
-    time, so an entry does not depend on the order of the calls.  Powers of
-    Q = q^(1/b) carry FH = F + H bits with 2^-H 6/(1-Q)^3 <= 1, so each entry
-    is within 3 units of 2^-F: the power's error through the log, the log's
-    own, and its truncation.
-    """
-    F = mp.prec + _GUARD
-    key = (q, b, mp.prec)
-    tab = _log_tables.get(key)
-    if tab is None:
-        FH = F + 3 + 3 * math.ceil(-math.log2(-math.expm1(_ln(q) / b)))
-        with mp.workprec(FH + 8):
-            Q = q if b == 1 else mp.root(q, b)
-        tab = _log_tables[key] = [[0], 1 << FH, to_fixed(Q._mpf_, FH), FH]
-    L, x, Qh, FH = tab
-    if len(L) <= kmax:
-        others = [k for k in _log_tables if k != key]
-        while others and (kmax + 1 - len(L) + sum(len(t[0]) for t in _log_tables.values())
-                          > _MAX_LOG_ENTRIES):
-            del _log_tables[others.pop(0)]
-    one = 1 << FH
-    try:
-        while len(L) <= kmax:
-            x = x * Qh >> FH
-            L.append(to_fixed(mpf_log(from_man_exp(one - x, -FH), FH), F))
-    except BaseException:
-        # L may have outrun the power stored with it; never keep that pair
-        del _log_tables[key]
-        raise
-    tab[1] = x
-    return L

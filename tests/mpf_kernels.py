@@ -17,7 +17,6 @@ from lambertq.qseries import (
     KernelForm,
     QPoint,
     SeriesValue,
-    TableTooShortError,
     _growth,
     _poly_geom_tail,
     _roundoff,
@@ -106,8 +105,8 @@ def oracle_weighted_product_log(
     tol=DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesValue:
-    """weighted_product_log with each inner log-Pochhammer by
-    oracle_log_qpoch_inf and the outer sum in mpf."""
+    """weighted_product_log with the same N* from _truncation, each inner
+    log-Pochhammer by oracle_log_qpoch_inf and the outer sum in mpf."""
     if form not in ("A", "B"):
         raise DomainError(f"form must be 'A' or 'B', got {form!r}")
     if weight not in ("over_n", "plain"):
@@ -115,50 +114,28 @@ def oracle_weighted_product_log(
     q, z = pt.q, pt.z
     tol = mpf(tol)
     C, beta = _growth(g)
+    complex_z = isinstance(z, mpc)
+    if C == 0:
+        return SeriesValue(mpc(0) if complex_z else mpf(0), mpf(0), 0)
     w = 1 if weight == "over_n" else 0
     p = beta - w
-    rez = z.real if isinstance(z, mpc) else z
-    r = q**rez
-    pref = C / ((1 - q) * (1 - r))
-    if form == "B":
-        pref = 2 * pref
+    r = q ** (z.real if complex_z else z)
+    pref = (2 if form == "B" else 1) * C / ((1 - q) * (1 - r))
+    N = _truncation(g, pref, p, r, tol, max_terms, "weighted_product_log", "product")
 
-    complex_z = isinstance(z, mpc)
     logq = mp.log(q)
-    if form == "A":
-        qz = mp.exp(z * logq) if complex_z else q**z
-        base_step = q
-    else:
-        qz = mp.exp(z * logq) if complex_z else q**z
-        qz1 = mp.exp((z + 1) * logq) if complex_z else q ** (z + 1)
-        base_step = q * q
-        b1n = qz1 * 0 + 1
+    qz = mp.exp(z * logq) if complex_z else q**z
+    qz1 = mp.exp((z + 1) * logq) if complex_z else q ** (z + 1)
+    base_step = q if form == "A" else q * q
     acc = mpc(0) if complex_z else mpf(0)
     err_acc = mpf(0)
     inner_tol = mpf(2) ** (-mp.prec)
-    an = qz * 0 + 1
-    base_n = mpf(1)
-    n = 0
-    check_at = 1
+    an, b1n, base_n = qz * 0 + 1, qz * 0 + 1, mpf(1)
     inner_terms = 0
-    if C == 0:
-        return SeriesValue(acc, mpf(0), 0)
-    while True:
-        if n >= max_terms:
-            raise ConvergenceError(
-                f"weighted_product_log needs more than max_terms={max_terms} terms",
-                side="product",
-            )
-        if n >= g.N:
-            raise TableTooShortError(
-                f"weighted_product_log needs more than {g.N} tabulated values",
-                side="product",
-            )
-        n += 1
+    for n in range(1, N + 1):
         an = an * qz
+        b1n = b1n * qz1
         base_n = base_n * base_step
-        if form == "B":
-            b1n = b1n * qz1
         gv = g.values[n]
         if gv:
             c = _to_mp(gv)
@@ -177,12 +154,8 @@ def oracle_weighted_product_log(
                 inner_terms += i1.terms_used + i2.terms_used
             acc = acc + c * val
             err_acc += abs(c) * ierr
-        if n >= check_at:
-            tail = pref * _poly_geom_tail(p, r, n)
-            if tail <= tol:
-                break
-            check_at = n + max(4, n // 16)
-    return SeriesValue(acc, tail + err_acc + _roundoff(n + inner_terms, acc), n)
+    tail = pref * _poly_geom_tail(p, r, N)
+    return SeriesValue(acc, tail + err_acc + _roundoff(N + inner_terms, acc), N)
 
 
 def oracle_lambert_sum(

@@ -10,7 +10,7 @@ import dataclasses
 import inspect
 
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import mp
 
 from lambertq import arith, cli, identities, qseries
 from lambertq.numerics import ConvergenceError, set_precision
@@ -90,18 +90,3 @@ def test_table_hooks_behave_as_the_wrappers_expect():
     rec = next(r for r in identities.limit_targets() if r.target_fn is not None)
     assert dataclasses.replace(rec, target_fn=rec.target_fn) == rec
 
-
-def test_complex_z_product_calls_log_qpoch_inf_through_the_module(monkeypatch):
-    # rational real z reads a cached table instead; complex z must still reach
-    # the module attribute that the traced run wraps
-    calls = []
-    orig = qseries.log_qpoch_inf
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(qseries, "log_qpoch_inf", counting)
-    g = arith.build_table(arith.FunctionId.parse("mobius"), 64)
-    qseries.weighted_product_log(g, qseries.QPoint(mpf("0.3"), mpc(1, "0.5")))
-    assert calls

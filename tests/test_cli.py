@@ -193,8 +193,9 @@ def test_verify_json_schema(capsys):
     recs = json.loads(out)
     assert len(recs) == 1 and recs[0]["pass"] is True
     for key in ("id", "q", "z", "lhs_value", "rhs_value", "abs_diff",
-                "error_budget", "tol_slack", "terms_used", "note"):
+                "error_budget", "pass", "terms_used", "note"):
         assert key in recs[0]
+    assert "tol_slack" not in recs[0]
 
 
 def test_verify_csv_header(capsys):

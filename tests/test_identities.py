@@ -179,10 +179,13 @@ def test_limit_ladder_builds_its_table_once(monkeypatch, id):
     monkeypatch.setattr(idmod, "_build_named", counting)
     rep = limit_check(id)
     assert rep.passed and rep.mode == "extrapolation"
-    # _adaptive's first attempt, which sums nothing, then one table for the
-    # whole ladder, not one per doubling of N* along it
+    # a 1-entry table, which carries the growth bound and sums nothing, then
+    # one table sized from N* for the whole ladder, not one per doubling of
+    # N* along it
     assert [key for key, _ in builds] == [rec.f_key] * 2
-    assert builds[0][1] == idmod._TABLE_START_N < builds[1][1]
+    N = builds[1][1]
+    assert builds[0][1] == 1 and N >= idmod._TABLE_START_N and N & (N - 1) == 0
+    assert idmod._table_cache[(rec.f_key, mp.prec)].N == N
 
 
 def test_limit_report_schema():

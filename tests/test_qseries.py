@@ -450,126 +450,61 @@ def test_lambert_sum_against_mpf_loop(q, key, z, kernel, weight, bits):
 
 
 # ---------------------------------------------------------------------------
-# the cached log(1 - q^(k/b)) table of weighted_product_log
+# weighted_product_log against the mpf loop: one fixed-point inner path for
+# every z, real or complex
+
+_PRODUCT_Z = [mpf(1), mpf(2), mpf("0.5"), mpf("0.25"), mpf("0.75"), mpf(1) / 3,
+              mpc(1, "0.5"), mpc("0.57", "0.76")]
+
 
 @pytest.mark.parametrize("g_key, form", [("totient", "A"), ("mobius", "B")])
-@pytest.mark.parametrize("z", [mpf(1), mpf(2), mpf("0.5")])
-def test_product_table_against_mpf_loop(monkeypatch, g_key, form, z):
-    def unexpected(*args, **kwargs):
-        raise AssertionError("rational real z must not call log_qpoch_inf")
+@pytest.mark.parametrize("z", _PRODUCT_Z)
+def test_product_table_against_mpf_loop(g_key, form, z):
+    # each z meets both forms, and the precision rotates through 64/128/256
+    bits = (64, 128, 256)[(_PRODUCT_Z.index(z) + (form == "B")) % 3]
+    with precision(bits):
+        g = table(g_key)
+        pt = QPoint(mpf("0.7"), z)
+        new = weighted_product_log(g, pt, form=form)
+        ref = oracle_weighted_product_log(g, pt, form=form)
+        assert new.terms_used == ref.terms_used
+        assert type(new.value) is type(ref.value)
+        assert_minimal(new, lambda N: outer_tail(g, pt, N, form=form))
+        assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
 
-    monkeypatch.setattr(qseries, "log_qpoch_inf", unexpected)
-    g = table(g_key)
-    pt = QPoint(mpf("0.7"), z)
-    new = weighted_product_log(g, pt, form=form)
-    ref = oracle_weighted_product_log(g, pt, form=form)
-    assert new.terms_used <= ref.terms_used
-    assert_minimal(new, lambda N: outer_tail(g, pt, N, form=form))
-    assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
 
-
-def test_product_table_value_does_not_depend_on_cache_state():
-    g = table("totient")
-    pt = QPoint(mpf("0.7"), mpf("0.5"))
-    key = (pt.q, 2, mp.prec)
-    qseries._log_tables.pop(key, None)
-    cold = weighted_product_log(g, pt, form="B")
-    used = len(qseries._log_tables[key][0])
-
-    qseries._log_tables.pop(key, None)
-    # other points with b = 2 fill the (0.7, 2) table first, further than needed
-    weighted_product_log(table("mobius"), QPoint(mpf("0.7"), mpf("1.5")), form="A")
-    weighted_product_log(table("divisor_d"), QPoint(mpf("0.7"), mpf("0.5")), form="B",
-                         weight="plain")
-    assert len(qseries._log_tables[key][0]) > used
-    warm = weighted_product_log(g, pt, form="B")
-
-    with precision(192):
-        weighted_product_log(g, QPoint(mpf("0.7"), mpf("0.5")), form="B")
-    again = weighted_product_log(g, pt, form="B")
-    assert cold == warm == again
+def test_product_near_one_against_twice_the_precision():
+    pt = QPoint(mpf("0.99"), mpf("0.5"))
+    sv = identities._with_table("std:mobius", lambda g: weighted_product_log(g, pt, form="B"))
+    with precision(2 * mp.prec):
+        ref = identities._with_table("std:mobius", lambda g: weighted_product_log(
+            g, pt, form="B", tol=qseries.DEFAULT_TOL * mpf("1e-6")))
+        assert abs(sv.value - ref.value) <= sv.err_bound
 
 
 @pytest.mark.parametrize("z", [mpf(10) ** 9, mpf(2) ** 20, mpf(200)])
 def test_product_at_large_real_z_skips_the_table(z):
-    # q^z is far below the tolerance: a table from Q^1 up to Q^z would hold
-    # z entries to read one, so the general path takes each inner product
+    # q^z is far below the tolerance: every inner product stops at J = 1,
+    # and no power of q is taken up to the exponent z
     g = table("mobius")
     pt = QPoint(mpf("0.5"), z)
     t0 = time.perf_counter()
     for form in ("A", "B"):
-        qseries._log_tables.pop((pt.q, 1, mp.prec), None)
         new = weighted_product_log(g, pt, form=form)
         ref = oracle_weighted_product_log(g, pt, form=form)
-        assert new.terms_used <= ref.terms_used
+        assert new.terms_used == ref.terms_used
         assert_minimal(new, lambda N: outer_tail(g, pt, N, form=form))
         assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
-        assert (pt.q, 1, mp.prec) not in qseries._log_tables
     assert time.perf_counter() - t0 < 2
 
 
-@pytest.mark.parametrize("z", [mpf("0.25"), mpf("0.75"), mpf(1) / 3])
-def test_product_at_other_real_z_calls_log_qpoch_inf(monkeypatch, z):
-    calls = []
-    orig = qseries.log_qpoch_inf
+def test_kernel_bench_runs_on_one_point():
+    # tests/kernel_bench.py writes the per-kernel BENCH records; run its
+    # loops on one point and one call so that the script cannot rot
+    import kernel_bench
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(qseries, "log_qpoch_inf", counting)
-    g = table("totient")
-    pt = QPoint(mpf("0.7"), z)
-    new = weighted_product_log(g, pt, form="B")
-    ref = oracle_weighted_product_log(g, pt, form="B")
-    assert calls
-    assert new.terms_used <= ref.terms_used
-    assert_minimal(new, lambda N: outer_tail(g, pt, N, form="B"))
-    assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
-
-
-def test_product_table_interrupted_growth_is_dropped(monkeypatch):
-    class Interrupted(Exception):
-        pass
-
-    g = table("totient")
-    pt = QPoint(mpf("0.7"), mpf(1))
-    key = (pt.q, 1, mp.prec)
-    qseries._log_tables.pop(key, None)
-    cold = weighted_product_log(g, pt, form="B")
-
-    qseries._log_tables.pop(key, None)
-    weighted_product_log(g, pt, form="A")  # a shorter table than form B needs
-    orig, left = qseries.mpf_log, [3]
-
-    def failing(*args):
-        left[0] -= 1
-        if left[0] < 0:
-            raise Interrupted
-        return orig(*args)
-
-    monkeypatch.setattr(qseries, "mpf_log", failing)
-    with pytest.raises(Interrupted):
-        weighted_product_log(g, pt, form="B")
-    assert key not in qseries._log_tables
-    monkeypatch.setattr(qseries, "mpf_log", orig)
-    assert weighted_product_log(g, pt, form="B") == cold
-
-
-def test_log_table_cache_caps_total_entries(monkeypatch):
-    monkeypatch.setattr(qseries, "_MAX_LOG_ENTRIES", 20000)
-    monkeypatch.setattr(qseries, "_log_tables", {})
-    keys = [(mpf(q), 1, mp.prec) for q in ("0.99", "0.995", "0.998")]
-
-    def total():
-        return sum(len(t[0]) for t in qseries._log_tables.values())
-
-    for key, kmax in zip(keys, (6000, 8000, 10000)):
-        L = qseries._log1m_table(key[0], 1, kmax)
-        assert len(L) > kmax and qseries._log_tables[key][0] is L
-        assert total() <= 20000
-    # the 0.99 table, the oldest, made room for the 0.998 one
-    assert list(qseries._log_tables) == keys[1:]
-    # a table is never dropped while it grows, even past the cap alone
-    L = qseries._log1m_table(keys[2][0], 1, 25000)
-    assert list(qseries._log_tables) == keys[2:] and len(L) == total() == 25001
+    (lam,) = kernel_bench.lambert_rows(points=[("0.3", mpf("0.3"))], runs=1)
+    (prod,) = kernel_bench.product_rows(points=[("0.3", "1+0.5j")], runs=1)
+    assert lam["terms"] > 0 and len(lam["oracle_runs_s"]) == 1
+    assert prod["terms"] > 0 and len(prod["warm_runs_s"]) == 1
+    assert min(prod["cold_s"], prod["warm_s"], prod["oracle_s"], prod["ratio"]) > 0
