@@ -36,6 +36,9 @@ EXIT_OVERFLOW = 3
 EXIT_DOMAIN = 4
 EXIT_CONVERGENCE = 5
 
+# largest N of `sieve`: its smallest-prime-factor array alone holds N + 1 ints
+SIEVE_MAX_N = 1 << 20
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -224,8 +227,8 @@ def _reports_out(reports, cols, fmt: str) -> str:
 
 def cmd_sieve(args, cfg: RunConfig) -> int:
     fid = _parse_spec(args.spec)
-    if args.N < 1:
-        print("lambertq: N must be >= 1", file=sys.stderr)
+    if not 1 <= args.N <= SIEVE_MAX_N:
+        print(f"lambertq: domain error: N must be in [1, {SIEVE_MAX_N}]", file=sys.stderr)
         return EXIT_DOMAIN
     tab = build_table(fid, args.N)
     lines = ["n,value"]

@@ -131,15 +131,6 @@ def _poly_geom_tail(p, r, N):
     return M * u ** (N + 1) / (1 - u)
 
 
-def _to_mp(x):
-    if isinstance(x, (mpf, mpc)):
-        return x
-    if isinstance(x, int):
-        return mpf(x)
-    # Fraction
-    return mpf(x.numerator) / mpf(x.denominator)
-
-
 # ---------------------------------------------------------------------------
 # fixed-point product kernels
 #
@@ -812,16 +803,9 @@ def lambert_sum(
             if xi:
                 ai += (c * xi << F) // div
             continue
-        cr, ci, e, den = _fixed_coeff(c)
         cplx = cplx or isinstance(c, mpc)
-        sh, div = F + e, div * den
-        nr, ni = cr * xr - ci * xi, cr * xi + ci * xr
-        if sh < 0:
-            div <<= -sh
-            sh = 0
-        ar += (nr << sh) // div
-        if ni:
-            ai += (ni << sh) // div
+        dr, di = _fixed_term(c, xr, xi, F, div)
+        ar, ai = ar + dr, ai + di
     acc = _from_fx(ar, ai, -F, cplx)
 
     u = mp.ldexp(1, -F)
@@ -834,18 +818,25 @@ def lambert_sum(
     return SeriesValue(acc, tail + mpf("1.01") * units * u + _roundoff(N, acc), N)
 
 
-def _fixed_coeff(c):
-    """A Fraction, mpf or mpc table value c as exact ints (cr, ci, e, den)
-    with c = (cr + i ci) 2^e / den."""
+def _fixed_term(c, xr, xi, sh, div):
+    """floor(c (xr + i xi) 2^sh / div) per component for ints xr, xi, sh and
+    div > 0.  A Fraction, mpf or mpc table value c enters exactly, as
+    (cr + i ci) 2^e / den, so only the two floors round."""
     if isinstance(c, mpf):
-        sgn, man, e, _ = c._mpf_
-        return -man if sgn else man, 0, e, 1
-    if isinstance(c, mpc):
+        sgn, cr, e, _ = c._mpf_
+        cr, ci, den = -cr if sgn else cr, 0, 1
+    elif isinstance(c, mpc):
         (s1, m1, e1, _), (s2, m2, e2, _) = c._mpc_
-        e = min(e1 if m1 else e2, e2 if m2 else e1)
-        return ((-m1 if s1 else m1) << (e1 - e) if m1 else 0,
-                (-m2 if s2 else m2) << (e2 - e) if m2 else 0, e, 1)
-    return c.numerator, 0, 0, c.denominator
+        e, den = min(e1 if m1 else e2, e2 if m2 else e1), 1
+        cr = (-m1 if s1 else m1) << (e1 - e) if m1 else 0
+        ci = (-m2 if s2 else m2) << (e2 - e) if m2 else 0
+    else:
+        cr, ci, e, den = c.numerator, 0, 0, c.denominator
+    sh, div = sh + e, div * den
+    if sh < 0:
+        div <<= -sh
+        sh = 0
+    return ((cr * xr - ci * xi) << sh) // div, ((cr * xi + ci * xr) << sh) // div
 
 
 def weighted_product_log(
@@ -867,8 +858,16 @@ def weighted_product_log(
     which advance as int pairs at F = prec + _GUARD bits by one multiply and
     shift per n; it stops where log_qpoch_inf would.  Each base is worked out
     16 bits above F, so by the power lemma of lambert_sum a power of a base of
-    modulus a is off by at most 5/(1 - a - 3u) units u = 2^-F.  The outer sum
-    over n is in mpf.
+    modulus a is off by at most 5/(1 - a - 3u) units u = 2^-F.
+
+    The outer sum is an int pair at the same F bits.  Each inner value v_n
+    enters it as c_n v_n with c_n = g(n)/n^w exact, as in lambert_sum: an int
+    g(n) times v_n, floor-divided by n if w = 1; a Fraction, mpf or mpc as
+    (cr + i ci) 2^e / den, one floor division by den n^w per component.  Each
+    floor is off by less than one unit per component and a product by an int
+    is exact, so the sum is off from sum_n c_n v_n by less than 2N units, or
+    2N 2^-_GUARD units of 2^-prec, counted in the bound; it is rounded to the
+    working precision once, inside the unchanged _roundoff cover.
     """
     if form not in ("A", "B"):
         raise DomainError(f"form must be 'A' or 'B', got {form!r}")
@@ -901,9 +900,10 @@ def weighted_product_log(
     B, lb1 = to_fixed(base._mpf_, F), _ln(base)
     eb = 5 / (-math.expm1(lb1) - u3)
     bn, xs = 1 << F, [(1 << F, 0)] * len(seqs)
-    acc = mpc(0) if complex_z else mpf(0)
-    inner_terms = 0
-    err_units = 0.0  # sum of |g(n)/n^w| times the inner bounds, in units of 2^-prec
+    ar = ai = inner_terms = 0
+    cplx = complex_z
+    # sum of |g(n)/n^w| times the inner bounds, and the outer floors, in units of 2^-prec
+    err_units = 2 * N / (1 << _GUARD)
     for n in range(1, N + 1):
         bn = bn * B >> F
         xs = [((xr * wr - xi * wi) >> F, (xr * wi + xi * wr) >> F)
@@ -920,14 +920,18 @@ def weighted_product_log(
         for (_, _, lw, lpref, _, _), J in zip(prods, Js):
             err += math.exp(lw + J * lb + lpref + prec * _LN2)
         inner_terms += sum(Js)
-        c = _to_mp(gv)
-        if w:
-            c = c / n
-        acc = acc + c * _from_fx(vr, vi, -F, complex_z)
+        if type(gv) is int:
+            ar += gv * vr // n if w else gv * vr
+            ai += gv * vi // n if w else gv * vi
+        else:
+            cplx = cplx or isinstance(gv, mpc)
+            dr, di = _fixed_term(gv, vr, vi, 0, n if w else 1)
+            ar, ai = ar + dr, ai + di
         err_units += abs(complex(gv)) / n**w * err
     # 1e-9 covers the float rounding of each term of err_units, and tail
     # terms that underflow to 0, as each err holds at least 48 units of
     # _roundoff_units; N 2^-50 covers the rounding of their sum
     err_acc = mp.ldexp(err_units * (1 + 1e-9 + N * 2.0**-50), -prec)
+    acc = _from_fx(ar, ai, -F, cplx)
     tail = pref * _poly_geom_tail(p, r, N)
     return SeriesValue(acc, tail + err_acc + _roundoff(N + inner_terms, acc), N)

@@ -12,13 +12,24 @@ kernel and its oracle run in this one process on the same table, alternating
 which goes first, and each time is the median of ``runs`` calls; the ratio
 is oracle median / kernel median.  A product's cold time is its first call
 at that point in the process, before the timed calls.
+
+To compare weighted_product_log with another checkout's, for instance the
+parent commit's exported to OLD:
+
+    PYTHONPATH=src:tests python tests/kernel_bench.py --against OLD/src
+
+runs the product rows ``rounds`` times in fresh processes, once on OLD/src
+and once on this tree's src per round, alternating which goes first.
 """
 
+import argparse
 import gc
 import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import time
 
 import mpmath
@@ -99,12 +110,54 @@ def product_rows(points=PRODUCT_POINTS, runs=RUNS):
     return rows
 
 
+def _environment():
+    return {"python": platform.python_version(), "mpmath": mpmath.__version__,
+            "mpmath_backend": mpmath.libmp.BACKEND,
+            "machine": platform.machine(), "cpus": os.cpu_count()}
+
+
+def compare_products(parent_src, rounds=3, points=PRODUCT_POINTS, runs=RUNS):
+    """product_rows on ``parent_src`` and on this tree's src, each in a fresh
+    process, ``rounds`` times with the order alternating.  Per point, each
+    time is the median over the rounds of that round's value, and each ratio
+    is parent / change."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    srcs = {"parent": parent_src, "change": os.path.join(here, os.pardir, "src")}
+    code = ("import json, kernel_bench; kernel_bench.set_precision(128); "
+            f"print(json.dumps(kernel_bench.product_rows({points!r}, {runs})))")
+    rows = {"parent": [], "change": []}
+    for i in range(rounds):
+        for tree in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([srcs[tree], here]))
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            rows[tree].append(json.loads(out))
+    table = []
+    for k, row in enumerate(rows["change"][0]):
+        pt = {"q": row["q"], "z": row["z"], "terms": row["terms"]}
+        for key in ("warm_s", "cold_s", "oracle_s"):
+            for tree in ("parent", "change"):
+                times = [r[k][key] for r in rows[tree]]
+                pt[f"{tree}_{key}"] = statistics.median(times)
+                pt[f"{tree}_{key[:-2]}_rounds_s"] = times
+        pt["warm_ratio"] = round(pt["parent_warm_s"] / pt["change_warm_s"], 2)
+        pt["cold_ratio"] = round(pt["parent_cold_s"] / pt["change_cold_s"], 2)
+        pt["change_oracle_ratio"] = round(pt["change_oracle_s"] / pt["change_warm_s"], 2)
+        table.append(pt)
+    return {"environment": _environment(), "weighted_product_log": {
+        "what": "weighted_product_log of the --against tree (parent) and of this tree "
+                "(change): product_rows in a fresh process per tree and round, %d rounds "
+                "alternating which tree goes first; each time is the median over the rounds "
+                "of a round's median of %d calls (cold: its first call)" % (rounds, runs),
+        "setup": {"g": "mobius", "form": "A", "weight": "over_n", "tol": "1e-25",
+                  "precision_bits": 128},
+        "points": table}}
+
+
 def main():
     set_precision(128)
     out = {
-        "environment": {"python": platform.python_version(), "mpmath": mpmath.__version__,
-                        "mpmath_backend": mpmath.libmp.BACKEND,
-                        "machine": platform.machine(), "cpus": os.cpu_count()},
+        "environment": _environment(),
         "lambert_sum": {
             "what": "lambert_sum (fixed point) against tests/mpf_kernels.oracle_lambert_sum "
                     "(the mpf loop it replaced), same process, median of %d runs" % RUNS,
@@ -125,4 +178,11 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    ap = argparse.ArgumentParser(description="per-kernel timings as JSON")
+    ap.add_argument("--against", metavar="SRC",
+                    help="compare weighted_product_log with the lambertq package under SRC")
+    args = ap.parse_args()
+    if args.against:
+        print(json.dumps(compare_products(args.against), indent=2))
+    else:
+        main()

@@ -20,9 +20,17 @@ from lambertq.qseries import (
     _growth,
     _poly_geom_tail,
     _roundoff,
-    _to_mp,
     _truncation,
 )
+
+
+def _to_mp(x):
+    """An int, Fraction, mpf or mpc table value as mpf or mpc."""
+    if isinstance(x, (mpf, mpc)):
+        return x
+    if isinstance(x, int):
+        return mpf(x)
+    return mpf(x.numerator) / mpf(x.denominator)
 
 
 def oracle_log_qpoch_inf(z, q, tol=None) -> SeriesValue:

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from lambertq.cli import main
+from lambertq import cli
+from lambertq.cli import SIEVE_MAX_N, main
 from lambertq.numerics import set_precision
 
 
@@ -39,6 +40,14 @@ def test_sieve_jordan(capsys):
     assert code == 0
     assert [l.split(",")[1] for l in out.strip().splitlines()[1:]] == \
         ["1", "3", "8", "12", "24"]
+
+
+@pytest.mark.parametrize("N", ["0", "-3", str(SIEVE_MAX_N + 1)])
+def test_sieve_N_out_of_range_exits_4(capsys, monkeypatch, N):
+    # rejected before any table is built or allocated
+    monkeypatch.setattr(cli, "build_table", None)
+    code, out, err = run(capsys, "sieve", "mobius", N)
+    assert code == 4 and out == "" and f"N must be in [1, {SIEVE_MAX_N}]" in err
 
 
 def test_sieve_unknown_spec_exits_2(capsys):

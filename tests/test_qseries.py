@@ -1,6 +1,7 @@
 """Certified q-series primitives against independent oracles."""
 
 import dataclasses
+import os
 import time
 
 import mpmath
@@ -457,19 +458,29 @@ _PRODUCT_Z = [mpf(1), mpf(2), mpf("0.5"), mpf("0.25"), mpf("0.75"), mpf(1) / 3,
               mpc(1, "0.5"), mpc("0.57", "0.76")]
 
 
-@pytest.mark.parametrize("g_key, form", [("totient", "A"), ("mobius", "B")])
+# int, Fraction, mpf and mpc exponent tables: each enters the fixed-point
+# outer sum by its own branch, and each meets both forms and both weights
+_PRODUCT_TABLES = [("std:totient", "A", "over_n"), ("std:mobius", "B", "over_n"),
+                   ("phi_over_n", "A", "plain"), ("phi_over_n", "B", "over_n"),
+                   ("std:sigma:0.5", "A", "over_n"), ("std:sigma:0.5", "B", "plain"),
+                   ("std:mu_k:2", "A", "plain"), ("std:mu_k:2", "B", "over_n")]
+
+
+@pytest.mark.parametrize("g_key, form, weight", _PRODUCT_TABLES,
+                         ids=[key.removeprefix("std:") + "-" + form + "-plain" * (weight == "plain")
+                              for key, form, weight in _PRODUCT_TABLES])
 @pytest.mark.parametrize("z", _PRODUCT_Z)
-def test_product_table_against_mpf_loop(g_key, form, z):
+def test_product_table_against_mpf_loop(g_key, form, weight, z):
     # each z meets both forms, and the precision rotates through 64/128/256
-    bits = (64, 128, 256)[(_PRODUCT_Z.index(z) + (form == "B")) % 3]
+    bits = (64, 128, 256)[(_PRODUCT_Z.index(z) + _PRODUCT_TABLES.index((g_key, form, weight))) % 3]
     with precision(bits):
-        g = table(g_key)
+        g = identities._build_named(g_key, 2048)
         pt = QPoint(mpf("0.7"), z)
-        new = weighted_product_log(g, pt, form=form)
-        ref = oracle_weighted_product_log(g, pt, form=form)
+        new = weighted_product_log(g, pt, form=form, weight=weight)
+        ref = oracle_weighted_product_log(g, pt, form=form, weight=weight)
         assert new.terms_used == ref.terms_used
         assert type(new.value) is type(ref.value)
-        assert_minimal(new, lambda N: outer_tail(g, pt, N, form=form))
+        assert_minimal(new, lambda N: outer_tail(g, pt, N, form=form, weight=weight))
         assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
 
 
@@ -508,3 +519,7 @@ def test_kernel_bench_runs_on_one_point():
     assert lam["terms"] > 0 and len(lam["oracle_runs_s"]) == 1
     assert prod["terms"] > 0 and len(prod["warm_runs_s"]) == 1
     assert min(prod["cold_s"], prod["warm_s"], prod["oracle_s"], prod["ratio"]) > 0
+    src = os.path.join(os.path.dirname(qseries.__file__), os.pardir)
+    (ab,) = kernel_bench.compare_products(src, rounds=1, points=[("0.3", "2")], runs=1)[
+        "weighted_product_log"]["points"]
+    assert ab["terms"] > 0 and ab["parent_warm_rounds_s"] and ab["warm_ratio"] > 0
