@@ -47,7 +47,6 @@ from .identities import (
     IdentityRecord,
     IdentityReport,
     LimitReport,
-    LimitTarget,
     UnknownIdError,
     catalog,
     hypothesis_check,
@@ -61,3 +60,10 @@ from .identities import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # identities loads LimitTarget, and dataclasses with it, on first use
+    if name == "LimitTarget":
+        return identities.LimitTarget
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,7 @@ precision.  Every table carries a crude but certified growth bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable
 
@@ -99,26 +99,25 @@ def divisors(n: int, spf=None) -> list:
 _PARAM_TAGS = {"jordan": float, "sigma": float, "ramanujan": int, "mu_k": int}
 
 
-@dataclass(frozen=True)
-class FunctionId:
+class FunctionId(namedtuple("FunctionId", "tag params")):
     """Tag plus parameters selecting one arithmetic function."""
 
-    tag: str
-    params: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in _BUILDERS and self.tag != "custom":
-            raise DomainError(f"unknown function tag {self.tag!r}")
-        if self.tag in _PARAM_TAGS:
-            if len(self.params) != 1:
-                raise DomainError(f"{self.tag} takes exactly one parameter")
-            p = self.params[0]
-            if self.tag == "ramanujan" and (int(p) != p or p < 1):
+    def __new__(cls, tag, params=()):
+        if tag not in _BUILDERS and tag != "custom":
+            raise DomainError(f"unknown function tag {tag!r}")
+        if tag in _PARAM_TAGS:
+            if len(params) != 1:
+                raise DomainError(f"{tag} takes exactly one parameter")
+            p = params[0]
+            if tag == "ramanujan" and (int(p) != p or p < 1):
                 raise DomainError("ramanujan parameter v must be a positive integer")
-            if self.tag == "mu_k" and (int(p) != p or p < 1):
+            if tag == "mu_k" and (int(p) != p or p < 1):
                 raise DomainError("mu_k parameter k must be a positive integer")
-        elif self.tag != "custom" and self.params:
-            raise DomainError(f"{self.tag} takes no parameters")
+        elif tag != "custom" and params:
+            raise DomainError(f"{tag} takes no parameters")
+        return super().__new__(cls, tag, params)
 
     @classmethod
     def parse(cls, spec: str) -> "FunctionId":
@@ -152,7 +151,6 @@ class FunctionId:
         return self.tag
 
 
-@dataclass
 class ArithTable:
     """Values of one arithmetic function on 1..N with a certified growth bound.
 
@@ -161,11 +159,23 @@ class ArithTable:
     crude: tail-bound correctness outranks tightness.
     """
 
-    fid: FunctionId
-    N: int
-    values: list
-    growth: tuple
-    exact: bool
+    __slots__ = ("fid", "N", "values", "growth", "exact")
+
+    def __init__(self, fid: FunctionId, N: int, values: list, growth: tuple, exact: bool):
+        self.fid, self.N, self.values, self.growth, self.exact = fid, N, values, growth, exact
+
+    def _astuple(self):
+        return self.fid, self.N, self.values, self.growth, self.exact
+
+    def __eq__(self, other):
+        if type(other) is not ArithTable:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    __hash__ = None  # mutable, so unhashable
+
+    def __repr__(self):
+        return "ArithTable(fid=%r, N=%r, values=%r, growth=%r, exact=%r)" % self._astuple()
 
     def __getitem__(self, n: int):
         if not 1 <= n <= self.N:

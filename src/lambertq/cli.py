@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
@@ -38,24 +37,6 @@ EXIT_CONVERGENCE = 5
 
 # largest N of `sieve`: its smallest-prime-factor array alone holds N + 1 ints
 SIEVE_MAX_N = 1 << 20
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved global options; runs are always seedless and deterministic."""
-
-    precision_bits: int = 128
-    tol: object = DEFAULT_TOL
-    max_terms: int = DEFAULT_MAX_TERMS
-    format: str = "human"
-
-    def __post_init__(self):
-        if self.precision_bits < 53:
-            raise DomainError("precision_bits must be >= 53")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-        if not mpf(self.tol) > 0:
-            raise DomainError("tol must be positive")
 
 
 def _scalar_str(v) -> str:
@@ -225,21 +206,20 @@ def _reports_out(reports, cols, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_sieve(args, cfg: RunConfig) -> int:
+def cmd_sieve(args) -> int:
     fid = _parse_spec(args.spec)
     if not 1 <= args.N <= SIEVE_MAX_N:
         print(f"lambertq: domain error: N must be in [1, {SIEVE_MAX_N}]", file=sys.stderr)
         return EXIT_DOMAIN
-    tab = build_table(fid, args.N)
-    lines = ["n,value"]
-    for n in range(1, args.N + 1):
-        lines.append(f"{n},{_scalar_str(tab.values[n])}")
-    _emit("\n".join(lines) + "\n", args.out)
+    vals = build_table(fid, args.N).values[1:]
+    if not all(type(v) is int for v in vals):  # exact ints print verbatim
+        vals = map(_scalar_str, vals)
+    _emit("n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(vals, 1)), args.out)
     return EXIT_OK
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
-    fmt = cfg.format
+def cmd_eval(args) -> int:
+    fmt = args.format
     if args.what == "qpoch":
         sv = qpoch_inf_direct(_parse_number(args.z, real=False), _parse_number(args.q))
         _emit(_series_value_out(sv, fmt))
@@ -254,55 +234,56 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     if args.what == "lambert":
         kern = KernelForm(args.kernel, args.weight)
         sv = identities._with_table(f"std:{spec}", lambda f: lambert_sum(
-            f, kern, pt, tol=cfg.tol, max_terms=cfg.max_terms))
+            f, kern, pt, tol=args.tol, max_terms=args.max_terms))
         _emit(_series_value_out(sv, fmt))
         return EXIT_OK
     # product: reports the log of the weighted product plus its exponential
     sv = identities._with_table(f"std:{spec}", lambda g: weighted_product_log(
         g, pt, form=args.form, weight=args.weight,
-        tol=cfg.tol, max_terms=cfg.max_terms))
+        tol=args.tol, max_terms=args.max_terms))
     prod = mp.exp(sv.value)
     _emit(_series_value_out(sv, fmt,
                             extra=(("product", _scalar_str(prod)),)))
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     if args.id == "all":
-        reports = identities.verify_all(tol=cfg.tol, max_terms=cfg.max_terms)
+        reports = identities.verify_all(tol=args.tol, max_terms=args.max_terms)
     else:
         q = _parse_number(args.q) if args.q is not None else None
         z = _parse_number(args.z, real=False) if args.z is not None else None
-        reports = [identities.verify(args.id, q, z, tol=cfg.tol,
-                                     max_terms=cfg.max_terms)]
-    _emit(_reports_out(reports, _VERIFY_COLS, cfg.format))
+        reports = [identities.verify(args.id, q, z, tol=args.tol,
+                                     max_terms=args.max_terms)]
+    _emit(_reports_out(reports, _VERIFY_COLS, args.format))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
-def cmd_limit(args, cfg: RunConfig) -> int:
+def cmd_limit(args) -> int:
     tol = _parse_number(args.limit_tol)
     if args.id == "all":
         reports = identities.limit_check_all(tol)
     else:
         reports = [identities.limit_check(args.id, tol)]
-    _emit(_reports_out(reports, _LIMIT_COLS, cfg.format))
+    _emit(_reports_out(reports, _LIMIT_COLS, args.format))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            precision_bits=args.precision if args.precision is not None
-            else mp.prec,
-            tol=_parse_number(args.tol) if args.tol is not None else DEFAULT_TOL,
-            max_terms=args.max_terms,
-            format=args.format,
-        )
-        set_precision(cfg.precision_bits)
+        precision = args.precision if args.precision is not None else mp.prec
+        args.tol = _parse_number(args.tol) if args.tol is not None else DEFAULT_TOL
+        if precision < 53:
+            raise DomainError("precision_bits must be >= 53")
+        if args.max_terms < 1:
+            raise DomainError("max_terms must be >= 1")
+        if not args.tol > 0:
+            raise DomainError("tol must be positive")
+        set_precision(precision)
         handler = {"sieve": cmd_sieve, "eval": cmd_eval,
                    "verify": cmd_verify, "limit": cmd_limit}[args.command]
-        return handler(args, cfg)
+        return handler(args)
     except (ParseError, identities.UnknownIdError) as exc:
         print(f"lambertq: {exc.args[0]}", file=sys.stderr)
         return EXIT_PARSE

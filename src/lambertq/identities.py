@@ -13,7 +13,7 @@ grid point can cross a fixed threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
@@ -223,41 +223,28 @@ def _with_table(key: str, eval_fn):
 # ---------------------------------------------------------------------------
 # report types
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    """One catalog entry pairing two independently evaluated sides."""
+class IdentityRecord(namedtuple(
+        "IdentityRecord",
+        "id description lhs_spec rhs_spec domain kind g_key f_key form weight "
+        "f_weight rhs_sign closed_rhs value_space z_fixed exact_check",
+        defaults=("", "", "A", "over_n", "", -1, None, False, None, None))):
+    """One catalog entry pairing two independently evaluated sides.
 
-    id: str
-    description: str
-    lhs_spec: str
-    rhs_spec: str
-    domain: str
-    kind: str  # "qz" or "exact"
-    g_key: str = ""
-    f_key: str = ""
-    form: str = "A"
-    weight: str = "over_n"
-    f_weight: str = ""  # series-side weight when it differs from the product side
-    rhs_sign: int = -1
-    closed_rhs: object = None  # callable(pt) -> value, used instead of f_key
-    value_space: bool = False  # compare values instead of logs (intro records)
-    z_fixed: object = None  # restrict to a single z (intro records)
-    exact_check: object = None  # callable() -> (max_diff, budget, detail)
+    ``kind`` is "qz" or "exact".  ``f_weight`` is the series-side weight when
+    it differs from the product side.  ``closed_rhs(pt)`` gives a value used
+    instead of ``f_key``.  ``value_space`` compares values instead of logs
+    and ``z_fixed`` restricts the record to one z (intro records).
+    ``exact_check()`` returns (max_diff, budget, detail).
+    """
+
+    __slots__ = ()
 
 
-@dataclass
-class IdentityReport:
-    id: str
-    q: object
-    z: object
-    params: dict
-    lhs_value: object
-    rhs_value: object
-    abs_diff: object
-    error_budget: object
-    passed: bool
-    terms_used: int
-    note: str = ""
+class IdentityReport(namedtuple(
+        "IdentityReport",
+        "id q z params lhs_value rhs_value abs_diff error_budget passed "
+        "terms_used note", defaults=("",))):
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -275,34 +262,13 @@ class IdentityReport:
         }
 
 
-@dataclass(frozen=True)
-class LimitTarget:
-    id: str
-    description: str
-    expression: str
-    f_key: str = ""
-    form: str = "A"
-    sign: int = -1
-    verdict: str = ""  # "", DivergesToInfinity, ConvergesToZero
-    target_fn: object = None  # callable() -> mpf/mpc
-    # singular terms x^a log^k(1/x), k = 0..m, known to appear in the scaled
-    # exponent as x -> 0 (from the pole structure of sum f(n) n^-s); an empty
-    # tuple selects plain polynomial Richardson extrapolation
-    sing: tuple = ()
+class LimitReport(namedtuple(
+        "LimitReport",
+        "id q_grid raw_values estimate target_value rel_err err_estimate "
+        "passed mode note", defaults=("",))):
+    """``mode`` is "extrapolation", "bracket", "escape", "trend" or "error"."""
 
-
-@dataclass
-class LimitReport:
-    id: str
-    q_grid: list
-    raw_values: list
-    estimate: object
-    target_value: object
-    rel_err: object
-    err_estimate: object
-    passed: bool
-    mode: str  # "extrapolation", "bracket", "escape", "trend", "error"
-    note: str = ""
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -775,11 +741,18 @@ _limit_cache: list = []
 _limit_index: dict = {}
 
 
-def _L(**kw) -> LimitTarget:
-    return LimitTarget(**kw)
+def __getattr__(name):
+    # LimitTarget is loaded on first use, so that only limit work imports
+    # dataclasses (see _limit_target)
+    if name == "LimitTarget":
+        from ._limit_target import LimitTarget
+        return LimitTarget
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _build_limits():
+    from ._limit_target import LimitTarget as _L
+
     recs = [
         _L(id="EQ3.1a", description="scaled mu-product limit", expression="exp(-1)",
            f_key="unit_e", form="A", target_fn=lambda: mp.exp(mpf(-1))),

@@ -11,7 +11,7 @@ underflowing.  Tail estimates use the crude inequality
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from mpmath import mp, mpf, mpc
@@ -55,51 +55,45 @@ class TableTooShortError(ConvergenceError):
         self.needed = needed
 
 
-@dataclass(frozen=True)
-class QPoint:
+class QPoint(namedtuple("QPoint", "q z")):
     """Evaluation point: base q in (0,1) and finite exponent shift z with Re z > 0."""
 
-    q: object
-    z: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        q = mpf(self.q)
-        if not 0 < q < 1:
-            raise DomainError(f"q must lie in (0,1), got {self.q}")
-        z = mpc(self.z)
-        if not mp.isfinite(z):
-            raise DomainError(f"z must be finite, got {self.z}")
-        if not z.real > 0:
-            raise DomainError(f"Re(z) must be positive, got {self.z}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "z", z if z.imag != 0 else mpf(z.real))
+    def __new__(cls, q, z):
+        qv = mpf(q)
+        if not 0 < qv < 1:
+            raise DomainError(f"q must lie in (0,1), got {q}")
+        zv = mpc(z)
+        if not mp.isfinite(zv):
+            raise DomainError(f"z must be finite, got {z}")
+        if not zv.real > 0:
+            raise DomainError(f"Re(z) must be positive, got {z}")
+        return super().__new__(cls, qv, zv if zv.imag != 0 else mpf(zv.real))
 
 
-@dataclass(frozen=True)
-class KernelForm:
+class KernelForm(namedtuple("KernelForm", "kernel weight")):
     """Lambert-sum kernel 1/(1-q^n) or 1/(1+q^n), with f(n)/n or plain f(n)."""
 
-    kernel: str = "minus"
-    weight: str = "over_n"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kernel not in ("minus", "plus"):
-            raise DomainError(f"kernel must be 'minus' or 'plus', got {self.kernel!r}")
-        if self.weight not in ("over_n", "plain"):
-            raise DomainError(f"weight must be 'over_n' or 'plain', got {self.weight!r}")
+    def __new__(cls, kernel="minus", weight="over_n"):
+        if kernel not in ("minus", "plus"):
+            raise DomainError(f"kernel must be 'minus' or 'plus', got {kernel!r}")
+        if weight not in ("over_n", "plain"):
+            raise DomainError(f"weight must be 'over_n' or 'plain', got {weight!r}")
+        return super().__new__(cls, kernel, weight)
 
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(namedtuple("SeriesValue", "value err_bound terms_used")):
     """A computed value, a certified absolute error bound, and the term count."""
 
-    value: object
-    err_bound: object
-    terms_used: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.err_bound < 0 or not mp.isfinite(self.err_bound):
+    def __new__(cls, value, err_bound, terms_used):
+        if err_bound < 0 or not mp.isfinite(err_bound):
             raise ValueError("err_bound must be finite and nonnegative")
+        return super().__new__(cls, value, err_bound, terms_used)
 
 
 def _roundoff_units(nterms, absscale):
@@ -317,9 +311,10 @@ def _log_qpoch(seqs, b, lb, lt, F, eb=1.0):
     natural logs of |w_k|, 1/((1-|b|)(1-|w_k|)), |b| and tol as floats, and
     ``holds_k(J)`` is the test _qpoch_tail(|w_k|, |b|, J) <= tol in mpf.
     J_k is the first J >= 1 that passes it, so the discarded tail is at most
-    exp(lw_k + J_k lb + lpref_k).  Returns (re, im, Js, units): the sum as an
-    int pair at F bits, the J_k, and a float bound on the round-off in units
-    of 2^-prec, with the _roundoff cover of its final rounding.  Real
+    exp(lw_k + J_k lb + lpref_k).  Returns (re, im, Js, units, absval): the
+    sum as an int pair at F bits, the J_k, a float bound on its round-off in
+    units of 2^-prec, and its modulus as a float, for the _roundoff cover of
+    a caller that rounds it to the working precision.  Real
     products take one log of their quotient, by _log1m within 2^-16 of 1; a
     complex product goes through log before its argument can wrap, so the
     principal branch is preserved.
@@ -367,7 +362,7 @@ def _log_qpoch(seqs, b, lb, lt, F, eb=1.0):
             re, k = _log1m(t, F)
             absval = abs(re) / (1 << F)
             units += 2 * k + 4
-    return re, im, Js, units / (1 << _GUARD) + _roundoff_units(sum(Js), absval)
+    return re, im, Js, units / (1 << _GUARD), absval
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +392,9 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
     F = mp.prec + _GUARD
     seq = (1, _fx(z, F), _ln(absz), -_ln1m(absq) - _ln1m(absz),
            lambda j: _qpoch_tail(absz, absq, j) <= tol, 1.0)
-    re, im, (J,), units = _log_qpoch([seq], _fx(q, F), _ln(absq), _ln(tol), F)
+    re, im, (J,), units, absval = _log_qpoch([seq], _fx(q, F), _ln(absq), _ln(tol), F)
     value = _from_fx(re, im, -F, isinstance(z, mpc) or isinstance(q, mpc))
+    units += _roundoff_units(J, absval)
     # 1e-9 covers the float rounding of units
     err = _qpoch_tail(absz, absq, J) + mp.ldexp(units * (1 + 1e-9), -mp.prec)
     return SeriesValue(value, err, J)
@@ -916,7 +912,7 @@ def weighted_product_log(
         prods = [(s, x, n * la, lpb - math.log(-math.expm1(n * la)),
                   lambda j, a=a: _qpoch_tail(a**n, base**n, j) <= inner_tol, ew)
                  for x, (s, _, a, la, ew) in zip(xs, seqs)]
-        vr, vi, Js, err = _log_qpoch(prods, (bn, 0), lb, lt, F, eb)
+        vr, vi, Js, err, _ = _log_qpoch(prods, (bn, 0), lb, lt, F, eb)
         for (_, _, lw, lpref, _, _), J in zip(prods, Js):
             err += math.exp(lw + J * lb + lpref + prec * _LN2)
         inner_terms += sum(Js)
@@ -929,8 +925,10 @@ def weighted_product_log(
             ar, ai = ar + dr, ai + di
         err_units += abs(complex(gv)) / n**w * err
     # 1e-9 covers the float rounding of each term of err_units, and tail
-    # terms that underflow to 0, as each err holds at least 48 units of
-    # _roundoff_units; N 2^-50 covers the rounding of their sum
+    # terms that underflow to 0, as each err holds at least the 6 units of
+    # 2^-F that _log_qpoch counts for one factor and one log; N 2^-50 covers
+    # the rounding of their sum.  The inner values stay at F bits, so no
+    # rounding cover is added per n: the one _roundoff below covers acc
     err_acc = mp.ldexp(err_units * (1 + 1e-9 + N * 2.0**-50), -prec)
     acc = _from_fx(ar, ai, -F, cplx)
     tail = pref * _poly_geom_tail(p, r, N)

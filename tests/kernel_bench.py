@@ -20,9 +20,20 @@ parent commit's exported to OLD:
 
 runs the product rows ``rounds`` times in fresh processes, once on OLD/src
 and once on this tree's src per round, alternating which goes first.
+
+    PYTHONPATH=src:tests python tests/kernel_bench.py --against OLD/src --cold
+
+times cold CLI processes instead: ``python -m lambertq.cli ... --format
+json``, one op of each kind in a round of the benchmark's cli-near1 workload
+(COLD_OPS), each in a fresh process.  Per round the two trees run each op
+back to back, alternating which goes first.  It also records each tree's import cost from ``-X importtime``
+and the cold start of the interpreter with mpmath and the standard modules
+the CLI uses, which no change to lambertq moves.  Both trees are
+byte-compiled first, as benchmarks/run.py does.
 """
 
 import argparse
+import compileall
 import gc
 import json
 import os
@@ -44,6 +55,28 @@ RUNS = 5
 LAMBERT_POINTS = [("0.3", mpf("0.3")), ("0.9", mpf("0.9")), ("0.99", mpf("0.99")),
                   ("1-2^-10", 1 - mpf(2) ** -10)]
 PRODUCT_POINTS = [(q, z) for q in ("0.3", "0.9", "0.99") for z in ("1", "2", "0.5", "1+0.5j")]
+# one op of each kind in a cli-near1 round (benchmarks/workloads.py), at fixed
+# inputs: Lambert sums and q-Pochhammers at q = 0.9, 0.99 and 0.999, sieves of
+# an integer table at 2^13 and 2^16 and of a non-integer one at 2^11, a
+# weighted product, an identity check and a limit check
+COLD_OPS = [
+    ["eval", "lambert", "--f", "mobius", "--q", "0.9", "--z", "1"],
+    ["eval", "qpoch", "--z", "0.5", "--q", "0.9"],
+    ["sieve", "totient", "8192"],
+    ["sieve", "totient", "65536"],
+    ["sieve", "sigma:0.5", "2048"],
+    ["eval", "lambert", "--f", "mobius", "--q", "0.99", "--z", "1"],
+    ["eval", "qpoch", "--z", "0.5", "--q", "0.99"],
+    ["eval", "product", "--g", "totient", "--form", "B", "--q", "0.9", "--z", "0.5"],
+    ["verify", "EQ3.29", "--q", "0.9", "--z", "0.5"],
+    ["limit", "EQ3.30-1"],
+    ["eval", "lambert", "--f", "mobius", "--q", "0.999", "--z", "1"],
+    ["eval", "qpoch", "--z", "0.5", "--q", "0.999"],
+]
+# what the interpreter loads for the CLI besides lambertq itself
+BASE_IMPORTS = "import mpmath, fractions, argparse, json"
+# modules a cold CLI process should not load
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def _timed(fn):
@@ -154,6 +187,96 @@ def compare_products(parent_src, rounds=3, points=PRODUCT_POINTS, runs=RUNS):
         "points": table}}
 
 
+def _wall(argv, src):
+    """Wall time of one fresh process ``python argv`` with PYTHONPATH=src."""
+    env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, *argv], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    return time.perf_counter() - t0
+
+
+def _import_times(src):
+    """{module: (self_ms, cumulative_ms)} of ``import lambertq.cli`` in a
+    fresh process, from -X importtime."""
+    env = dict(os.environ, PYTHONPATH=src)
+    err = subprocess.run([sys.executable, "-X", "importtime", "-c", "import lambertq.cli"],
+                         env=env, check=True, capture_output=True, text=True).stderr
+    out = {}
+    for line in err.splitlines():
+        head, _, rest = line.partition(":")
+        cells = rest.split("|")
+        if head == "import time" and cells[0].strip().isdigit():
+            out[cells[2].strip()] = (int(cells[0]) / 1000, int(cells[1]) / 1000)
+    return out
+
+
+def _median(xs):
+    return round(statistics.median(xs), 4)
+
+
+def compare_cold(parent_src, rounds=20, ops=COLD_OPS):
+    """Cold CLI wall times and import costs on ``parent_src`` and on this
+    tree's src over ``rounds`` rounds, each time the median over the rounds."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    srcs = {"parent": parent_src, "change": os.path.join(here, os.pardir, "src")}
+    # byte-compile both trees as an install (and the benchmark) would, so that
+    # no timed process compiles lambertq, whether or not bytecode is cached
+    for src in srcs.values():
+        compileall.compile_dir(os.path.join(src, "lambertq"), quiet=1)
+    walls = {t: [[] for _ in ops] for t in srcs}
+    imports = {t: [] for t in srcs}
+    base = []
+    for i in range(rounds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        base.append(_wall(["-c", BASE_IMPORTS], here))
+        for tree in order:
+            imports[tree].append(_import_times(srcs[tree]))
+        # the two trees run each op back to back, so a drift in the host's
+        # speed over a round weighs on both alike
+        for k, argv in enumerate(ops):
+            for tree in order:
+                walls[tree][k].append(
+                    _wall(["-m", "lambertq.cli", *argv, "--format", "json"], srcs[tree]))
+    rows = []
+    for k, argv in enumerate(ops):
+        row = {"argv": " ".join(argv)}
+        for tree in srcs:
+            row[f"{tree}_s"] = _median(walls[tree][k])
+        row["saved_s"] = round(row["parent_s"] - row["change_s"], 4)
+        row["ratio"] = round(row["parent_s"] / row["change_s"], 3)
+        for tree in srcs:
+            row[f"{tree}_runs_s"] = [round(t, 4) for t in walls[tree][k]]
+        rows.append(row)
+    split = {}
+    for tree, runs in imports.items():
+        cli = [r["lambertq.cli"][1] for r in runs]
+        mpm = [r["mpmath"][1] for r in runs]
+        split[tree] = {
+            "cli_import_ms": _median(cli), "mpmath_import_ms": _median(mpm),
+            "lambertq_own_ms": _median([c - m for c, m in zip(cli, mpm)]),
+            "lambertq_self_ms": {name: _median([r[name][0] for r in runs])
+                                 for name in sorted(runs[0]) if name.startswith("lambertq")},
+            "heavy_modules_loaded": [m for m in HEAVY_MODULES if m in runs[0]],
+        }
+    totals = {t: [sum(walls[t][k][i] for k in range(len(ops))) for i in range(rounds)]
+              for t in srcs}
+    env = dict(_environment(), dont_write_bytecode=sys.dont_write_bytecode)
+    return {"environment": env, "cold_cli": {
+        "what": "wall time of a fresh `python -m lambertq.cli ARGV --format json` process "
+                "per op, on the --against tree (parent) and on this tree (change) back to "
+                "back, %d rounds alternating which tree goes first; each time is the median "
+                "over the rounds; both trees byte-compiled first" % rounds,
+        "base_imports": BASE_IMPORTS,
+        "base_s": _median(base),
+        "ops": rows,
+        "round_total": {f"{t}_s": _median(v) for t, v in totals.items()},
+        "import": {
+            "what": "-X importtime of `import lambertq.cli` in a fresh process, once per tree "
+                    "and round, medians; lambertq_own_ms is the CLI's import less mpmath's",
+            **split}}}
+
+
 def main():
     set_precision(128)
     out = {
@@ -181,8 +304,13 @@ if __name__ == "__main__":
     ap = argparse.ArgumentParser(description="per-kernel timings as JSON")
     ap.add_argument("--against", metavar="SRC",
                     help="compare weighted_product_log with the lambertq package under SRC")
+    ap.add_argument("--cold", action="store_true",
+                    help="with --against, compare cold CLI processes instead")
     args = ap.parse_args()
+    if args.cold and not args.against:
+        ap.error("--cold needs --against")
     if args.against:
-        print(json.dumps(compare_products(args.against), indent=2))
+        compare = compare_cold if args.cold else compare_products
+        print(json.dumps(compare(args.against), indent=2))
     else:
         main()

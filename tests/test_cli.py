@@ -1,6 +1,9 @@
 """Exit-code contract, output formats, and determinism of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -123,6 +126,12 @@ def test_max_terms_below_one_exits_4(capsys, max_terms):
     code, _, err = run(capsys, "eval", "lambert", "--f", "mobius", "--q", "0.5",
                        "--max-terms", max_terms)
     assert code == 4 and "max_terms must be >= 1" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-30", "nan"])
+def test_non_positive_tol_exits_4(capsys, tol):
+    code, out, err = run(capsys, f"--tol={tol}", "eval", "lambert", "--f", "mobius")
+    assert code == 4 and "tol must be positive" in err and out == ""
 
 
 def test_eval_convergence_failure_exits_5(capsys):
@@ -269,3 +278,37 @@ def test_precision_flag_changes_reported_digits(capsys):
 def test_precision_below_floor_exits_4(capsys):
     code, _, _ = run(capsys, "--precision", "20", "sieve", "mobius", "3")
     assert code == 4
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+_COLD = """
+import contextlib, io, sys
+from lambertq import cli
+argvs = [
+    ["eval", "qpoch", "--z", "0.5", "--q", "0.9", "--format", "json"],
+    ["eval", "lambert", "--f", "mobius", "--q", "0.9", "--format", "json"],
+    ["sieve", "totient", "64"],
+    ["sieve", "sigma:0.5", "8"],
+    ["verify", "EQ3.29", "--q", "0.5", "--z", "0.5"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(a) for a in argvs]
+before = sorted(m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize")
+                if m in sys.modules)
+import dataclasses, lambertq
+from lambertq import identities
+identities.limit_targets()
+print(codes, before, dataclasses.is_dataclass(lambertq.LimitTarget),
+      lambertq.LimitTarget is identities.LimitTarget)
+"""
+
+
+def test_cold_cli_process_never_imports_dataclasses():
+    # a fresh interpreter: pytest itself has imported all of these
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _COLD], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["[0,", "0,", "0,", "0,", "0]", "[]", "True", "True"]

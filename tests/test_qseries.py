@@ -1,6 +1,5 @@
 """Certified q-series primitives against independent oracles."""
 
-import dataclasses
 import os
 import time
 
@@ -17,7 +16,7 @@ from mpf_kernels import (
 from mpmath import mp, mpf, mpc
 
 from lambertq import identities, qseries
-from lambertq.arith import FunctionId, build_table, dirichlet_convolve
+from lambertq.arith import ArithTable, FunctionId, build_table, dirichlet_convolve
 from lambertq.numerics import ConvergenceError, DomainError, precision, set_precision
 from lambertq.qseries import (
     E_q,
@@ -349,7 +348,8 @@ class _Unreadable:
     lambda f: weighted_product_log(f, QPoint("0.9", mpc(1, "0.5")), form="B"),
 ])
 def test_short_table_is_rejected_before_any_value_is_read(evaluate):
-    short = dataclasses.replace(table("mobius", N=8), values=_Unreadable())
+    t = table("mobius", N=8)
+    short = ArithTable(t.fid, t.N, _Unreadable(), t.growth, t.exact)
     with pytest.raises(TableTooShortError) as exc:
         evaluate(short)
     assert evaluate(table("mobius", N=exc.value.needed)).terms_used == exc.value.needed
