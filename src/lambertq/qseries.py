@@ -16,7 +16,7 @@ from itertools import islice
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import (
-    from_man_exp, mpc_log, mpf_log, round_nearest, to_fixed, to_float,
+    from_man_exp, fzero, mpc_log, mpf_log, round_nearest, to_fixed, to_float,
 )
 
 from .arith import ArithTable
@@ -135,8 +135,8 @@ def _poly_geom_tail(p, r, N):
 
 _GUARD = 32
 _LN2 = math.log(2)
-# a complex product is sent through log before the summed |z q^j| of its
-# factors passes this, so each partial product keeps its principal argument
+# cap on the summed |w b^j| of the complex factors merged into one log, so
+# that the merged quotient keeps its principal argument (_log_qpoch)
 _ARG_FLUSH = 1.2
 
 
@@ -222,7 +222,8 @@ def _fx_product(z, q, J, F, flush):
 
     The running product is a mantissa of F + 1 bits with a binary exponent,
     so it neither underflows nor overflows.  A complex product is split into
-    pieces before the summed |z q^j| of a piece passes ``flush``.  Returns
+    pieces, each closed by the factor that takes its summed |z q^j| past
+    ``flush``.  Returns
     (pieces, smin): each piece is (re, im, e), the value (re + i im) 2^e,
     and every factor has |1 - z q^j| >= 2^(smin - 2 - F).
     """
@@ -283,22 +284,38 @@ def _factor_error(J, lq, absw, smin, F, ew0=1.0, eq0=1.0):
     return J * ((math.ldexp if d < 1000 else mp.ldexp)(ew, d) + 2), ew
 
 
-def _log1m(t, F):
-    """log(1 - t) at F fractional bits for an int t with |t| < 2^(F-16), by
-    the series -sum_k t^k/k, whose terms fall by 2^-16 or more each.
-
-    Returns (value, k) with the value off by less than 2k units of 2^-F:
-    each power and each division truncates by less than one unit, and the
-    terms dropped after the last power that is still nonzero sum to less
-    than one unit.
+def _log1m(tr, ti, F):
+    """log(1 - t) at F fractional bits for an int pair t = tr + i ti with
+    |tr|, |ti| < 2^(F-16), by the series -sum_k t^k/k, as (re, im, units):
+    off by less than ``units`` units of 2^-F in |re| + |im|.  With K one more
+    than the terms summed, units = 2K for a real t (ti = 0), which runs on
+    |t|: each power and division truncates by under one unit, and the terms
+    dropped after the last nonzero power, falling by 2^-16 each, sum to under
+    one.  A complex t truncates its powers and quotients toward zero per
+    component, by under 2 units in |re| + |im|, so the powers reach 0.  As
+    |tr| + |ti| < 2^(F-15), power k is off by e_k < 2.0001 (e_1 = 0,
+    e_(k+1) <= 2^-15 e_k + 2), term k >= 2 by under e_k/k + 2 < 3.0001 (term 1
+    is exact), and the exact powers from the first computed as 0 on add
+    under 2.0001 (1 + 2^-14)/K < 1.0001 over k >= K >= 2.  So units = 3K.
     """
-    a, s, k = abs(t), 0, 1
-    p = a
-    while p:
-        s += p // k if t < 0 and k & 1 else -(p // k)
-        p = p * a >> F
+    if not ti:
+        a, s, k = abs(tr), 0, 1
+        p = a
+        while p:
+            s += p // k if tr < 0 and k & 1 else -(p // k)
+            p = p * a >> F
+            k += 1
+        return s, 0, 2 * k
+    sr = si = 0
+    pr, pi, k = tr, ti, 1
+    while pr or pi:
+        sr -= pr // k if pr >= 0 else -(-pr // k)
+        si -= pi // k if pi >= 0 else -(-pi // k)
+        xr, xi = pr * tr - pi * ti, pr * ti + pi * tr
+        pr = xr >> F if xr >= 0 else -(-xr >> F)
+        pi = xi >> F if xi >= 0 else -(-xi >> F)
         k += 1
-    return s, k
+    return sr, si, 3 * k
 
 
 def _log_qpoch(seqs, b, lb, lt, F, eb=1.0):
@@ -314,55 +331,78 @@ def _log_qpoch(seqs, b, lb, lt, F, eb=1.0):
     exp(lw_k + J_k lb + lpref_k).  Returns (re, im, Js, units, absval): the
     sum as an int pair at F bits, the J_k, a float bound on its round-off in
     units of 2^-prec, and its modulus as a float, for the _roundoff cover of
-    a caller that rounds it to the working precision.  Real
-    products take one log of their quotient, by _log1m within 2^-16 of 1; a
-    complex product goes through log before its argument can wrap, so the
-    principal branch is preserved.
+    a caller that rounds it to the working precision.
+
+    The products multiply, exactly, into a quotient (nr + i ni)/(dr + i di)
+    2^ne, divided out as n conj(d) 2^sh // |d|^2 per component, and each
+    quotient takes one log: by _log1m within 2^-16 of 1, else by mpf_log or
+    mpc_log.  A real product is one quotient.  A complex one keeps the
+    principal branch, as |arg(1 - x)| <= arcsin |x| <= (pi/2)|x| for |x| < 1.
+    A sequence starts a new quotient if it would take the summed |w_k b^j|
+    of the quotient's factors past _ARG_FLUSH, so |arg| <= 0.6 pi; its own
+    sum is at most |w_k|/(1-|b|), and at most _ARG_FLUSH if _fx_product
+    keeps it in one piece.  The pieces of a split sequence go one by one.
+    Each but the last ends on the factor that takes its sum past _ARG_FLUSH,
+    no larger than the earlier ones, so it has one or two factors
+    (|arg| < pi) or a last one of at most 0.6 (|arg| <= 0.9 pi).  The margin
+    to pi covers float rounding and the round-off of the w_k b^j.
+
+    Round-off, in units of 2^-F (in |re| + |im| if complex): 2 per unit of
+    factor error that _factor_error counts.  The quotient's floors are off by
+    under one unit per component of a value of modulus at least 2^(F+1)
+    (sqrt(2) 2^F if complex), which moves the log by 1/2 unit (1).  Near 1,
+    t = 1 - x at F bits is off by that and a floor per component, under 2.5
+    units of modulus, which move log(1 - t) by under 3.5: 4 are counted on
+    top of _log1m's.  Away from 1, the log is off by at most 4 |log| units
+    and its truncation to F bits by 1 per component: 4 |log| + 2 is counted,
+    4 (|re| + |im|) + 4 if complex.
     """
     cplx = b[1] or any(w[1] for _, w, _, _, _, _ in seqs)
-    Js, units, num, den, ne, logs = [], 0.0, 1, 1, 0, []
+    Js, units, groups, budget = [], 0.0, [[]], 0.0
     for s, w, lw, lpref, holds, ew in seqs:
         J = _linear_terms(lw, lb, lt - lpref, holds, "log_qpoch_inf")
         pieces, smin = _fx_product(w, b, J, F, _ARG_FLUSH)
         fe, _ = _factor_error(J, lb, math.exp(lw), smin, F, ew, eb)
         if fe is None:
             raise ConvergenceError("log_qpoch_inf: a factor 1 - z q^j is within round-off of 0")
-        # the factors' round-off moves the log by at most 2 units
         Js.append(J)
         units += 2 * fe
-        if cplx:
-            logs += [(s, pr, pi, e) for pr, pi, e in pieces]
-        elif s > 0:
-            num, ne = num * pieces[0][0], ne + pieces[0][2]
-        else:
-            den, ne = den * pieces[0][0], ne - pieces[0][2]
-    # each log moves the sum by at most 4 |log| units and its truncation to F
-    # bits by 1 per component; the quotient is good to 1 part in 2^(F+1)
-    re = im = 0
-    if cplx:
-        fr = fi = 0.0
-        for s, pr, pi, e in logs:
-            lr, li = mpc_log((from_man_exp(pr, e), from_man_exp(pi, e)), F)
-            re, im = re + s * to_fixed(lr, F), im + s * to_fixed(li, F)
-            fr, fi = fr + s * to_float(lr), fi + s * to_float(li)
-            units += 4 * (abs(to_float(lr)) + abs(to_float(li))) + 2
-        absval = math.hypot(fr, fi)
-    else:
-        if den > 1:
-            sh = den.bit_length() + F + 1
-            num, ne = (num << sh) // den, ne - sh
+        if not cplx:
+            groups[0].append((s, pieces[0]))
+            continue
+        # the summed |w b^j| of a piece; a split sequence's pieces go alone
+        pb = min(math.exp(lw) / -math.expm1(lb), _ARG_FLUSH) if len(pieces) == 1 else math.inf
+        for piece in pieces:
+            if groups[-1] and budget + pb > _ARG_FLUSH:
+                groups.append([])
+                budget = 0.0
+            groups[-1].append((s, piece))
+            budget += pb
+    one, re, im, fr, fi = 1 << F, 0, 0, 0.0, 0.0
+    for group in groups:
+        nr, ni, dr, di, ne = 1, 0, 1, 0, 0
+        for s, (pr, pi, e) in group:
+            if s > 0:
+                nr, ni, ne = nr * pr - ni * pi, nr * pi + ni * pr, ne + e
+            else:
+                dr, di, ne = dr * pr - di * pi, dr * pi + di * pr, ne - e
+        if dr != 1 or di:
+            sh = (abs(dr) | abs(di)).bit_length() + F + 1
+            if di:
+                nr, ni, dr = nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
+            nr, ni, ne = (nr << sh) // dr, (ni << sh) // dr, ne - sh
         d = -ne - F
-        t = (1 << F) - (num >> d if d >= 0 else num << -d)  # 1 - x, within 1 unit
-        if abs(t) >> (F - 16):
-            lg = mpf_log(from_man_exp(num, ne), F)
-            re = to_fixed(lg, F)
-            absval = abs(to_float(lg))
-            units += 4 * absval + 2
+        tr, ti = one - (nr >> d if d >= 0 else nr << -d), -(ni >> d if d >= 0 else ni << -d)
+        if (abs(tr) | abs(ti)) >> (F - 16):
+            x = from_man_exp(nr, ne)
+            lr, li = mpc_log((x, from_man_exp(ni, ne)), F) if cplx else (mpf_log(x, F), fzero)
+            vr, vi = to_float(lr), to_float(li)
+            lr, li, lu = to_fixed(lr, F), to_fixed(li, F), 4 * (abs(vr) + abs(vi)) + (4 if cplx else 2)
         else:
-            re, k = _log1m(t, F)
-            absval = abs(re) / (1 << F)
-            units += 2 * k + 4
-    return re, im, Js, units / (1 << _GUARD), absval
+            lr, li, lu = _log1m(tr, ti, F)
+            vr, vi, lu = lr / one, li / one, lu + 4
+        re, im, fr, fi, units = re + lr, im + li, fr + vr, fi + vi, units + lu
+    return re, im, Js, units / (1 << _GUARD), math.hypot(fr, fi)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +413,9 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
 
     z and q may be complex.  The certified tail bound is
     |z| |q|^J / ((1-|q|)(1-|z|)), and the term count J is the first at which
-    it is <= tol, found before the fixed-point product loop runs.  A complex
-    product goes through log before its argument can wrap, so the principal
-    branch is preserved.
+    it is <= tol, found before the fixed-point product loop runs.  A long
+    complex product is logged in pieces before its argument can wrap, so the
+    principal branch is preserved (_log_qpoch).
     """
     q = q if isinstance(q, (mpf, mpc)) else mpf(q)
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)

@@ -6,12 +6,13 @@ Usage, from the repository root:
     PYTHONPATH=src:tests python tests/kernel_bench.py > kernel_bench.json
 
 lambert_sum sums f = mobius with the minus kernel and weight 1/n at z = 1.
-weighted_product_log takes g = mobius, form A and weight 1/n at each (q, z)
-of PRODUCT_POINTS.  Both use the default tolerance and 128 bits.  Each
-kernel and its oracle run in this one process on the same table, alternating
-which goes first, and each time is the median of ``runs`` calls; the ratio
-is oracle median / kernel median.  A product's cold time is its first call
-at that point in the process, before the timed calls.
+weighted_product_log takes g = mobius and weight 1/n at each (q, z, form) of
+PRODUCT_POINTS, forms A and B at every (q, z).  Both use the default
+tolerance and 128 bits.  Each kernel and its oracle run in this one process
+on the same table, alternating which goes first, and each time is the
+median of ``runs`` calls; the ratio is oracle median / kernel median.  A
+product's cold time is its first call at that point in the process, before
+the timed calls.
 
 To compare weighted_product_log with another checkout's, for instance the
 parent commit's exported to OLD:
@@ -54,7 +55,8 @@ from lambertq.qseries import KernelForm, QPoint, lambert_sum, weighted_product_l
 RUNS = 5
 LAMBERT_POINTS = [("0.3", mpf("0.3")), ("0.9", mpf("0.9")), ("0.99", mpf("0.99")),
                   ("1-2^-10", 1 - mpf(2) ** -10)]
-PRODUCT_POINTS = [(q, z) for q in ("0.3", "0.9", "0.99") for z in ("1", "2", "0.5", "1+0.5j")]
+PRODUCT_POINTS = [(q, z, form) for q in ("0.3", "0.9", "0.99")
+                  for z in ("1", "2", "0.5", "1+0.5j") for form in ("A", "B")]
 # one op of each kind in a cli-near1 round (benchmarks/workloads.py), at fixed
 # inputs: Lambert sums and q-Pochhammers at q = 0.9, 0.99 and 0.999, sieves of
 # an integer table at 2^13 and 2^16 and of a non-integer one at 2^11, a
@@ -124,17 +126,17 @@ def lambert_rows(points=LAMBERT_POINTS, runs=RUNS):
 
 def product_rows(points=PRODUCT_POINTS, runs=RUNS):
     rows = []
-    for q, z in points:
+    for q, z, form in points:
         pt = QPoint(mpf(q), mpc(complex(z)) if "j" in z else mpf(z))
         g = identities._get_table("std:mobius", 1 << 15)
 
         def kernel():
-            return weighted_product_log(g, pt)
+            return weighted_product_log(g, pt, form=form)
 
         cold = _timed(kernel)
-        new, old = _alternate(kernel, lambda: oracle_weighted_product_log(g, pt), runs)
+        new, old = _alternate(kernel, lambda: oracle_weighted_product_log(g, pt, form=form), runs)
         rows.append({
-            "q": q, "z": z, "terms": kernel().terms_used, "cold_s": cold,
+            "q": q, "z": z, "form": form, "terms": kernel().terms_used, "cold_s": cold,
             "warm_s": statistics.median(new),
             "oracle_s": statistics.median(old),
             "ratio": round(statistics.median(old) / statistics.median(new), 2),
@@ -167,7 +169,7 @@ def compare_products(parent_src, rounds=3, points=PRODUCT_POINTS, runs=RUNS):
             rows[tree].append(json.loads(out))
     table = []
     for k, row in enumerate(rows["change"][0]):
-        pt = {"q": row["q"], "z": row["z"], "terms": row["terms"]}
+        pt = {"q": row["q"], "z": row["z"], "form": row["form"], "terms": row["terms"]}
         for key in ("warm_s", "cold_s", "oracle_s"):
             for tree in ("parent", "change"):
                 times = [r[k][key] for r in rows[tree]]
@@ -182,7 +184,7 @@ def compare_products(parent_src, rounds=3, points=PRODUCT_POINTS, runs=RUNS):
                 "(change): product_rows in a fresh process per tree and round, %d rounds "
                 "alternating which tree goes first; each time is the median over the rounds "
                 "of a round's median of %d calls (cold: its first call)" % (rounds, runs),
-        "setup": {"g": "mobius", "form": "A", "weight": "over_n", "tol": "1e-25",
+        "setup": {"g": "mobius", "forms": "A and B", "weight": "over_n", "tol": "1e-25",
                   "precision_bits": 128},
         "points": table}}
 
@@ -292,7 +294,7 @@ def main():
             "what": "weighted_product_log (fixed-point inner products) against "
                     "tests/mpf_kernels.oracle_weighted_product_log (one mpf loop per inner "
                     "product), same process, median of %d runs; cold_s is the first call" % RUNS,
-            "setup": {"g": "mobius", "form": "A", "weight": "over_n", "tol": "1e-25",
+            "setup": {"g": "mobius", "forms": "A and B", "weight": "over_n", "tol": "1e-25",
                       "precision_bits": mp.prec},
             "points": product_rows(),
         },

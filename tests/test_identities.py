@@ -78,6 +78,19 @@ def test_complex_z_point():
     assert rep.passed
 
 
+# every product record off the default grid, against its own Lambert or
+# closed side: at z = 0.2+2.5i, q^z has a modulus near 1 and a large
+# argument, so the first inner products are logged in pieces
+@pytest.mark.parametrize("z", [mpc("0.57", "0.76"), mpc("0.2", "2.5")], ids=str)
+@pytest.mark.parametrize("q", [mpf("0.3"), mpf("0.7")], ids=str)
+def test_product_records_pass_off_the_grid(q, z):
+    recs = [r for r in catalog() if r.kind == "qz" and r.z_fixed is None]
+    assert len(recs) > 70
+    failed = [(r.id, rep.abs_diff, rep.error_budget)
+              for r in recs for rep in [verify(r.id, q, z)] if not rep.passed]
+    assert not failed
+
+
 def test_fixed_z_records_reject_other_z():
     with pytest.raises(DomainError):
         verify("INTRO-1", mpf("0.3"), 2)

@@ -509,17 +509,82 @@ def test_product_at_large_real_z_skips_the_table(z):
     assert time.perf_counter() - t0 < 2
 
 
+# ---------------------------------------------------------------------------
+# one log per inner product: the merged quotient, its series near 1 and the
+# principal branch
+
+def _real_series(t, F):
+    """(-sum_k t^k/k at F bits, k) by the real loop on |t|, which _log1m runs
+    unchanged for a pair with no imaginary part."""
+    a, s, k = abs(t), 0, 1
+    p = a
+    while p:
+        s += p // k if t < 0 and k & 1 else -(p // k)
+        p = p * a >> F
+        k += 1
+    return s, k
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_log1m_pair_is_within_its_count(bits):
+    F = bits + qseries._GUARD
+    top = (1 << (F - 16)) - 1
+    # from a few units of 2^-F up to the 2^-16 threshold, in all four quadrants
+    sizes = [(3, 5), (1000, 1), (1, 7 << (F // 2)), (5 << (F - 40), 3 << (F - 38)),
+             (top >> 7, top), (top, 1), (top, top)]
+    for ar, ai in sizes:
+        for tr, ti in ((ar, ai), (-ar, ai), (-ar, -ai), (ar, -ai)):
+            re, im, units = qseries._log1m(tr, ti, F)
+            with precision(2 * F + 64):
+                ref = mp.log(1 - mpc(tr, ti) / mpf(2) ** F) * mpf(2) ** F
+            assert abs(re - ref.real) + abs(im - ref.imag) < units
+        for t in (ar, -ar):
+            s, k = _real_series(t, F)
+            assert qseries._log1m(t, 0, F) == (s, 0, 2 * k)
+            with precision(2 * F + 64):
+                assert abs(s - mp.log(1 - mpf(t) / mpf(2) ** F) * mpf(2) ** F) < 2 * k
+
+
+# q = 0.9, z = 1+10i: q^z has modulus 0.9 and argument -1.05, so the first
+# inner products have factors |q^(nz) q^(nj)| that sum to 9 and more
+_SPLIT_Z = mpc(1, 10)
+
+
+@pytest.mark.parametrize("z, q", [(mpc("0.57", "0.76"), mpf("0.99")),
+                                  (mpf("0.9") ** _SPLIT_Z, mpf("0.9"))],
+                         ids=["0.57+0.76j-0.99", "0.9^(1+10j)-0.9"])
+def test_long_complex_products_are_logged_in_pieces(monkeypatch, z, q):
+    calls, mpc_log = [], qseries.mpc_log
+    monkeypatch.setattr(qseries, "mpc_log",
+                        lambda x, prec, *args: calls.append(x) or mpc_log(x, prec, *args))
+    sv = log_qpoch_inf(z, q)
+    assert len(calls) > 1
+    ref = oracle_log_qpoch_inf(z, q)
+    assert sv.terms_used == ref.terms_used
+    assert abs(sv.value - ref.value) <= sv.err_bound + ref.err_bound
+
+
+@pytest.mark.parametrize("form", ["A", "B"])
+def test_split_complex_product_against_mpf_loop(form):
+    g = identities._build_named("std:mobius", 4096)
+    pt = QPoint(mpf("0.9"), _SPLIT_Z)
+    new = weighted_product_log(g, pt, form=form)
+    ref = oracle_weighted_product_log(g, pt, form=form)
+    assert new.terms_used == ref.terms_used
+    assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
+
+
 def test_kernel_bench_runs_on_one_point():
     # tests/kernel_bench.py writes the per-kernel BENCH records; run its
     # loops on one point and one call so that the script cannot rot
     import kernel_bench
 
     (lam,) = kernel_bench.lambert_rows(points=[("0.3", mpf("0.3"))], runs=1)
-    (prod,) = kernel_bench.product_rows(points=[("0.3", "1+0.5j")], runs=1)
+    (prod,) = kernel_bench.product_rows(points=[("0.3", "1+0.5j", "B")], runs=1)
     assert lam["terms"] > 0 and len(lam["oracle_runs_s"]) == 1
-    assert prod["terms"] > 0 and len(prod["warm_runs_s"]) == 1
+    assert prod["form"] == "B" and prod["terms"] > 0 and len(prod["warm_runs_s"]) == 1
     assert min(prod["cold_s"], prod["warm_s"], prod["oracle_s"], prod["ratio"]) > 0
     src = os.path.join(os.path.dirname(qseries.__file__), os.pardir)
-    (ab,) = kernel_bench.compare_products(src, rounds=1, points=[("0.3", "2")], runs=1)[
+    (ab,) = kernel_bench.compare_products(src, rounds=1, points=[("0.3", "2", "A")], runs=1)[
         "weighted_product_log"]["points"]
     assert ab["terms"] > 0 and ab["parent_warm_rounds_s"] and ab["warm_ratio"] > 0
