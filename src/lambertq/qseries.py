@@ -16,7 +16,7 @@ from itertools import islice
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import (
-    from_man_exp, fzero, mpc_log, mpf_log, round_nearest, to_fixed, to_float,
+    from_man_exp, mpc_log, mpf_log, round_nearest, to_fixed, to_float,
 )
 
 from .arith import ArithTable
@@ -45,6 +45,8 @@ __all__ = [
 DEFAULT_TOL = mpf("1e-25")
 DEFAULT_MAX_TERMS = 10**6
 _HALF = mpf("0.5")
+# covers the rounding of lambert_sum's round-off count (see its docstring)
+_MARGIN = mpf("1.01")
 
 
 class TableTooShortError(ConvergenceError):
@@ -113,16 +115,10 @@ def _poly_geom_tail(p, r, N):
     absorbed into max_{x>=N+1} x^p u^x, leaving a plain geometric tail.
     """
     u = mp.sqrt(r)
-    lu = -mp.log(u)
-    if p <= 0:
-        M = mpf(N + 1) ** p * u ** (N + 1)
-    else:
-        xstar = p / lu
-        if xstar <= N + 1:
-            M = mpf(N + 1) ** p * u ** (N + 1)
-        else:
-            M = mpf(xstar) ** p * u**xstar
-    return M * u ** (N + 1) / (1 - u)
+    uN = u ** (N + 1)
+    xstar = p / -mp.log(u) if p > 0 else 0
+    M = mpf(xstar) ** p * u**xstar if xstar > N + 1 else mpf(N + 1) ** p * uN
+    return M * uN / (1 - u)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +181,19 @@ def _first_term(logb, lt, holds, guess=1.0):
     return hi
 
 
-def _linear_terms(lw, lq, lt, holds, name):
-    """Smallest J >= 1 with lw + J lq <= lt (lq <= 0), up to the term cap."""
-    J = _first_term(lambda j: lw + j * lq, lt, holds, (lt - lw) / lq if lq else math.inf)
+def _linear_terms(lw, lq, lt, holds, name, *key):
+    """Smallest J >= 1 with lw + J lq <= lt (lq <= 0), up to the term cap.
+
+    _first_term's search starts at the root J = max(1, ceil((lt - lw)/lq)),
+    so J is its answer where the float test passes J and fails J - 1 outside
+    its rounding window; only else does it run, with ``holds(*key, J)``.
+    """
+    g = (lt - lw) / lq if lq else math.inf
+    J = (math.ceil(g) if g > 1 else 1) if g < _SOLVE_LIMIT else 0
+    v, u = lw + J * lq, lw + (J - 1) * lq
+    if not (J and lt - v > 1e-9 * (abs(lt) + abs(v) + 1)
+            and (J == 1 or u - lt > 1e-9 * (abs(lt) + abs(u) + 1))):
+        J = _first_term(lambda j: lw + j * lq, lt, lambda j: holds(*key, j), g)
     if J > DEFAULT_MAX_TERMS + 1:
         raise ConvergenceError(
             f"{name} needs J={J:.6g} terms, more than the cap of {DEFAULT_MAX_TERMS}")
@@ -217,6 +223,21 @@ def _from_fx(re, im, e, cplx):
     return mp.make_mpf(from_man_exp(re, e, prec, round_nearest))
 
 
+def _fx_real(wr, qr, J, F):
+    """_fx_product's loop for real ints w, q: (p, e, smin), the product p 2^e."""
+    one, F1 = 1 << F, F + 1
+    pr, es, smin = one, 0, F1
+    for _ in range(J):
+        t = pr * (one - wr)
+        s = t.bit_length() - F1
+        pr = t >> s if s >= 0 else t << -s
+        es += s
+        if s < smin:
+            smin = s
+        wr = wr * qr >> F
+    return pr, es - F * (J + 1), smin
+
+
 def _fx_product(z, q, J, F, flush):
     """prod_{j<J} (1 - z q^j) for int pairs z, q at F fractional bits.
 
@@ -227,20 +248,13 @@ def _fx_product(z, q, J, F, flush):
     (pieces, smin): each piece is (re, im, e), the value (re + i im) 2^e,
     and every factor has |1 - z q^j| >= 2^(smin - 2 - F).
     """
-    one, F1 = 1 << F, F + 1
     wr, wi = z
     qr, qi = q
-    pr, pi, es, smin = one, 0, 0, F1
     if not (wi or qi):
-        for _ in range(J):
-            t = pr * (one - wr)
-            s = t.bit_length() - F1
-            pr = t >> s if s >= 0 else t << -s
-            es += s
-            if s < smin:
-                smin = s
-            wr = wr * qr >> F
-        return [(pr, 0, es - F * (J + 1))], smin
+        pr, e, smin = _fx_real(wr, qr, J, F)
+        return [(pr, 0, e)], smin
+    one, F1 = 1 << F, F + 1
+    pr, pi, es, smin = one, 0, 0, F1
     pieces = []
     aw = math.hypot(wr / one, wi / one)
     aq = math.hypot(qr / one, qi / one)
@@ -256,7 +270,10 @@ def _fx_product(z, q, J, F, flush):
         es += s
         if s < smin:
             smin = s
-        wr, wi = (wr * qr - wi * qi) >> F, (wr * qi + wi * qr) >> F
+        if qi:
+            wr, wi = (wr * qr - wi * qi) >> F, (wr * qi + wi * qr) >> F
+        else:  # a real base: the same bits from two multiplies
+            wr, wi = wr * qr >> F, wi * qr >> F
         budget += aw
         aw *= aq
         if budget > flush:
@@ -318,25 +335,28 @@ def _log1m(tr, ti, F):
     return sr, si, 3 * k
 
 
-def _log_qpoch(seqs, b, lb, lt, F, eb=1.0):
+def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
     """sum_k s_k sum_{j<J_k} log(1 - w_k b^j), the log of a product of
     q-Pochhammer symbols (w_k; b)_inf^(s_k) with s_k = +-1.
 
-    ``seqs`` holds (s_k, w_k, lw_k, lpref_k, holds_k, ew_k).  w_k and b are
-    int pairs at F = prec + _GUARD fractional bits, |w_k|, |b| < 1, off by
-    at most ew_k and eb units of 2^-F.  lw_k, lpref_k, lb and lt are the
-    natural logs of |w_k|, 1/((1-|b|)(1-|w_k|)), |b| and tol as floats, and
-    ``holds_k(J)`` is the test _qpoch_tail(|w_k|, |b|, J) <= tol in mpf.
-    J_k is the first J >= 1 that passes it, so the discarded tail is at most
-    exp(lw_k + J_k lb + lpref_k).  Returns (re, im, Js, units, absval): the
-    sum as an int pair at F bits, the J_k, a float bound on its round-off in
-    units of 2^-prec, and its modulus as a float, for the _roundoff cover of
-    a caller that rounds it to the working precision.
+    ``seqs`` holds (s_k, w_k, lw_k, lpref_k, ew_k).  w_k and b are int pairs
+    at F = prec + _GUARD fractional bits, |w_k|, |b| < 1, off by at most ew_k
+    and eb units of 2^-F.  lw_k, lpref_k, lb and lt are the natural logs of
+    |w_k|, 1/((1-|b|)(1-|w_k|)), |b| and tol as floats, and ``holds(k, J)``
+    is the test _qpoch_tail(|w_k|, |b|, J) <= tol in mpf, which
+    _linear_terms calls only near its threshold.  J_k is the first J >= 1
+    that passes it, so the discarded tail is at most
+    exp(lw_k + J_k lb + lpref_k).  ``name`` is the caller's, for errors.
+    Returns (re, im, Js, units, absval): the sum as an int pair at F bits,
+    the J_k, a float bound on its round-off in units of 2^-prec, and its
+    modulus as a float, for the _roundoff cover of a caller that rounds it
+    to the working precision.
 
     The products multiply, exactly, into a quotient (nr + i ni)/(dr + i di)
     2^ne, divided out as n conj(d) 2^sh // |d|^2 per component, and each
     quotient takes one log: by _log1m within 2^-16 of 1, else by mpf_log or
-    mpc_log.  A real product is one quotient.  A complex one keeps the
+    mpc_log.  A real product, with no imaginary part in b or any w_k, is one
+    quotient of plain ints, num 2^sh // den.  A complex one keeps the
     principal branch, as |arg(1 - x)| <= arcsin |x| <= (pi/2)|x| for |x| < 1.
     A sequence starts a new quotient if it would take the summed |w_k b^j|
     of the quotient's factors past _ARG_FLUSH, so |arg| <= 0.6 pi; its own
@@ -357,18 +377,24 @@ def _log_qpoch(seqs, b, lb, lt, F, eb=1.0):
     and its truncation to F bits by 1 per component: 4 |log| + 2 is counted,
     4 (|re| + |im|) + 4 if complex.
     """
-    cplx = b[1] or any(w[1] for _, w, _, _, _, _ in seqs)
-    Js, units, groups, budget = [], 0.0, [[]], 0.0
-    for s, w, lw, lpref, holds, ew in seqs:
-        J = _linear_terms(lw, lb, lt - lpref, holds, "log_qpoch_inf")
-        pieces, smin = _fx_product(w, b, J, F, _ARG_FLUSH)
-        fe, _ = _factor_error(J, lb, math.exp(lw), smin, F, ew, eb)
+    cplx = b[1]
+    for _, (_, wi), _, _, _ in seqs:
+        cplx = cplx or wi
+    one, Js, units, groups, budget = 1 << F, [], 0.0, [[]], 0.0
+    num, den, ne = 1, 1, 0  # a real product's quotient num/den 2^ne
+    for k, (s, w, lw, lpref, ew) in enumerate(seqs):
+        J = _linear_terms(lw, lb, lt - lpref, holds, name, k)
+        if cplx:
+            pieces, smin = _fx_product(w, b, J, F, _ARG_FLUSH)
+        else:
+            p, e, smin = _fx_real(w[0], b[0], J, F)
+        fe, _ = _factor_error(J, lb, 1.0, smin, F, ew, eb)  # |w_k| < 1
         if fe is None:
-            raise ConvergenceError("log_qpoch_inf: a factor 1 - z q^j is within round-off of 0")
+            raise ConvergenceError(f"{name}: a factor 1 - z q^j is within round-off of 0")
         Js.append(J)
         units += 2 * fe
         if not cplx:
-            groups[0].append((s, pieces[0]))
+            num, den, ne = (num * p, den, ne + e) if s > 0 else (num, den * p, ne - e)
             continue
         # the summed |w b^j| of a piece; a split sequence's pieces go alone
         pb = min(math.exp(lw) / -math.expm1(lb), _ARG_FLUSH) if len(pieces) == 1 else math.inf
@@ -378,7 +404,20 @@ def _log_qpoch(seqs, b, lb, lt, F, eb=1.0):
                 budget = 0.0
             groups[-1].append((s, piece))
             budget += pb
-    one, re, im, fr, fi = 1 << F, 0, 0, 0.0, 0.0
+    if not cplx:
+        sh = den.bit_length() + F + 1  # den = 1 leaves the value as it is
+        num, ne = (num << sh) // den, ne - sh
+        d = -ne - F
+        t = one - (num >> d if d >= 0 else num << -d)
+        if abs(t) >> (F - 16):
+            lr = mpf_log(from_man_exp(num, ne), F)
+            v = to_float(lr)
+            lr, lu = to_fixed(lr, F), 4 * abs(v) + 2
+        else:
+            lr, _, lu = _log1m(t, 0, F)
+            v, lu = lr / one, lu + 4
+        return lr, 0, Js, (units + lu) / (1 << _GUARD), abs(v)
+    re, im, fr, fi = 0, 0, 0.0, 0.0
     for group in groups:
         nr, ni, dr, di, ne = 1, 0, 1, 0, 0
         for s, (pr, pi, e) in group:
@@ -394,10 +433,9 @@ def _log_qpoch(seqs, b, lb, lt, F, eb=1.0):
         d = -ne - F
         tr, ti = one - (nr >> d if d >= 0 else nr << -d), -(ni >> d if d >= 0 else ni << -d)
         if (abs(tr) | abs(ti)) >> (F - 16):
-            x = from_man_exp(nr, ne)
-            lr, li = mpc_log((x, from_man_exp(ni, ne)), F) if cplx else (mpf_log(x, F), fzero)
+            lr, li = mpc_log((from_man_exp(nr, ne), from_man_exp(ni, ne)), F)
             vr, vi = to_float(lr), to_float(li)
-            lr, li, lu = to_fixed(lr, F), to_fixed(li, F), 4 * (abs(vr) + abs(vi)) + (4 if cplx else 2)
+            lr, li, lu = to_fixed(lr, F), to_fixed(li, F), 4 * (abs(vr) + abs(vi)) + 4
         else:
             lr, li, lu = _log1m(tr, ti, F)
             vr, vi, lu = lr / one, li / one, lu + 4
@@ -430,9 +468,10 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
     tol = mpf(2) ** (-mp.prec) if tol is None else mpf(tol)
 
     F = mp.prec + _GUARD
-    seq = (1, _fx(z, F), _ln(absz), -_ln1m(absq) - _ln1m(absz),
-           lambda j: _qpoch_tail(absz, absq, j) <= tol, 1.0)
-    re, im, (J,), units, absval = _log_qpoch([seq], _fx(q, F), _ln(absq), _ln(tol), F)
+    seq = (1, _fx(z, F), _ln(absz), -_ln1m(absq) - _ln1m(absz), 1.0)
+    re, im, (J,), units, absval = _log_qpoch(
+        [seq], _fx(q, F), _ln(absq), _ln(tol), F, 1.0,
+        lambda _, j: _qpoch_tail(absz, absq, j) <= tol, "log_qpoch_inf")
     value = _from_fx(re, im, -F, isinstance(z, mpc) or isinstance(q, mpc))
     units += _roundoff_units(J, absval)
     # 1e-9 covers the float rounding of units
@@ -851,7 +890,7 @@ def lambert_sum(
     ex = 5 / (1 - r - 3 * u)
     units = (2 if cplx else 1) * N + C * N * max(1, mpf(N) ** p) * (ex + eq / dmin) / dhat
     tail = pref * _poly_geom_tail(p, r, N)
-    return SeriesValue(acc, tail + mpf("1.01") * units * u + _roundoff(N, acc), N)
+    return SeriesValue(acc, tail + _MARGIN * units * u + _roundoff(N, acc), N)
 
 
 def _fixed_term(c, xr, xi, sh, div):
@@ -923,38 +962,49 @@ def weighted_product_log(
     N = _truncation(g, pref, p, r, tol, max_terms, "weighted_product_log", "product")
 
     prec, F = mp.prec, mp.prec + _GUARD
-    inner_tol, lt, u3 = mp.ldexp(1, -prec), -prec * _LN2, math.ldexp(3, -F)
+    inner_tol, lt, u3, lprec = mp.ldexp(1, -prec), -prec * _LN2, math.ldexp(3, -F), prec * _LN2
     with mp.workprec(F + 16):
         qz = mp.exp(z * mp.log(q)) if complex_z else q**z
         ws, base = ((qz,), q) if form == "A" else ((qz * q, qz), q * q)
-    # per power sequence: sign, base q^z or q^(z+1) as an int pair, its
-    # modulus as mpf and its log, and the round-off of its powers
-    seqs = []
-    for sign, x, a in zip((1, -1), ws, (r,) if form == "A" else (r * q, r)):
-        la = _ln(a)
-        seqs.append((sign, _fx(x, F), a, la, 5 / (-math.expm1(la) - u3)))
+    mods = (r,) if form == "A" else (r * q, r)
+    # the numerator's power sequence q^(nz) (q^(n(z+1)) in form B) and form
+    # B's denominator's q^(nz): base as an int pair, the log of its modulus,
+    # and the round-off of its powers
+    seqs = [(_fx(x, F), la, 5 / (-math.expm1(la) - u3)) for x, la in zip(ws, map(_ln, mods))]
+    ((w1r, w1i), la1, ew1), ((w2r, w2i), la2, ew2) = seqs[0], seqs[-1]
     B, lb1 = to_fixed(base._mpf_, F), _ln(base)
     eb = 5 / (-math.expm1(lb1) - u3)
-    bn, xs = 1 << F, [(1 << F, 0)] * len(seqs)
-    ar = ai = inner_terms = 0
+
+    def holds(k, J):  # the inner tail test of sequence k, at the loop's current n
+        return _qpoch_tail(mods[k] ** n, base ** n, J) <= inner_tol
+
+    two = form == "B"
+    bn = x1r = x2r = 1 << F
+    x1i = x2i = ar = ai = inner_terms = 0
     cplx = complex_z
     # sum of |g(n)/n^w| times the inner bounds, and the outer floors, in units of 2^-prec
     err_units = 2 * N / (1 << _GUARD)
     for n in range(1, N + 1):
         bn = bn * B >> F
-        xs = [((xr * wr - xi * wi) >> F, (xr * wi + xi * wr) >> F)
-              for (xr, xi), (_, (wr, wi), _, _, _) in zip(xs, seqs)]
+        x1r, x1i = (x1r * w1r - x1i * w1i) >> F, (x1r * w1i + x1i * w1r) >> F
+        if two:
+            x2r, x2i = (x2r * w2r - x2i * w2i) >> F, (x2r * w2i + x2i * w2r) >> F
         gv = g.values[n]
         if not gv:
             continue
-        lb = n * lb1
+        # logs of |w_n|, |b_n| and the inner tails' 1/((1-|b_n|)(1-|w_n|))
+        lb, lw1, lw2 = n * lb1, n * la1, n * la2
         lpb = -math.log(-math.expm1(lb))
-        prods = [(s, x, n * la, lpb - math.log(-math.expm1(n * la)),
-                  lambda j, a=a: _qpoch_tail(a**n, base**n, j) <= inner_tol, ew)
-                 for x, (s, _, a, la, ew) in zip(xs, seqs)]
-        vr, vi, Js, err, _ = _log_qpoch(prods, (bn, 0), lb, lt, F, eb)
-        for (_, _, lw, lpref, _, _), J in zip(prods, Js):
-            err += math.exp(lw + J * lb + lpref + prec * _LN2)
+        lp1 = lpb - math.log(-math.expm1(lw1))
+        prods = [(1, (x1r, x1i), lw1, lp1, ew1)]
+        if two:
+            lp2 = lpb - math.log(-math.expm1(lw2))
+            prods.append((-1, (x2r, x2i), lw2, lp2, ew2))
+        vr, vi, Js, err, _ = _log_qpoch(prods, (bn, 0), lb, lt, F, eb, holds,
+                                        "weighted_product_log")
+        err += math.exp(lw1 + Js[0] * lb + lp1 + lprec)
+        if two:
+            err += math.exp(lw2 + Js[1] * lb + lp2 + lprec)
         inner_terms += sum(Js)
         if type(gv) is int:
             ar += gv * vr // n if w else gv * vr

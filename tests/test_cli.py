@@ -147,6 +147,15 @@ def test_eval_qpoch_beyond_the_term_cap_exits_5_at_once(capsys):
     assert time.perf_counter() - t0 < 2
 
 
+def test_eval_product_beyond_the_inner_term_cap_names_the_product(capsys):
+    # q^z = 0.99999^100 needs some 10^7 factors in the first inner product
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "eval", "product", "--g", "mobius", "--q", "0.99999", "--z", "100")
+    assert code == 5 and "weighted_product_log needs J=" in err and "cap" in err
+    assert "log_qpoch_inf" not in err
+    assert time.perf_counter() - t0 < 2
+
+
 @pytest.mark.parametrize("argv", [
     # q^Re z rounds to 1: no truncation point certifies
     ("eval", "lambert", "--q", "0.5", "--z", "1e-50"),

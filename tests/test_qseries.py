@@ -1,7 +1,11 @@
 """Certified q-series primitives against independent oracles."""
 
+import hashlib
+import math
 import os
+import random
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -136,6 +140,63 @@ def test_kernels_fail_at_once_beyond_the_term_cap():
     with pytest.raises(ConvergenceError, match=r"qpoch_inf_direct needs J=.* cap of 1000000"):
         qpoch_inf_direct(mpf("0.5"), mpf("0.99999"))
     assert time.perf_counter() - t0 < 2
+
+
+def _in_window(v, lt):
+    """logb = v lies within _first_term's rounding window of lt."""
+    return abs(v - lt) <= 1e-9 * (abs(lt) + abs(v) + 1)
+
+
+def _searched_terms(lw, lq, lt, holds, name):
+    """J as _linear_terms found it by _first_term's search alone, from the
+    root as its guess, with the same cap and message."""
+    J = qseries._first_term(lambda j: lw + j * lq, lt, holds, (lt - lw) / lq if lq else math.inf)
+    if J > qseries.DEFAULT_MAX_TERMS + 1:
+        raise ConvergenceError(
+            f"{name} needs J={J:.6g} terms, more than the cap of {qseries.DEFAULT_MAX_TERMS}")
+    return J
+
+
+def _linear_cases():
+    """(lw, lq, lt) with roots (lt - lw)/lq on an integer J, within 1e-9 of
+    it on either side, or inside (J - 1, J), for J from 1 to past the 10^6
+    cap; plus roots below 1 and lq = 0."""
+    rng = random.Random("closed-form J")
+    cases = [(-0.5, 0.0, -0.25), (-0.5, 0.0, -1.0), (-1.0, -0.1, -0.5), (-2.0, -3.0, 1.0)]
+    for i in range(4800):
+        lq = -(10.0 ** rng.uniform(-7, 1))
+        lw = -(10.0 ** rng.uniform(-4, 2))
+        J = (1, 2, 3, rng.randrange(4, 1000), rng.randrange(1000, 10**6),
+             10**6 + rng.randrange(-3, 4))[i % 6]
+        off = (0.0, 1e-13, -1e-13, 3e-10, -3e-10, -0.5, -0.01, -0.99)[i // 6 % 8]
+        cases.append((lw, lq, lw + (J + off) * lq))
+    return cases
+
+
+def test_closed_form_J_is_the_searched_J():
+    shortcuts = windows = 0
+    for lw, lq, lt in _linear_cases():
+        calls = []
+
+        def holds(j):  # the exact test, in rationals
+            calls.append(j)
+            return Fraction(lw) + j * Fraction(lq) <= Fraction(lt)
+
+        try:
+            want = _searched_terms(lw, lq, lt, holds, "kernel")
+        except ConvergenceError as exc:
+            want = str(exc)
+        calls.clear()
+        try:
+            got = qseries._linear_terms(lw, lq, lt, holds, "kernel")
+        except ConvergenceError as exc:
+            got = str(exc)
+        assert got == want, (lw, lq, lt)
+        assert all(_in_window(lw + j * lq, lt) for j in calls), (lw, lq, lt, calls)
+        windows += bool(calls)
+        shortcuts += not calls
+    # both paths ran: the root alone, and the search with the exact test
+    assert shortcuts > 1000 and windows > 1000
 
 
 @pytest.mark.parametrize("q", Q_GRID)
@@ -572,6 +633,58 @@ def test_split_complex_product_against_mpf_loop(form):
     ref = oracle_weighted_product_log(g, pt, form=form)
     assert new.terms_used == ref.terms_used
     assert abs(new.value - ref.value) <= new.err_bound + ref.err_bound
+
+
+# ---------------------------------------------------------------------------
+# bit-level pins of the four kernels
+
+# sha256 over the mantissas of value and err_bound, and terms_used, of each
+# kernel's SeriesValue at fixed points, the precision rotating through
+# 64/128/256 bits; recorded before _linear_terms took J from the root and
+# _log_qpoch took its real quotient of plain ints, which kept every bit
+_KERNEL_DIGESTS = {
+    "log_qpoch_inf": "cc8b110d838c5053cdcec18a9258b682cc3e6b31ed5a8b3e074d4494277ce114",
+    "qpoch_inf_direct": "77979defdf863b3ed306207937cb090c07a8b629bd05736bd54a9febebd05357",
+    "lambert_sum": "17b0008e62ffb7ea8971758fd917a5f5945a9fba9a87fc378c84a909fa961caa",
+    "weighted_product_log": "71790e95eaef0eb637e2ee2e2811b3182ecd22c890e25b0dcda1c062e45bd2b9",
+}
+# int, Fraction, mpf and mpc tables
+_PIN_TABLES = ["std:mobius", "phi_over_n", "std:sigma:0.5", "std:mu_k:2"]
+
+
+def _pinned_calls(kernel):
+    if kernel == "log_qpoch_inf":
+        return [lambda q=q, z=z: log_qpoch_inf(z, q) for q in LOG_Q for z in LOG_Z]
+    if kernel == "qpoch_inf_direct":
+        return [lambda a=a, q=q: qpoch_inf_direct(a, q) for a, q in DIRECT_SAMPLE]
+    calls = []
+    for i, key in enumerate(_PIN_TABLES):
+        f = identities._build_named(key, 2048)
+        for q in (mpf("0.3"), mpf("0.7")):
+            for z in _ORACLE_Z:
+                pt = QPoint(q, z)
+                # forms A and B; the sum's kernels minus and plus; both weights
+                for j, form in enumerate("AB"):
+                    weight = ("over_n", "plain")[(i + j) % 2]
+                    if kernel == "lambert_sum":
+                        kern = KernelForm(("minus", "plus")[j], weight)
+                        calls.append(lambda f=f, kern=kern, pt=pt: lambert_sum(f, kern, pt))
+                    else:
+                        calls.append(lambda f=f, pt=pt, form=form, weight=weight:
+                                     weighted_product_log(f, pt, form=form, weight=weight))
+    return calls
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_DIGESTS))
+def test_kernel_values_match_digest(kernel):
+    h = hashlib.sha256()
+    for i, call in enumerate(_pinned_calls(kernel)):
+        with precision((64, 128, 256)[i % 3]):
+            sv = call()
+        v = sv.value
+        h.update(repr((v._mpc_ if isinstance(v, mpc) else v._mpf_,
+                       sv.err_bound._mpf_, sv.terms_used)).encode())
+    assert h.hexdigest() == _KERNEL_DIGESTS[kernel]
 
 
 def test_kernel_bench_runs_on_one_point():
