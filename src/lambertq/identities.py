@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import islice
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import to_fixed
 
 from . import arith
 from .arith import ArithTable, build_table, custom_table, h_transform
@@ -38,6 +39,9 @@ from .qseries import (
     QPoint,
     SeriesValue,
     TableTooShortError,
+    _GUARD,
+    _from_fx,
+    _log_quot,
     _poly_geom_tail,
     _truncation,
     lambert_sum,
@@ -671,23 +675,33 @@ def lookup(id: str) -> IdentityRecord:
         raise UnknownIdError(f"unknown identity id {id!r}") from None
 
 
-# the two intro products use single factors (1 -+ q^n), not full Pochhammers,
-# so they get their own small evaluator
 def _intro_product_log(tot, q, tol, max_terms, odd_ratio: bool):
-    # |log(1 -+ x)| <= x/(1-x) and phi(m)/m <= 1: the tail after N terms is
-    # at most 2 q^(N+1)/(1-q)^2, which is pref * _poly_geom_tail(0, q, N)
+    """sum_n phi(n)/n log(1 - q^n), or over odd n phi(n)/n log((1 + q^n)/(1 -
+    q^n)), on ints at F = prec + _GUARD bits: the intro products' factors.
+
+    |log(1 -+ x)| <= x/(1-x) and phi(n)/n <= 1: the tail after N terms is at
+    most 2 q^(N+1)/(1-q)^2 = pref * _poly_geom_tail(0, q, N).  q^n, one
+    multiply and shift per n, is off by Eq = 2/(1 - q - u) units u = 2^-F
+    (lambert_sum's power lemma), which moves the log by k Eq/(1 - q - Eq u),
+    k = 1 (2 for the quotient).  The one log (_log_quot) is within its count,
+    phi(n) v_n // n is one floor, and the final rounding is 2^-prec of the sum.
+    """
     pref = 2 * (1 - mp.sqrt(q)) / (1 - q) ** 2
     N = _truncation(tot, pref, 0, q, tol, max_terms, "intro product", "product")
-    acc = mpf(0)
-    for n in range(1, N + 1, 2 if odd_ratio else 1):
-        qn = q**n
-        w = mpf(tot.values[n]) / n
-        if odd_ratio:
-            acc += w * (mp.log(1 + qn) - mp.log(1 - qn))
-        else:
-            acc += w * mp.log(1 - qn)
-    tail = pref * _poly_geom_tail(0, q, N)
-    return SeriesValue(acc, tail + mpf(2) ** (-mp.prec + 6) * N, N)
+    F = mp.prec + _GUARD
+    one, Q, qn, acc, units = 1 << F, to_fixed(q._mpf_, F), 1 << F, 0, 0.0
+    d, u = float(1 - q), math.ldexp(1, -F)
+    ein = (4 if odd_ratio else 2) / (d * (d - u) - 2 * u)
+    for n in range(1, N + 1):
+        qn = qn * Q >> F
+        if n & 1 or not odd_ratio:
+            lr, lu, _ = _log_quot(*((one + qn, one - qn, 0) if odd_ratio else (one - qn, 1, -F)), F)
+            acc += tot.values[n] * lr // n
+            units += lu + ein + 1
+    value = _from_fx(acc, 0, -F, False)
+    # 1e-9 covers the float rounding of units
+    err = mp.ldexp(units * (1 + 1e-9), -F) + mp.ldexp(abs(value), -mp.prec)
+    return SeriesValue(value, pref * _poly_geom_tail(0, q, N) + err, N)
 
 
 # ---------------------------------------------------------------------------

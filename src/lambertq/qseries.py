@@ -6,6 +6,16 @@ bound on the discarded tail.  Products are handled in log space and
 exponentiated once at the boundary, which keeps exponents like (2n-1)^2 from
 underflowing.  Tail estimates use the crude inequality
 1/(1 -+ q^n) <= 1/(1-q): certified correctness over tightness.
+
+Round-off.  The kernels log_qpoch_inf, qpoch_inf_direct, lambert_sum and
+weighted_product_log count their fixed-point round-off and lean on the
+unproven _roundoff cover only to round to the working precision.  qpoch_n,
+e_q, E_q, q_gamma, q_binomial_check's left side, triple_product's right
+side and weierstrass_delta count theirs on top of the kernels' bounds: one
+log and one exp of signed pairs (_qprod), or products (_product), taking
+libmp's logs and exps to be within a unit in the last place.  The cross-
+checks e_q_series, E_q_series, theta_sum and q_binomial_check's right side,
+and dedekind_eta, lean on _roundoff.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from itertools import islice
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import (
-    from_man_exp, mpc_log, mpf_log, round_nearest, to_fixed, to_float,
+    from_man_exp, mpc_exp, mpc_log, mpf_exp, mpf_log, round_nearest, to_fixed, to_float,
 )
 
 from .arith import ArithTable
@@ -45,7 +55,8 @@ __all__ = [
 DEFAULT_TOL = mpf("1e-25")
 DEFAULT_MAX_TERMS = 10**6
 _HALF = mpf("0.5")
-# covers the rounding of lambert_sum's round-off count (see its docstring)
+# covers the rounding of a bound worked out in mpf from positive terms, such
+# as lambert_sum's round-off count (see its docstring) and _product's bound
 _MARGIN = mpf("1.01")
 
 
@@ -335,6 +346,22 @@ def _log1m(tr, ti, F):
     return sr, si, 3 * k
 
 
+def _log_quot(num, den, ne, F):
+    """log(num/den 2^ne) for ints num, den > 0, as (re, units, float value): the
+    real one-log tail of _log_qpoch, whose docstring counts its units of 2^-F."""
+    one = 1 << F
+    sh = den.bit_length() + F + 1  # den = 1 leaves the value as it is
+    num, ne = (num << sh) // den, ne - sh
+    d = -ne - F
+    t = one - (num >> d if d >= 0 else num << -d)
+    if abs(t) >> (F - 16):
+        lr = mpf_log(from_man_exp(num, ne), F)
+        v = to_float(lr)
+        return to_fixed(lr, F), 4 * abs(v) + 2, v
+    lr, _, lu = _log1m(t, 0, F)
+    return lr, lu + 4, lr / one
+
+
 def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
     """sum_k s_k sum_{j<J_k} log(1 - w_k b^j), the log of a product of
     q-Pochhammer symbols (w_k; b)_inf^(s_k) with s_k = +-1.
@@ -405,17 +432,7 @@ def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
             groups[-1].append((s, piece))
             budget += pb
     if not cplx:
-        sh = den.bit_length() + F + 1  # den = 1 leaves the value as it is
-        num, ne = (num << sh) // den, ne - sh
-        d = -ne - F
-        t = one - (num >> d if d >= 0 else num << -d)
-        if abs(t) >> (F - 16):
-            lr = mpf_log(from_man_exp(num, ne), F)
-            v = to_float(lr)
-            lr, lu = to_fixed(lr, F), 4 * abs(v) + 2
-        else:
-            lr, _, lu = _log1m(t, 0, F)
-            v, lu = lr / one, lu + 4
+        lr, lu, v = _log_quot(num, den, ne, F)
         return lr, 0, Js, (units + lu) / (1 << _GUARD), abs(v)
     re, im, fr, fi = 0, 0, 0.0, 0.0
     for group in groups:
@@ -446,6 +463,29 @@ def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
 # ---------------------------------------------------------------------------
 # q-Pochhammer primitives
 
+def _log_pochs(pairs, q, tol, name):
+    """sum_k s_k log (w_k; q)_inf by one _log_qpoch call, for ``pairs`` of
+    (s_k = +-1, w_k, ew_k) with |w_k|, |q| < 1: w_k at F = prec + _GUARD bits
+    is off by ew_k units of 2^-F (1 if w_k is exact), sequence k stops at the
+    first J_k with _qpoch_tail <= tol, and w_k = 0 adds nothing.  Returns
+    _log_qpoch's (re, im, Js, units, absval), the summed tails and cplx."""
+    q = q if isinstance(q, (mpf, mpc)) else mpf(q)
+    absq, F, seqs, absws = abs(q), mp.prec + _GUARD, [], []
+    if not absq < 1:
+        raise DomainError(f"|q| must be < 1, got {absq}")
+    for s, w, ew in pairs:
+        absw = abs(w)
+        if not absw < 1:
+            raise DomainError(f"{name} requires |z| < 1, got |z|={absw}")
+        if w:
+            seqs.append((s, _fx(w, F), _ln(absw), -_ln1m(absq) - _ln1m(absw), ew))
+            absws.append(absw)
+    out = _log_qpoch(seqs, _fx(q, F), _ln(absq), _ln(tol), F, 1.0,
+                     lambda k, j: _qpoch_tail(absws[k], absq, j) <= tol, name)
+    return (*out, sum(_qpoch_tail(a, absq, J) for a, J in zip(absws, out[2])),
+            isinstance(q, mpc) or any(isinstance(w, mpc) for _, w, _ in pairs))
+
+
 def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
     """log (z;q)_inf = sum_{j>=0} log(1 - z q^j), for |z| < 1, |q| < 1.
 
@@ -453,30 +493,71 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
     |z| |q|^J / ((1-|q|)(1-|z|)), and the term count J is the first at which
     it is <= tol, found before the fixed-point product loop runs.  A long
     complex product is logged in pieces before its argument can wrap, so the
-    principal branch is preserved (_log_qpoch).
+    principal branch is preserved (_log_qpoch).  This is the one-pair front
+    of _log_pochs; its rounding to the working precision is inside _roundoff.
     """
-    q = q if isinstance(q, (mpf, mpc)) else mpf(q)
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    absq = abs(q)
-    absz = abs(z)
-    if not absq < 1:
-        raise DomainError(f"|q| must be < 1, got {absq}")
-    if not absz < 1:
-        raise DomainError(f"log_qpoch_inf requires |z| < 1, got |z|={absz}")
-    if z == 0:
-        return SeriesValue(mpf(0), mpf(0), 0)
     tol = mpf(2) ** (-mp.prec) if tol is None else mpf(tol)
-
-    F = mp.prec + _GUARD
-    seq = (1, _fx(z, F), _ln(absz), -_ln1m(absq) - _ln1m(absz), 1.0)
-    re, im, (J,), units, absval = _log_qpoch(
-        [seq], _fx(q, F), _ln(absq), _ln(tol), F, 1.0,
-        lambda _, j: _qpoch_tail(absz, absq, j) <= tol, "log_qpoch_inf")
-    value = _from_fx(re, im, -F, isinstance(z, mpc) or isinstance(q, mpc))
-    units += _roundoff_units(J, absval)
+    re, im, Js, units, absval, tail, cplx = _log_pochs([(1, z, 1.0)], q, tol, "log_qpoch_inf")
+    if not Js:  # z = 0
+        return SeriesValue(mpf(0), mpf(0), 0)
+    units += _roundoff_units(Js[0], absval)
     # 1e-9 covers the float rounding of units
-    err = _qpoch_tail(absz, absq, J) + mp.ldexp(units * (1 + 1e-9), -mp.prec)
-    return SeriesValue(value, err, J)
+    err = tail + mp.ldexp(units * (1 + 1e-9), -mp.prec)
+    return SeriesValue(_from_fx(re, im, -mp.prec - _GUARD, cplx), err, Js[0])
+
+
+def _qprod(pairs, q, name, shift=(0, 0, 0.0)):
+    """prod_k (w_k; q)_inf^(s_k) e^c: one log of ``pairs`` by _log_pochs at
+    tol 2^-prec, as in log_qpoch_inf, plus c = (cr + i ci) 2^-F off by ec
+    units of 2^-F (``shift``), and one exp.  mpf_exp and mpc_exp take the
+    log x exactly and round once after guard bits (mpc_exp: one product per
+    component), within 2^(1-prec) |e^x|; r = 2^(2-prec) is counted, as
+    _log_qpoch counts its logs.  The log's error moves e^x by |e^x|
+    expm1(logerr), and |e^x| <= |value|/(1 - r).  _MARGIN covers the
+    rounding of the bound."""
+    (cr, ci, ec), prec, F = shift, mp.prec, mp.prec + _GUARD
+    re, im, Js, units, _, tail, cplx = _log_pochs(pairs, q, mp.ldexp(1, -prec), name)
+    x = from_man_exp(re + cr, -F)
+    if cplx or ci:
+        v = mp.make_mpc(mpc_exp((x, from_man_exp(im + ci, -F)), prec, round_nearest))
+    else:
+        v = mp.make_mpf(mpf_exp(x, prec, round_nearest))
+    logerr = tail + mp.ldexp((units + ec / (1 << _GUARD)) * (1 + 1e-9), -prec)
+    r = mp.ldexp(1, 2 - prec)
+    return SeriesValue(v, _MARGIN * abs(v) * (mp.expm1(logerr) + r) / (1 - r), sum(Js))
+
+
+def _qpow(z, q, n):
+    """(z q^n, e): z q^n at 16 bits above F = prec + _GUARD and its error in
+    units of 2^-F.  With u = 2^-(F+16), log q and e^y are within 2u and each
+    product within u, so y = n log q is off by 3u|y| and z q^n by (3|y| + 3)u
+    of it, to first order: e = |z q^n| (3|y| + 4) 2^-16."""
+    with mp.workprec(mp.prec + _GUARD + 16):
+        y = n * mp.log(q)
+        x = z * mp.exp(y)
+    return x, float(abs(x)) * (3 * float(abs(y)) + 4) * 2.0**-16
+
+
+def _direct_at(a, da, q):
+    """qpoch_inf_direct(a, q), 0 < q < 1, for an a off by da from the point
+    meant: |d/dt (t;q)_inf| = |sum_j q^j prod_(i != j) (1 - t q^i)| is at
+    most (-|t|;q)_inf/(1-q), which grows with |t| <= |a| + da."""
+    v, e, n = qpoch_inf_direct(a, q)
+    cap = qpoch_inf_direct(-(abs(a) + da), q)
+    return SeriesValue(v, e + da * (abs(cap.value) + cap.err_bound) / (1 - q), n)
+
+
+def _product(parts):
+    """The product of SeriesValues v_i +- e_i, off by prod (|v_i| + e_i) -
+    prod |v_i|, summed as D_k = D_(k-1) (|v_k| + e_k) + |v_1 ... v_(k-1)| e_k
+    so that nothing cancels, and by 2^-prec |value| per rounded product.
+    _MARGIN covers the rounding of the bound."""
+    val, absval, d = 1, 1, 0
+    for v, e, _ in parts:
+        d, absval, val = d * (abs(v) + e) + absval * e, absval * abs(v), val * v
+    err = d + mp.ldexp((len(parts) - 1) * abs(val), -mp.prec)
+    return SeriesValue(val, _MARGIN * err, sum(p.terms_used for p in parts))
 
 
 def qpoch_inf_direct(a, q, rel_tol=None) -> SeriesValue:
@@ -518,43 +599,37 @@ def qpoch_inf_direct(a, q, rel_tol=None) -> SeriesValue:
     return SeriesValue(prod, err, n)
 
 
-def _exp_with_err(logval, logerr):
-    val = mp.exp(logval)
-    return val, abs(val) * mp.expm1(logerr) + _roundoff(1, val)
-
-
 def qpoch_n(z, q, n) -> SeriesValue:
-    """(z;q)_n = (z;q)_inf / (z q^n;q)_inf; the index n may be any complex."""
+    """(z;q)_n = (z;q)_inf / (z q^n;q)_inf; the index n may be any complex.
+    One quotient of the sequences z and z q^n (_qpow), |z|, |z q^n| < 1."""
     q = mpf(q)
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    n = n if isinstance(n, (mpf, mpc)) else mpf(n)
-    qn = mp.exp(n * mp.log(q)) if not (isinstance(n, mpf) or n.imag == 0) else q**n
-    top = log_qpoch_inf(z, q)
-    bot = log_qpoch_inf(z * qn, q)
-    logval = top.value - bot.value
-    val, err = _exp_with_err(logval, top.err_bound + bot.err_bound)
-    return SeriesValue(val, err, top.terms_used + bot.terms_used)
+    zqn, ew = _qpow(z, q, n if isinstance(n, (mpf, mpc)) else mpf(n))
+    return _qprod([(1, z, 1.0), (-1, zqn, 2 + ew)], q, "qpoch_n")
 
 
 def e_q(z, q) -> SeriesValue:
     """Euler q-exponential e_q(z) = 1/(z;q)_inf, |z| < 1 (product form)."""
-    lg = log_qpoch_inf(z, q)
-    val, err = _exp_with_err(-lg.value, lg.err_bound)
-    return SeriesValue(val, err, lg.terms_used)
+    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
+    return _qprod([(-1, z, 1.0)], q, "e_q")
+
+
+def _series_start(z, q, tol, name):
+    """(z, q, tol, floor) for the e_q and E_q series: 0 < q < 1, tol 2^(2-prec)
+    by default, and 0 < floor <= (q;q)_inf <= (q;q)_n."""
+    q = mpf(q)
+    if not 0 < q < 1:
+        raise DomainError(f"{name} series needs 0 < q < 1")
+    qq_inf = qpoch_inf_direct(q, q)
+    tol = mpf(2) ** (-mp.prec + 2) if tol is None else tol
+    return z if isinstance(z, (mpf, mpc)) else mpf(z), q, tol, abs(qq_inf.value) - qq_inf.err_bound
 
 
 def e_q_series(z, q, tol=None) -> SeriesValue:
     """Series form sum z^n/(q;q)_n; independent cross-check of e_q."""
-    q = mpf(q)
-    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    if not 0 < q < 1:
-        raise DomainError("e_q series needs 0 < q < 1")
+    z, q, tol, floor = _series_start(z, q, tol, "e_q")
     if not abs(z) < 1:
         raise DomainError("e_q series needs |z| < 1")
-    if tol is None:
-        tol = mpf(2) ** (-mp.prec + 2)
-    qq_inf = qpoch_inf_direct(q, q)
-    floor = abs(qq_inf.value) - qq_inf.err_bound  # (q;q)_n >= (q;q)_inf > 0
     acc = mpf(0) * z
     zn = 1
     poch = mpf(1)
@@ -576,23 +651,12 @@ def E_q(z, q) -> SeriesValue:
     """Euler q-exponential E_q(z) = (-z;q)_inf, entire in z."""
     q = mpf(q)
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    if abs(z) < 1:
-        lg = log_qpoch_inf(-z, q)
-        val, err = _exp_with_err(lg.value, lg.err_bound)
-        return SeriesValue(val, err, lg.terms_used)
-    return qpoch_inf_direct(-z, q)
+    return _qprod([(1, -z, 1.0)], q, "E_q") if abs(z) < 1 else qpoch_inf_direct(-z, q)
 
 
 def E_q_series(z, q, tol=None) -> SeriesValue:
     """Series form sum q^(n(n-1)/2) z^n/(q;q)_n; cross-check of E_q."""
-    q = mpf(q)
-    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    if not 0 < q < 1:
-        raise DomainError("E_q series needs 0 < q < 1")
-    if tol is None:
-        tol = mpf(2) ** (-mp.prec + 2)
-    qq_inf = qpoch_inf_direct(q, q)
-    floor = abs(qq_inf.value) - qq_inf.err_bound
+    z, q, tol, floor = _series_start(z, q, tol, "E_q")
     acc = mpf(0) * z
     term_num = mpc(1) if isinstance(z, mpc) else mpf(1)  # q^binom(n,2) z^n
     poch = mpf(1)
@@ -615,7 +679,9 @@ def E_q_series(z, q, tol=None) -> SeriesValue:
 def q_binomial_check(a, z, q, tol=None):
     """Both sides of (az;q)_inf/(z;q)_inf = sum (a;q)_n/(q;q)_n z^n, |z| < 1.
 
-    Returns (lhs, rhs) as SeriesValues computed by independent routes.
+    Returns (lhs, rhs) as SeriesValues computed by independent routes.  The
+    left side, with az exact, is the quotient of the sequences az and z, or
+    qpoch_inf_direct(az) times e_q(z) if |az| >= 1.
     """
     q = mpf(q)
     a = a if isinstance(a, (mpf, mpc)) else mpf(a)
@@ -624,17 +690,9 @@ def q_binomial_check(a, z, q, tol=None):
         raise DomainError("q-binomial series needs |z| < 1")
     if tol is None:
         tol = mpf(2) ** (-mp.prec + 4)
-    if abs(a * z) < 1:
-        top = log_qpoch_inf(a * z, q)
-        lv, le = _exp_with_err(top.value, top.err_bound)
-        top = SeriesValue(lv, le, top.terms_used)
-    else:
-        top = qpoch_inf_direct(a * z, q)
-    bot_log = log_qpoch_inf(z, q)
-    bot, bot_err = _exp_with_err(bot_log.value, bot_log.err_bound)
-    lhs_val = top.value / bot
-    lhs_err = (top.err_bound + abs(lhs_val) * bot_err) / (abs(bot) - bot_err)
-    lhs = SeriesValue(lhs_val, lhs_err, top.terms_used + bot_log.terms_used)
+    az, ez = mp.fmul(a, z, exact=True), (-1, z, 1.0)
+    lhs = (_qprod([(1, az, 1.0), ez], q, "q_binomial_check") if abs(az) < 1 else
+           _product([qpoch_inf_direct(az, q), _qprod([ez], q, "q_binomial_check")]))
 
     qq_inf = qpoch_inf_direct(q, q)
     floor = abs(qq_inf.value) - qq_inf.err_bound
@@ -662,27 +720,36 @@ def q_binomial_check(a, z, q, tol=None):
 
 
 def q_gamma(w, q) -> SeriesValue:
-    """Gamma_q(w) = (q;q)_inf / (q^w;q)_inf * (1-q)^(1-w)."""
+    """Gamma_q(w) = (q;q)_inf / (q^w;q)_inf * (1-q)^(1-w).
+
+    The quotient of the sequences q and q^w (_qpow), with c = (1-w) log(1-q)
+    added to its log (_qprod).  c is worked out 16 bits above F = prec +
+    _GUARD, where 1-q, 1-w and the product round by u = 2^-(F+16) and the
+    log by 2u: it is off by |1-w| (4|log(1-q)| + 2) u, and by one unit of
+    2^-F per component at F bits.  If |q^w| >= 1, (q;q)_inf e^c is divided
+    by qpoch_inf_direct(q^w) (_direct_at): a +- e_a over d +- e_d is off by
+    (e_a + |a/d| e_d)/(|d| - e_d), and its rounding by 2^-prec |a/d|.
+    """
     q = mpf(q)
     if not 0 < q < 1:
         raise DomainError("q_gamma needs 0 < q < 1")
     w = w if isinstance(w, (mpf, mpc)) else mpf(w)
-    qw = mp.exp(w * mp.log(q))
-    top = log_qpoch_inf(q, q)
+    qw, ew = _qpow(1, q, w)
+    F = mp.prec + _GUARD
+    with mp.workprec(F + 16):
+        lq1 = mp.log(1 - q)
+        cr, ci = _fx((1 - w) * lq1, F)
+    shift = (cr, ci, 2 + float(abs(1 - w)) * (4 * float(abs(lq1)) + 2) * 2.0**-16)
     if abs(qw) < 1:
-        bot = log_qpoch_inf(qw, q)
-    else:
-        direct = qpoch_inf_direct(qw, q)
-        if abs(direct.value) <= direct.err_bound:
-            raise DomainError(f"q_gamma pole at w={w}")
-        bot = SeriesValue(
-            mp.log(direct.value),
-            direct.err_bound / (abs(direct.value) - direct.err_bound),
-            direct.terms_used,
-        )
-    logval = top.value - bot.value + (1 - w) * mp.log(1 - q)
-    val, err = _exp_with_err(logval, top.err_bound + bot.err_bound)
-    return SeriesValue(val, err, top.terms_used + bot.terms_used)
+        return _qprod([(1, q, 1.0), (-1, qw, 2 + ew)], q, "q_gamma", shift)
+    top = _qprod([(1, q, 1.0)], q, "q_gamma", shift)
+    bot = _direct_at(qw, mp.ldexp(ew, -F), q)
+    if abs(bot.value) <= bot.err_bound:
+        raise DomainError(f"q_gamma pole at w={w}")
+    val = top.value / bot.value
+    err = (top.err_bound + abs(val) * bot.err_bound) / (abs(bot.value) - bot.err_bound)
+    return SeriesValue(val, _MARGIN * (err + mp.ldexp(abs(val), -mp.prec)),
+                       top.terms_used + bot.terms_used)
 
 
 # ---------------------------------------------------------------------------
@@ -722,25 +789,15 @@ def triple_product(z, q):
     """LHS and RHS of the Jacobi triple product identity.
 
     LHS: the bilateral theta sum; RHS: (q;q)_inf (sqrt(q) z;q)_inf
-    (sqrt(q)/z;q)_inf, with factors of modulus >= 1 evaluated by direct
-    factor products.
+    (sqrt(q)/z;q)_inf, three direct products multiplied by _product.
+    sqrt(q) rounds by 2^-prec relative and sqrt(q) z, sqrt(q)/z by 2^-prec
+    (1 + 2^-8) more: each is off by under 3 2^-prec of it (_direct_at).
     """
     q = mpf(q)
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    lhs = theta_sum(z, q)
     sq = mp.sqrt(q)
-    parts = [qpoch_inf_direct(q, q), qpoch_inf_direct(sq * z, q), qpoch_inf_direct(sq / z, q)]
-    val = parts[0].value * parts[1].value * parts[2].value
-    # relative errors add (first order), with a crude second-order cushion
-    rel = mpf(0)
-    for p in parts:
-        if abs(p.value) > 0:
-            rel += p.err_bound / abs(p.value)
-        else:
-            rel += p.err_bound
-    err = abs(val) * rel * 2 + _roundoff(3, val)
-    rhs = SeriesValue(val, err, sum(p.terms_used for p in parts))
-    return lhs, rhs
+    return theta_sum(z, q), _product([qpoch_inf_direct(q, q)] + [
+        _direct_at(x, mp.ldexp(3 * abs(x), -mp.prec), q) for x in (sq * z, sq / z)])
 
 
 def dedekind_eta(tau) -> SeriesValue:
@@ -756,17 +813,20 @@ def dedekind_eta(tau) -> SeriesValue:
 
 
 def weierstrass_delta(tau) -> SeriesValue:
-    """Modular discriminant Delta(tau) = (2 pi)^12 q (q;q)_inf^24."""
+    """Modular discriminant Delta(tau) = (2 pi)^12 q (q;q)_inf^24.
+
+    The product of c = (2 pi)^12 q and 24 factors P = (q;q)_inf +- e
+    (qpoch_inf_direct) by _product, whose bound holds (|P| + e)^24 - |P|^24.
+    pi and c's product round by 2^-prec relative and the power by 4 ulps, so
+    c is off by under 22 2^-prec |c|, for q = e^(2 pi i tau) as rounded.
+    """
     tau = mpc(tau)
     if not tau.imag > 0:
         raise DomainError("weierstrass_delta needs Im(tau) > 0")
     q = mp.exp(2j * mp.pi * tau)
     poch = qpoch_inf_direct(q, q)
-    if abs(poch.value) <= poch.err_bound:
-        raise ConvergenceError("(q;q)_inf indistinguishable from 0")
-    logval = 12 * mp.log(2 * mp.pi) + 2j * mp.pi * tau + 24 * mp.log(poch.value)
-    logerr = 24 * poch.err_bound / (abs(poch.value) - poch.err_bound)
-    val, err = _exp_with_err(logval, logerr)
+    c = (2 * mp.pi) ** 12 * q
+    val, err, _ = _product([SeriesValue(c, mp.ldexp(22 * abs(c), -mp.prec), 0)] + [poch] * 24)
     return SeriesValue(val, err, poch.terms_used)
 
 

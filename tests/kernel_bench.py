@@ -19,8 +19,11 @@ parent commit's exported to OLD:
 
     PYTHONPATH=src:tests python tests/kernel_bench.py --against OLD/src
 
-runs the product rows ``rounds`` times in fresh processes, once on OLD/src
-and once on this tree's src per round, alternating which goes first.
+imports the package under OLD/src a second time, as ``lambertq_against``,
+and at each point of PRODUCT_POINTS calls the two trees' kernels in this one
+process, alternating which goes first, for at least PAIR_RUNS pairs and
+PAIR_SECONDS seconds; each time is the median of its tree's calls, so a
+drift in the host's speed weighs on both alike.
 
     PYTHONPATH=src:tests python tests/kernel_bench.py --against OLD/src --cold
 
@@ -36,6 +39,7 @@ byte-compiled first, as benchmarks/run.py does.
 import argparse
 import compileall
 import gc
+import importlib.util
 import json
 import os
 import platform
@@ -48,11 +52,15 @@ import mpmath
 from mpf_kernels import oracle_lambert_sum, oracle_weighted_product_log
 from mpmath import mp, mpc, mpf
 
-from lambertq import identities
+from lambertq import identities, qseries
 from lambertq.numerics import set_precision
 from lambertq.qseries import KernelForm, QPoint, lambert_sum, weighted_product_log
 
 RUNS = 5
+# calls per tree and point of --against: at least this many pairs, and pairs
+# until this many seconds have passed
+PAIR_RUNS = 21
+PAIR_SECONDS = 2.0
 LAMBERT_POINTS = [("0.3", mpf("0.3")), ("0.9", mpf("0.9")), ("0.99", mpf("0.99")),
                   ("1-2^-10", 1 - mpf(2) ** -10)]
 # q = 0.7 is the largest q of the library's default grid, where the slowest
@@ -96,12 +104,14 @@ def _timed(fn):
         gc.enable()
 
 
-def _alternate(new_fn, old_fn, runs):
-    """Times of ``runs`` calls of each, alternating which goes first."""
+def _alternate(new_fn, old_fn, runs, seconds=0.0):
+    """Times of each's calls, alternating which goes first, for at least
+    ``runs`` pairs and ``seconds`` seconds."""
     new, old = [], []
-    for i in range(runs):
+    end = time.perf_counter() + seconds
+    while len(new) < runs or time.perf_counter() < end:
         pair = [(new, new_fn), (old, old_fn)]
-        for times, fn in pair if i % 2 == 0 else pair[::-1]:
+        for times, fn in pair if len(new) % 2 == 0 else pair[::-1]:
             times.append(_timed(fn))
     return new, old
 
@@ -153,41 +163,50 @@ def _environment():
             "machine": platform.machine(), "cpus": os.cpu_count()}
 
 
-def compare_products(parent_src, rounds=3, points=PRODUCT_POINTS, runs=RUNS):
-    """product_rows on ``parent_src`` and on this tree's src, each in a fresh
-    process, ``rounds`` times with the order alternating.  Per point, each
-    time is the median over the rounds of that round's value, and each ratio
-    is parent / change."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    srcs = {"parent": parent_src, "change": os.path.join(here, os.pardir, "src")}
-    code = ("import json, kernel_bench; kernel_bench.set_precision(128); "
-            f"print(json.dumps(kernel_bench.product_rows({points!r}, {runs})))")
-    rows = {"parent": [], "change": []}
-    for i in range(rounds):
-        for tree in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join([srcs[tree], here]))
-            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                 capture_output=True, text=True).stdout
-            rows[tree].append(json.loads(out))
+def _load_tree(src, name="lambertq_against"):
+    """The lambertq package under ``src``, imported as ``name`` beside this
+    tree's own; its modules import each other relatively, so all of them
+    load under ``name``."""
+    pkg_dir = os.path.join(src, "lambertq")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg_dir, "__init__.py"), submodule_search_locations=[pkg_dir])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return importlib.import_module(name + ".identities"), importlib.import_module(name + ".qseries")
+
+
+def compare_products(parent_src, points=PRODUCT_POINTS, runs=PAIR_RUNS, seconds=PAIR_SECONDS):
+    """weighted_product_log of the package under ``parent_src`` against this
+    tree's, interleaved in this process (_alternate) at each point; each
+    ratio is parent / change."""
+    trees = {"parent": _load_tree(parent_src), "change": (identities, qseries)}
     table = []
-    for k, row in enumerate(rows["change"][0]):
-        pt = {"q": row["q"], "z": row["z"], "form": row["form"], "terms": row["terms"]}
-        for key in ("warm_s", "cold_s", "oracle_s"):
-            for tree in ("parent", "change"):
-                times = [r[k][key] for r in rows[tree]]
-                pt[f"{tree}_{key}"] = statistics.median(times)
-                pt[f"{tree}_{key[:-2]}_rounds_s"] = times
-        pt["warm_ratio"] = round(pt["parent_warm_s"] / pt["change_warm_s"], 2)
-        pt["cold_ratio"] = round(pt["parent_cold_s"] / pt["change_cold_s"], 2)
-        pt["change_oracle_ratio"] = round(pt["change_oracle_s"] / pt["change_warm_s"], 2)
-        table.append(pt)
+    for k, (q, z, form) in enumerate(points):
+        fns = {}
+        for tree, (ids, qs) in trees.items():
+            pt = qs.QPoint(mpf(q), mpc(complex(z)) if "j" in z else mpf(z))
+            g = ids._get_table("std:mobius", 1 << 15)
+            fns[tree] = (lambda qs=qs, g=g, pt=pt: qs.weighted_product_log(g, pt, form=form))
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        cold = {tree: _timed(fns[tree]) for tree in order}
+        change, parent = _alternate(fns["change"], fns["parent"], runs, seconds)
+        row = {"q": q, "z": z, "form": form, "terms": fns["change"]().terms_used,
+               "parent_warm_s": statistics.median(parent),
+               "change_warm_s": statistics.median(change),
+               "parent_cold_s": cold["parent"], "change_cold_s": cold["change"]}
+        row["warm_ratio"] = round(row["parent_warm_s"] / row["change_warm_s"], 3)
+        row["cold_ratio"] = round(row["parent_cold_s"] / row["change_cold_s"], 3)
+        row["parent_warm_runs_s"], row["change_warm_runs_s"] = parent, change
+        table.append(row)
     return {"environment": _environment(), "weighted_product_log": {
         "what": "weighted_product_log of the --against tree (parent) and of this tree "
-                "(change): product_rows in a fresh process per tree and round, %d rounds "
-                "alternating which tree goes first; each time is the median over the rounds "
-                "of a round's median of %d calls (cold: its first call)" % (rounds, runs),
+                "(change), both imported into one process; at each point the two kernels' "
+                "calls alternate, which goes first alternating too, for at least %d pairs and "
+                "%g s; each warm time is the median of its tree's calls, each cold time its "
+                "first call at the point" % (runs, seconds),
         "setup": {"g": "mobius", "forms": "A and B", "weight": "over_n", "tol": "1e-25",
-                  "precision_bits": 128},
+                  "precision_bits": mp.prec},
         "points": table}}
 
 
@@ -314,6 +333,7 @@ if __name__ == "__main__":
     if args.cold and not args.against:
         ap.error("--cold needs --against")
     if args.against:
+        set_precision(128)
         compare = compare_cold if args.cold else compare_products
         print(json.dumps(compare(args.against), indent=2))
     else:

@@ -142,26 +142,25 @@ def test_criterion_5_limit_suite(capsys):
 
 def test_criterion_6_qseries_primitives(capsys):
     t0 = time.time()
-    slack = mpf(2) ** (-mp.prec + 24)
     ok = True
     for q in (mpf("0.1"), mpf("0.3"), mpf("0.5"), mpf("0.7")):
         lhs, rhs = q_binomial_check(mpf("0.3"), mpf("0.4"), q)
-        ok = ok and abs(lhs.value - rhs.value) <= lhs.err_bound + rhs.err_bound + slack
+        ok = ok and abs(lhs.value - rhs.value) <= lhs.err_bound + rhs.err_bound
         tl, tr = triple_product(mpc("0.6", "0.8"), q)
-        ok = ok and abs(tl.value - tr.value) <= tl.err_bound + tr.err_bound + slack
+        ok = ok and abs(tl.value - tr.value) <= tl.err_bound + tr.err_bound
         for w in (1, 2):
             g = q_gamma(w, q)
-            ok = ok and abs(g.value - 1) <= g.err_bound + slack
+            ok = ok and abs(g.value - 1) <= g.err_bound
         a, b = e_q(mpf("0.5"), q), e_q_series(mpf("0.5"), q)
-        ok = ok and abs(a.value - b.value) <= a.err_bound + b.err_bound + slack
+        ok = ok and abs(a.value - b.value) <= a.err_bound + b.err_bound
         a, b = E_q(mpf(2), q), E_q_series(mpf(2), q)
-        ok = ok and abs(a.value - b.value) <= a.err_bound + b.err_bound + slack
+        ok = ok and abs(a.value - b.value) <= a.err_bound + b.err_bound
     delta = weierstrass_delta(mpc(0, 1))
     eta = dedekind_eta(mpc(0, 1))
     target = (2 * mp.pi) ** 12 * eta.value ** 24
     rel = 24 * eta.err_bound / abs(eta.value)
     ok = ok and abs(delta.value - target) <= delta.err_bound \
-        + abs(target) * mp.expm1(rel) + slack
+        + abs(target) * mp.expm1(rel)
     elapsed = time.time() - t0
     ok = ok and elapsed < 30
     criterion(capsys, 6, "q-series primitive suite (q-binomial, triple product, "

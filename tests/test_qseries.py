@@ -313,6 +313,83 @@ def test_dedekind_eta_inversion():
     assert abs(a.value - factor * b.value) <= abs(factor) * budget(a, b)
 
 
+def test_triple_product_bound_keeps_a_zero_factors_bound():
+    # at z = q^(-1/2) the factor (sqrt(q) z;q)_inf is 0 +- e; the product's
+    # bound must still hold e times the other two factors
+    q = mpf("0.4")
+    sq, z = mp.sqrt(q), 1 / mp.sqrt(q)
+    parts = [qpoch_inf_direct(x, q) for x in (q, sq * z, sq / z)]
+    assert parts[1].value == 0
+    _, rhs = triple_product(z, q)
+    for i, part in enumerate(parts):
+        others = mp.fprod(abs(p.value) for j, p in enumerate(parts) if j != i)
+        assert rhs.err_bound >= others * part.err_bound
+
+
+# each case: a call of a primitive that runs through the one quotient route
+# or a counted product bound, and its reference from mpmath, both on the same
+# inputs; the inputs are built at the working precision and the reference
+# runs at twice it
+def _qbin_ref(a, z, q):
+    return mpmath.qp(a * z, q) / mpmath.qp(z, q)
+
+
+def _triple_ref(z, q):
+    sq = mp.sqrt(q)
+    return mpmath.qp(q, q) * mpmath.qp(sq * z, q) * mpmath.qp(sq / z, q)
+
+
+def _reference_cases():
+    q3, q4, q5, q6, q7 = (mpf(x) for x in ("0.3", "0.4", "0.5", "0.6", "0.7"))
+    x3, x4, x5, x6, x8 = (mpf(x) for x in ("0.3", "0.4", "0.5", "0.6", "0.8"))
+    zc, n, a = mpc("0.2", "0.4"), mpc("0.7", "0.2"), mpc(2, 1)
+    w1, w2, w3, w4 = mpf("2.6"), mpc("0.5", "0.3"), mpf("-0.5"), mpc("-1.5", "0.5")
+    t, zero_z = mpc("0.6", "0.8"), 1 / mp.sqrt(q4)
+    return {
+        "qpoch_n-real": (lambda: qpoch_n(x8, q6, 5), lambda: mpmath.qp(x8, q6, 5)),
+        "qpoch_n-complex-z": (lambda: qpoch_n(zc, q5, 3), lambda: mpmath.qp(zc, q5, 3)),
+        "qpoch_n-complex-n": (lambda: qpoch_n(x3, q5, n),
+                              lambda: mpmath.qp(x3, q5) / mpmath.qp(x3 * q5**n, q5)),
+        "e_q-real": (lambda: e_q(x5, q7), lambda: 1 / mpmath.qp(x5, q7)),
+        "e_q-complex": (lambda: e_q(zc, q7), lambda: 1 / mpmath.qp(zc, q7)),
+        "E_q-real": (lambda: E_q(x5, q3), lambda: mpmath.qp(-x5, q3)),
+        "E_q-complex": (lambda: E_q(-zc, q7), lambda: mpmath.qp(zc, q7)),
+        "E_q-outside-unit-disc": (lambda: E_q(a, q5), lambda: mpmath.qp(-a, q5)),
+        "q_gamma-real": (lambda: q_gamma(w1, q3), lambda: mpmath.qgamma(w1, q3)),
+        "q_gamma-complex": (lambda: q_gamma(w2, q7), lambda: mpmath.qgamma(w2, q7)),
+        "q_gamma-re-w-negative": (lambda: q_gamma(w3, q3), lambda: mpmath.qgamma(w3, q3)),
+        "q_gamma-re-w-negative-complex": (lambda: q_gamma(w4, q5),
+                                          lambda: mpmath.qgamma(w4, q5)),
+        "q_binomial-real": (lambda: q_binomial_check(x3, x4, q5)[0],
+                            lambda: _qbin_ref(x3, x4, q5)),
+        "q_binomial-complex": (lambda: q_binomial_check(mpc(1, 1), zc, q3)[0],
+                               lambda: _qbin_ref(mpc(1, 1), zc, q3)),
+        "q_binomial-az-outside-unit-disc": (lambda: q_binomial_check(2, x6, q5)[0],
+                                            lambda: _qbin_ref(2, x6, q5)),
+        "q_binomial-az-outside-complex": (lambda: q_binomial_check(a, zc, q7)[0],
+                                          lambda: _qbin_ref(a, zc, q7)),
+        "triple_product-complex": (lambda: triple_product(t, q7)[1], lambda: _triple_ref(t, q7)),
+        "triple_product-real": (lambda: triple_product(2, q3)[1], lambda: _triple_ref(2, q3)),
+        "triple_product-zero": (lambda: triple_product(zero_z, q4)[1],
+                                lambda: _triple_ref(zero_z, q4)),
+        # eta(i) = Gamma(1/4) / (2 pi^(3/4))
+        "weierstrass_delta": (lambda: weierstrass_delta(mpc(0, 1)),
+                              lambda: (2 * mp.pi) ** 12
+                              * (mp.gamma(mpf(1) / 4) / (2 * mp.pi ** (mpf(3) / 4))) ** 24),
+    }
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_primitive_within_its_bound_of_twice_the_precision(case, bits):
+    with precision(bits):
+        call, ref = _reference_cases()[case]
+        sv = call()
+        with precision(2 * bits):
+            exact = ref()
+        assert abs(sv.value - exact) <= sv.err_bound
+
+
 @pytest.mark.parametrize("tau", [mpc(0, 1), mpc("0.3", "0.8")])
 def test_delta_is_eta_to_the_24(tau):
     delta = weierstrass_delta(tau)
@@ -698,6 +775,6 @@ def test_kernel_bench_runs_on_one_point():
     assert prod["form"] == "B" and prod["terms"] > 0 and len(prod["warm_runs_s"]) == 1
     assert min(prod["cold_s"], prod["warm_s"], prod["oracle_s"], prod["ratio"]) > 0
     src = os.path.join(os.path.dirname(qseries.__file__), os.pardir)
-    (ab,) = kernel_bench.compare_products(src, rounds=1, points=[("0.3", "2", "A")], runs=1)[
+    (ab,) = kernel_bench.compare_products(src, points=[("0.3", "2", "A")], runs=1, seconds=0)[
         "weighted_product_log"]["points"]
-    assert ab["terms"] > 0 and ab["parent_warm_rounds_s"] and ab["warm_ratio"] > 0
+    assert ab["terms"] > 0 and ab["parent_warm_runs_s"] and ab["warm_ratio"] > 0
