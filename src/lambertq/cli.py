@@ -40,17 +40,16 @@ SIEVE_MAX_N = 1 << 20
 
 
 def _scalar_str(v) -> str:
-    """Flat decimal-string form (exact integers verbatim)."""
+    """Flat decimal-string form (text and exact integers verbatim)."""
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
+    if isinstance(v, (int, str)):
         return str(v)
     if isinstance(v, Fraction):
         return mp.nstr(mpf(v.numerator) / v.denominator, mp.dps)
-    if isinstance(v, (complex, mpc)):
-        v = mpc(v)
+    if isinstance(v, mpc):
         re, im = mp.nstr(v.real, mp.dps), mp.nstr(v.imag, mp.dps)
         return f"{re}{'+' if not im.startswith('-') else ''}{im}j"
     return mp.nstr(mpf(v), mp.dps)
@@ -145,62 +144,45 @@ def _emit(text: str, out_path: str = "-"):
             fh.write(text)
 
 
-def _series_value_out(sv, fmt: str, extra=()):
-    rows = [("value", _scalar_str(sv.value)),
-            ("err_bound", _scalar_str(sv.err_bound)),
-            ("terms_used", str(sv.terms_used))]
-    rows.extend(extra)
+def _csv(cols, rows) -> str:
+    """RFC 4180 CSV: a header of ``cols``, then one line per row."""
+    import csv
+    import io
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _series_value_out(fields: dict, fmt: str) -> str:
+    flat = {k: _scalar_str(v) for k, v in fields.items()}
     if fmt == "json":
-        return json.dumps(dict(rows), indent=2) + "\n"
+        return json.dumps(flat, indent=2) + "\n"
     if fmt == "csv":
-        head = ",".join(k for k, _ in rows)
-        body = ",".join(f'"{v}"' if "," in v else v for _, v in rows)
-        return f"{head}\n{body}\n"
-    return "".join(f"{k} = {v}\n" for k, v in rows)
+        return _csv(flat, [flat.values()])
+    return "".join(f"{k} = {v}\n" for k, v in flat.items())
 
 
+# report fields in column order; the "passed" field is headed "pass"
 _VERIFY_COLS = ("id", "q", "z", "lhs_value", "rhs_value", "abs_diff",
-                "error_budget", "pass", "terms_used", "note")
+                "error_budget", "passed", "terms_used", "note")
 _LIMIT_COLS = ("id", "estimate", "target_value", "rel_err", "err_estimate",
-               "pass", "mode", "note")
-
-
-def _report_rows(reports, cols):
-    rows = []
-    for r in reports:
-        d = r.to_json_dict()
-        flat = {}
-        for c in cols:
-            v = d[c]
-            if isinstance(v, dict):  # complex: {"re","im"}
-                im = v["im"]
-                v = f"{v['re']}{'+' if not im.startswith('-') else ''}{im}j"
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            elif v is None:
-                v = ""
-            flat[c] = str(v)
-        rows.append(flat)
-    return rows
+               "passed", "mode", "note")
 
 
 def _reports_out(reports, cols, fmt: str) -> str:
     if fmt == "json":
         return json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
-    rows = _report_rows(reports, cols)
+    head = ["pass" if c == "passed" else c for c in cols]
+    rows = [[_scalar_str(getattr(r, c)) for c in cols] for r in reports]
     if fmt == "csv":
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(
-                f'"{row[c]}"' if ("," in row[c] or '"' in row[c]) else row[c]
-                for c in cols))
-        return "\n".join(lines) + "\n"
+        return _csv(head, rows)
     lines = []
-    for row in rows:
-        status = "PASS" if row["pass"] == "true" else "FAIL"
-        detail = " ".join(f"{c}={row[c]}" for c in cols[1:] if row[c] != "")
-        lines.append(f"[{status}] {row['id']}: {detail}")
-    return "\n".join(lines) + "\n"
+    for r, row in zip(reports, rows):
+        detail = " ".join(f"{c}={v}" for c, v in zip(head[1:], row[1:]) if v)
+        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.id}: {detail}\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -219,31 +201,26 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    fmt = args.format
     if args.what == "qpoch":
         sv = qpoch_inf_direct(_parse_number(args.z, real=False), _parse_number(args.q))
-        _emit(_series_value_out(sv, fmt))
-        return EXIT_OK
-    if args.what == "eta":
+    elif args.what == "eta":
         sv = dedekind_eta(_parse_number(args.tau, real=False))
-        _emit(_series_value_out(sv, fmt))
-        return EXIT_OK
-    pt = QPoint(_parse_number(args.q), _parse_number(args.z, real=False))
-    spec = args.fspec if args.what == "lambert" else args.gspec
-    _parse_spec(spec)
-    if args.what == "lambert":
-        kern = KernelForm(args.kernel, args.weight)
-        sv = identities._with_table(f"std:{spec}", lambda f: lambert_sum(
-            f, kern, pt, tol=args.tol, max_terms=args.max_terms))
-        _emit(_series_value_out(sv, fmt))
-        return EXIT_OK
-    # product: reports the log of the weighted product plus its exponential
-    sv = identities._with_table(f"std:{spec}", lambda g: weighted_product_log(
-        g, pt, form=args.form, weight=args.weight,
-        tol=args.tol, max_terms=args.max_terms))
-    prod = mp.exp(sv.value)
-    _emit(_series_value_out(sv, fmt,
-                            extra=(("product", _scalar_str(prod)),)))
+    else:
+        pt = QPoint(_parse_number(args.q), _parse_number(args.z, real=False))
+        spec = args.fspec if args.what == "lambert" else args.gspec
+        _parse_spec(spec)
+        if args.what == "lambert":
+            kern = KernelForm(args.kernel, args.weight)
+            sv = identities._with_table(f"std:{spec}", lambda f: lambert_sum(
+                f, kern, pt, tol=args.tol, max_terms=args.max_terms))
+        else:
+            sv = identities._with_table(f"std:{spec}", lambda g: weighted_product_log(
+                g, pt, form=args.form, weight=args.weight,
+                tol=args.tol, max_terms=args.max_terms))
+    fields = sv._asdict()
+    if args.what == "product":  # the log of the weighted product, then the product
+        fields["product"] = mp.exp(sv.value)
+    _emit(_series_value_out(fields, args.format))
     return EXIT_OK
 
 

@@ -244,26 +244,28 @@ class IdentityRecord(namedtuple(
     __slots__ = ()
 
 
+def _json_dict(report):
+    """The report's fields in order, ``passed`` written as "pass": numbers
+    and lists of numbers as decimal strings, text and ints as they are."""
+    d = {}
+    for k, v in zip(report._fields, report):
+        if isinstance(v, list):
+            v = [_dec(x) for x in v]
+        elif isinstance(v, dict):
+            v = {p: str(x) for p, x in sorted(v.items())}
+        elif not isinstance(v, (str, int)):
+            v = _dec(v)
+        d["pass" if k == "passed" else k] = v
+    return d
+
+
 class IdentityReport(namedtuple(
         "IdentityReport",
         "id q z params lhs_value rhs_value abs_diff error_budget passed "
         "terms_used note", defaults=("",))):
     __slots__ = ()
 
-    def to_json_dict(self):
-        return {
-            "id": self.id,
-            "q": _dec(self.q),
-            "z": _dec(self.z),
-            "params": {k: str(v) for k, v in sorted(self.params.items())},
-            "lhs_value": _dec(self.lhs_value),
-            "rhs_value": _dec(self.rhs_value),
-            "abs_diff": _dec(self.abs_diff),
-            "error_budget": _dec(self.error_budget),
-            "pass": self.passed,
-            "terms_used": self.terms_used,
-            "note": self.note,
-        }
+    to_json_dict = _json_dict
 
 
 class LimitReport(namedtuple(
@@ -274,33 +276,13 @@ class LimitReport(namedtuple(
 
     __slots__ = ()
 
-    def to_json_dict(self):
-        return {
-            "id": self.id,
-            "q_grid": [_dec(q) for q in self.q_grid],
-            "raw_values": [_dec(v) for v in self.raw_values],
-            "estimate": _dec(self.estimate),
-            "target_value": _dec(self.target_value),
-            "rel_err": _dec(self.rel_err),
-            "err_estimate": _dec(self.err_estimate),
-            "pass": self.passed,
-            "mode": self.mode,
-            "note": self.note,
-        }
+    to_json_dict = _json_dict
 
 
 def _dec(x):
     """Decimal-string serialization at full working precision."""
     if x is None:
         return None
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, complex):
-        x = mpc(x)
     if isinstance(x, mpc):
         return {"re": mp.nstr(x.real, mp.dps), "im": mp.nstr(x.imag, mp.dps)}
     return mp.nstr(mpf(x), mp.dps)
@@ -368,7 +350,7 @@ def verify_all(grid_q=DEFAULT_GRID_Q, grid_z=DEFAULT_GRID_Z,
     """Verify every catalog record over the grid; failures are recorded."""
     reports = []
     qs = [mpf(q) for q in grid_q]
-    zs = [mpc(complex(z)) if complex(z).imag else mpf(complex(z).real) for z in grid_z]
+    zs = [z if z.imag else z.real for z in map(mp.mpmathify, grid_z)]
     for rec in catalog():
         if rec.kind == "exact":
             reports.append(verify(rec.id))

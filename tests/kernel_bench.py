@@ -10,9 +10,7 @@ weighted_product_log takes g = mobius and weight 1/n at each (q, z, form) of
 PRODUCT_POINTS, forms A and B at every (q, z).  Both use the default
 tolerance and 128 bits.  Each kernel and its oracle run in this one process
 on the same table, alternating which goes first, and each time is the
-median of ``runs`` calls; the ratio is oracle median / kernel median.  A
-product's cold time is its first call at that point in the process, before
-the timed calls.
+median of ``runs`` calls; the ratio is oracle median / kernel median.
 
 To compare weighted_product_log with another checkout's, for instance the
 parent commit's exported to OLD:
@@ -145,10 +143,9 @@ def product_rows(points=PRODUCT_POINTS, runs=RUNS):
         def kernel():
             return weighted_product_log(g, pt, form=form)
 
-        cold = _timed(kernel)
         new, old = _alternate(kernel, lambda: oracle_weighted_product_log(g, pt, form=form), runs)
         rows.append({
-            "q": q, "z": z, "form": form, "terms": kernel().terms_used, "cold_s": cold,
+            "q": q, "z": z, "form": form, "terms": kernel().terms_used,
             "warm_s": statistics.median(new),
             "oracle_s": statistics.median(old),
             "ratio": round(statistics.median(old) / statistics.median(new), 2),
@@ -182,29 +179,24 @@ def compare_products(parent_src, points=PRODUCT_POINTS, runs=PAIR_RUNS, seconds=
     ratio is parent / change."""
     trees = {"parent": _load_tree(parent_src), "change": (identities, qseries)}
     table = []
-    for k, (q, z, form) in enumerate(points):
+    for q, z, form in points:
         fns = {}
         for tree, (ids, qs) in trees.items():
             pt = qs.QPoint(mpf(q), mpc(complex(z)) if "j" in z else mpf(z))
             g = ids._get_table("std:mobius", 1 << 15)
             fns[tree] = (lambda qs=qs, g=g, pt=pt: qs.weighted_product_log(g, pt, form=form))
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        cold = {tree: _timed(fns[tree]) for tree in order}
         change, parent = _alternate(fns["change"], fns["parent"], runs, seconds)
         row = {"q": q, "z": z, "form": form, "terms": fns["change"]().terms_used,
                "parent_warm_s": statistics.median(parent),
-               "change_warm_s": statistics.median(change),
-               "parent_cold_s": cold["parent"], "change_cold_s": cold["change"]}
+               "change_warm_s": statistics.median(change)}
         row["warm_ratio"] = round(row["parent_warm_s"] / row["change_warm_s"], 3)
-        row["cold_ratio"] = round(row["parent_cold_s"] / row["change_cold_s"], 3)
         row["parent_warm_runs_s"], row["change_warm_runs_s"] = parent, change
         table.append(row)
     return {"environment": _environment(), "weighted_product_log": {
         "what": "weighted_product_log of the --against tree (parent) and of this tree "
                 "(change), both imported into one process; at each point the two kernels' "
                 "calls alternate, which goes first alternating too, for at least %d pairs and "
-                "%g s; each warm time is the median of its tree's calls, each cold time its "
-                "first call at the point" % (runs, seconds),
+                "%g s; each warm time is the median of its tree's calls" % (runs, seconds),
         "setup": {"g": "mobius", "forms": "A and B", "weight": "over_n", "tol": "1e-25",
                   "precision_bits": mp.prec},
         "points": table}}
@@ -314,7 +306,7 @@ def main():
         "weighted_product_log": {
             "what": "weighted_product_log (fixed-point inner products) against "
                     "tests/mpf_kernels.oracle_weighted_product_log (one mpf loop per inner "
-                    "product), same process, median of %d runs; cold_s is the first call" % RUNS,
+                    "product), same process, median of %d runs" % RUNS,
             "setup": {"g": "mobius", "forms": "A and B", "weight": "over_n", "tol": "1e-25",
                       "precision_bits": mp.prec},
             "points": product_rows(),

@@ -1,5 +1,7 @@
 """Exit-code contract, output formats, and determinism of the CLI."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -231,6 +233,34 @@ def test_verify_csv_header(capsys):
     assert out.splitlines()[0].startswith("id,q,z,lhs_value")
 
 
+def test_verify_csv_quotes_the_exact_note(capsys):
+    code, out, _ = run(capsys, "verify", "EQ2.6", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].endswith(',"n<=200, g in (1, mu, phi, lambda)"')
+    head, row = csv.reader(io.StringIO(out))
+    rec = dict(zip(head, row))
+    assert rec["q"] == rec["z"] == "" and rec["pass"] == "true"
+    assert rec["note"] == "n<=200, g in (1, mu, phi, lambda)"
+
+
+def test_verify_human_line(capsys):
+    code, out, _ = run(capsys, "verify", "EQ3.1", "--q", "0.3", "--z", "1+0.5j")
+    assert code == 0 and out.count("\n") == 1
+    assert out.startswith("[PASS] EQ3.1: q=0.3 z=1.0+0.5j lhs_value=")
+    assert " pass=true terms_used=" in out and "note=" not in out
+
+
+def test_limit_csv_divergent_has_empty_targets(capsys):
+    code, out, _ = run(capsys, "limit", "EQ3.12b-lim", "--format", "csv")
+    assert code == 0
+    head, row = csv.reader(io.StringIO(out))
+    assert head == ["id", "estimate", "target_value", "rel_err", "err_estimate",
+                    "pass", "mode", "note"]
+    rec = dict(zip(head, row))
+    assert rec["id"] == "EQ3.12b-lim" and rec["estimate"] != ""
+    assert rec["target_value"] == rec["rel_err"] == rec["err_estimate"] == ""
+
+
 def test_verify_fixed_z_conflict_exits_4(capsys):
     code, _, _ = run(capsys, "verify", "INTRO-1", "--q", "0.3", "--z", "2")
     assert code == 4
@@ -301,10 +331,11 @@ argvs = [
     ["sieve", "totient", "64"],
     ["sieve", "sigma:0.5", "8"],
     ["verify", "EQ3.29", "--q", "0.5", "--z", "0.5"],
+    ["verify", "EQ3.29", "--q", "0.5", "--z", "0.5", "--format", "json"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(a) for a in argvs]
-before = sorted(m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize")
+before = sorted(m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv")
                 if m in sys.modules)
 import dataclasses, lambertq
 from lambertq import identities
@@ -320,4 +351,4 @@ def test_cold_cli_process_never_imports_dataclasses():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _COLD], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["[0,", "0,", "0,", "0,", "0]", "[]", "True", "True"]
+    assert out.split() == ["[0,", "0,", "0,", "0,", "0,", "0]", "[]", "True", "True"]

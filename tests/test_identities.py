@@ -209,6 +209,47 @@ def test_limit_report_schema():
     assert len(d["q_grid"]) == len(d["raw_values"]) >= 3
 
 
+def _json_keys(report):
+    return ["pass" if k == "passed" else k for k in report._fields]
+
+
+def test_report_json_keys_follow_field_order(monkeypatch):
+    exact = verify("EQ2.6")
+    assert list(exact.to_json_dict()) == _json_keys(exact)
+    assert exact.to_json_dict()["q"] is None and exact.to_json_dict()["pass"] is True
+
+    failed = next(r for r in verify_all(grid_q=("0.7",), grid_z=("1+0.5j",), max_terms=20)
+                  if not r.passed)
+    d = failed.to_json_dict()
+    assert list(d) == _json_keys(failed)
+    assert d["lhs_value"] is None and d["terms_used"] == 0
+    assert d["z"] == {"re": "1.0", "im": "0.5"} and d["note"].startswith("ConvergenceError")
+
+    rec = limit_targets()[0]
+
+    def fails(id, limit_tol):
+        raise ConvergenceError("no limit")
+
+    monkeypatch.setattr(idmod, "limit_targets", lambda: [rec])
+    monkeypatch.setattr(idmod, "limit_check", fails)
+    (err,) = idmod.limit_check_all()
+    d = err.to_json_dict()
+    assert list(d) == _json_keys(err)
+    assert d["mode"] == "error" and d["q_grid"] == [] and d["estimate"] is None
+    assert d["note"] == "ConvergenceError: no limit"
+
+
+def test_verify_all_parses_z_at_the_working_precision():
+    # a decimal z is read at the working precision, not rounded to a double
+    reps = [r for r in verify_all(grid_q=("0.3",), grid_z=("0.3",)) if r.z is not None]
+    assert reps and all(r.z == mpf("0.3") and isinstance(r.z, mpf) for r in reps)
+    assert {r.to_json_dict()["z"] for r in reps} == {"0.3"}
+    reps = [r for r in verify_all(grid_q=("0.3",), grid_z=("0.3+0.2j", "2+0j"))
+            if r.z is not None]
+    assert {r.z for r in reps} == {mpc("0.3", "0.2"), mpf(2)}
+    assert all(isinstance(r.z, mpf) for r in reps if r.z == 2)
+
+
 @pytest.mark.parametrize("id,expect_nonneg", [
     ("EQ3.23a", True),    # d(n^2) >= 0
     ("EQ3.25a", True),    # d(n)^2 >= 0
