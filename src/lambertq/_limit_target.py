@@ -19,7 +19,6 @@ from dataclasses import dataclass
 class LimitTarget:
     id: str
     description: str
-    expression: str
     f_key: str = ""
     form: str = "A"
     sign: int = -1

@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import islice
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import to_fixed
 
 from . import arith
 from .arith import ArithTable, build_table, custom_table, h_transform
@@ -39,11 +38,7 @@ from .qseries import (
     QPoint,
     SeriesValue,
     TableTooShortError,
-    _GUARD,
-    _from_fx,
-    _log_quot,
-    _poly_geom_tail,
-    _truncation,
+    intro_product_log,
     lambert_sum,
     weighted_product_log,
 )
@@ -229,8 +224,8 @@ def _with_table(key: str, eval_fn):
 
 class IdentityRecord(namedtuple(
         "IdentityRecord",
-        "id description lhs_spec rhs_spec domain kind g_key f_key form weight "
-        "f_weight rhs_sign closed_rhs value_space z_fixed exact_check",
+        "id description kind g_key f_key form weight f_weight rhs_sign "
+        "closed_rhs value_space z_fixed exact_check",
         defaults=("", "", "A", "over_n", "", -1, None, False, None, None))):
     """One catalog entry pairing two independently evaluated sides.
 
@@ -299,7 +294,7 @@ def _closed(value):
 def _record_sides(rec: IdentityRecord, pt: QPoint, tol, max_terms):
     """(lhs, rhs) SeriesValues oriented for comparison, each sized on its own table."""
     if rec.g_key in ("__intro3__", "__intro4__"):
-        lhs = _with_table("std:totient", lambda tot: _intro_product_log(
+        lhs = _with_table("std:totient", lambda tot: intro_product_log(
             tot, pt.q, tol, max_terms, odd_ratio=rec.g_key == "__intro4__"))
     elif rec.value_space:
         kern = KernelForm("minus", rec.weight)
@@ -422,52 +417,36 @@ _catalog_cache: list = []
 _catalog_index: dict = {}
 
 
-def _R(**kw) -> IdentityRecord:
-    return IdentityRecord(**kw)
-
-
-def _pair(id, desc, g_key, f_key, form, weight="over_n", f_weight="", sign=None,
-          domain="0<q<1, Re(z)>0"):
+def _pair(id, desc, g_key, f_key, form, weight="over_n", f_weight="", sign=None):
     if sign is None:
         sign = -1 if form == "A" else 1
-    lhs = f"qseries.weighted_product_log(g={g_key}, form={form}, weight={weight})"
-    rhs = f"{'-' if sign < 0 else '+'}qseries.lambert_sum(f={f_key}, "\
-          f"kernel={'minus' if form == 'A' else 'plus'}, weight={f_weight or weight})"
-    return _R(id=id, description=desc, lhs_spec=lhs, rhs_spec=rhs, domain=domain,
-              kind="qz", g_key=g_key, f_key=f_key, form=form, weight=weight,
-              f_weight=f_weight, rhs_sign=sign)
+    return IdentityRecord(id=id, description=desc, kind="qz", g_key=g_key, f_key=f_key,
+                          form=form, weight=weight, f_weight=f_weight, rhs_sign=sign)
 
 
 def _build_catalog():
     recs = []
 
     # warm-up Lambert series and products (asserted at z = 1)
-    recs.append(_R(
-        id="INTRO-1", description="sum mu(n) q^n/(1-q^n) = q",
-        lhs_spec="qseries.lambert_sum(f=mobius, kernel=minus, weight=plain)",
-        rhs_spec="closed: q", domain="0<q<1, z=1", kind="qz",
+    recs.append(IdentityRecord(
+        id="INTRO-1", description="sum mu(n) q^n/(1-q^n) = q", kind="qz",
         f_key="std:mobius", weight="plain", value_space=True, z_fixed=mpf(1),
         closed_rhs=lambda pt: pt.q,
     ))
-    recs.append(_R(
-        id="INTRO-2", description="sum phi(n) q^n/(1-q^n) = q/(1-q)^2",
-        lhs_spec="qseries.lambert_sum(f=totient, kernel=minus, weight=plain)",
-        rhs_spec="closed: q/(1-q)^2", domain="0<q<1, z=1", kind="qz",
+    recs.append(IdentityRecord(
+        id="INTRO-2", description="sum phi(n) q^n/(1-q^n) = q/(1-q)^2", kind="qz",
         f_key="std:totient", weight="plain", value_space=True, z_fixed=mpf(1),
         closed_rhs=lambda pt: pt.q / (1 - pt.q) ** 2,
     ))
-    recs.append(_R(
-        id="INTRO-3", description="prod (1-q^n)^(phi(n)/n) = exp(-q/(1-q))",
-        lhs_spec="custom single-factor product log with exponents phi(n)/n",
-        rhs_spec="closed log: -q/(1-q)", domain="0<q<1, z=1", kind="qz",
+    recs.append(IdentityRecord(
+        id="INTRO-3", description="prod (1-q^n)^(phi(n)/n) = exp(-q/(1-q))", kind="qz",
         g_key="__intro3__", z_fixed=mpf(1),
         closed_rhs=lambda pt: -pt.q / (1 - pt.q),
     ))
-    recs.append(_R(
+    recs.append(IdentityRecord(
         id="INTRO-4",
         description="prod over odd n ((1+q^n)/(1-q^n))^(phi(n)/n) = exp(2q/(1-q^2))",
-        lhs_spec="custom odd-index product log", rhs_spec="closed log: 2q/(1-q^2)",
-        domain="0<q<1, z=1", kind="qz", g_key="__intro4__", z_fixed=mpf(1),
+        kind="qz", g_key="__intro4__", z_fixed=mpf(1),
         closed_rhs=lambda pt: 2 * pt.q / (1 - pt.q**2),
     ))
 
@@ -493,37 +472,27 @@ def _build_catalog():
     recs.append(_pair("REM-2.14-b", "alternating form of REM-2.13-b",
                       "mu_nsq", "prod1mp2", "B"))
 
-    recs.append(_R(
+    recs.append(IdentityRecord(
         id="EQ2.6", description="triple divisor-sum equality, exact integers",
-        lhs_spec="arith: sum d f(d) mu(n/d)", rhs_spec="arith: gcd-sum of g",
-        domain="n <= 200, g in {1, mu, phi, lambda}", kind="exact",
-        exact_check=_check_eq_triple,
+        kind="exact", exact_check=_check_eq_triple,
     ))
-    recs.append(_R(
+    recs.append(IdentityRecord(
         id="EQ2.12", description="J_{a+1}(n) = gcd-sum of J_a, exact",
-        lhs_spec="arith: jordan(a+1)", rhs_spec="arith: gcd_sum_transform(jordan(a))",
-        domain="a in {1,2,3}, n <= 200", kind="exact",
-        exact_check=_check_jordan_gcd,
+        kind="exact", exact_check=_check_jordan_gcd,
     ))
-    recs.append(_R(
+    recs.append(IdentityRecord(
         id="EQ2.12-real", description="the gcd-sum identity at real order a=0.5",
-        lhs_spec="arith: jordan(1.5)", rhs_spec="arith: gcd_sum_transform(jordan(0.5))",
-        domain="a = 0.5, n <= 120", kind="exact",
-        exact_check=_check_jordan_gcd_real,
+        kind="exact", exact_check=_check_jordan_gcd_real,
     ))
 
     # Mobius family
-    recs.append(_R(
-        id="EQ3.1", description="g=mu product equals exp(-q^z/(1-q))",
-        lhs_spec="qseries.weighted_product_log(g=mobius, form=A)",
-        rhs_spec="closed log: -q^z/(1-q)", domain="0<q<1, Re(z)>0", kind="qz",
+    recs.append(IdentityRecord(
+        id="EQ3.1", description="g=mu product equals exp(-q^z/(1-q))", kind="qz",
         g_key="std:mobius",
         closed_rhs=lambda pt: -_qz(pt) / (1 - pt.q),
     ))
-    recs.append(_R(
-        id="EQ3.2", description="g=mu alternating form equals exp(q^z/(1+q))",
-        lhs_spec="qseries.weighted_product_log(g=mobius, form=B)",
-        rhs_spec="closed log: q^z/(1+q)", domain="0<q<1, Re(z)>0", kind="qz",
+    recs.append(IdentityRecord(
+        id="EQ3.2", description="g=mu alternating form equals exp(q^z/(1+q))", kind="qz",
         g_key="std:mobius", form="B",
         closed_rhs=lambda pt: _qz(pt) / (1 + pt.q),
     ))
@@ -657,35 +626,6 @@ def lookup(id: str) -> IdentityRecord:
         raise UnknownIdError(f"unknown identity id {id!r}") from None
 
 
-def _intro_product_log(tot, q, tol, max_terms, odd_ratio: bool):
-    """sum_n phi(n)/n log(1 - q^n), or over odd n phi(n)/n log((1 + q^n)/(1 -
-    q^n)), on ints at F = prec + _GUARD bits: the intro products' factors.
-
-    |log(1 -+ x)| <= x/(1-x) and phi(n)/n <= 1: the tail after N terms is at
-    most 2 q^(N+1)/(1-q)^2 = pref * _poly_geom_tail(0, q, N).  q^n, one
-    multiply and shift per n, is off by Eq = 2/(1 - q - u) units u = 2^-F
-    (lambert_sum's power lemma), which moves the log by k Eq/(1 - q - Eq u),
-    k = 1 (2 for the quotient).  The one log (_log_quot) is within its count,
-    phi(n) v_n // n is one floor, and the final rounding is 2^-prec of the sum.
-    """
-    pref = 2 * (1 - mp.sqrt(q)) / (1 - q) ** 2
-    N = _truncation(tot, pref, 0, q, tol, max_terms, "intro product", "product")
-    F = mp.prec + _GUARD
-    one, Q, qn, acc, units = 1 << F, to_fixed(q._mpf_, F), 1 << F, 0, 0.0
-    d, u = float(1 - q), math.ldexp(1, -F)
-    ein = (4 if odd_ratio else 2) / (d * (d - u) - 2 * u)
-    for n in range(1, N + 1):
-        qn = qn * Q >> F
-        if n & 1 or not odd_ratio:
-            lr, lu, _ = _log_quot(*((one + qn, one - qn, 0) if odd_ratio else (one - qn, 1, -F)), F)
-            acc += tot.values[n] * lr // n
-            units += lu + ein + 1
-    value = _from_fx(acc, 0, -F, False)
-    # 1e-9 covers the float rounding of units
-    err = mp.ldexp(units * (1 + 1e-9), -F) + mp.ldexp(abs(value), -mp.prec)
-    return SeriesValue(value, pref * _poly_geom_tail(0, q, N) + err, N)
-
-
 # ---------------------------------------------------------------------------
 # limit targets
 
@@ -750,114 +690,94 @@ def _build_limits():
     from ._limit_target import LimitTarget as _L
 
     recs = [
-        _L(id="EQ3.1a", description="scaled mu-product limit", expression="exp(-1)",
+        _L(id="EQ3.1a", description="scaled mu-product limit",
            f_key="unit_e", form="A", target_fn=lambda: mp.exp(mpf(-1))),
-        _L(id="EQ3.2a", description="alternating mu-form limit", expression="exp(1/2)",
+        _L(id="EQ3.2a", description="alternating mu-form limit",
            f_key="unit_e", form="B", sign=1, target_fn=lambda: mp.exp(mpf("0.5"))),
         _L(id="EQ3.3a", description="(-1)^omega limit",
-           expression="exp(-sum (-1)^omega(n)/n^2)",
            f_key="std:neg_one_pow_omega", form="A", target_fn=_t_3_3a),
-        _L(id="EQ3.5a", description="2^omega limit", expression="exp(-5/2)",
+        _L(id="EQ3.5a", description="2^omega limit",
            f_key="std:two_pow_omega", form="A",
            sing=((1, 2), (2, 1), (3, 0)),
            target_fn=lambda: mp.exp(mpf("-2.5"))),
         _L(id="EQ3.7a", description="log n limit",
-           expression="(2 pi e^gamma / A^12)^(pi^2/6)",
            f_key="log_n", form="A", sing=((1, 2), (2, 1), (3, 0)),
            target_fn=_t_3_7a),
         _L(id="EQ3.9a", description="von Mangoldt limit (sign-flipped)",
-           expression="A^12/(2 pi e^gamma)",
            f_key="std:mangoldt", form="A", sign=1, target_fn=_t_3_9a),
-        _L(id="EQ3.13-1", description="phi/n limit", expression="exp(-zeta(2)/zeta(3))",
+        _L(id="EQ3.13-1", description="phi/n limit",
            f_key="phi_over_n", form="A",
            target_fn=lambda: mp.exp(-zeta(2) / zeta(3))),
-        _L(id="EQ3.15a", description="n/phi limit", expression="exp(-sum 1/(n phi(n)))",
+        _L(id="EQ3.15a", description="n/phi limit",
            f_key="n_over_phi", form="A", sing=((1, 1), (2, 1), (3, 0)),
            target_fn=_t_3_15a),
         _L(id="EQ3.17a-k0.5", description="n^k limit, k=0.5",
-           expression="exp(-zeta(1.5))",
            f_key="pow:0.5", form="A",
            sing=(("0.5", 0), (1, 0), ("1.5", 0), (2, 0), ("2.5", 0)),
            target_fn=lambda: mp.exp(-zeta(mpf("1.5")))),
         _L(id="EQ3.18a-k-0.5", description="alternating n^k limit, k=-0.5",
-           expression="exp(zeta(1.5)/2)",
            f_key="pow:-0.5", form="B", sign=1,
            sing=(("0.5", 0), (1, 0), ("1.5", 0), (2, 0), ("2.5", 0)),
            target_fn=lambda: mp.exp(zeta(mpf("1.5")) / 2)),
         _L(id="EQ3.19a-k1", description="J_k/n^k limit, k=1",
-           expression="exp(-zeta(2)/zeta(3))",
            f_key="jk_over_pow:1", form="A",
            target_fn=lambda: mp.exp(-zeta(2) / zeta(3))),
         _L(id="EQ3.21a-k1", description="J_2k ratio limit, k=1",
-           expression="exp(-zeta(2) zeta(3)/zeta(6))",
            f_key="j2k_ratio:1", form="A",
            target_fn=lambda: mp.exp(-zeta(2) * zeta(3) / zeta(6))),
-        _L(id="EQ3.23a", description="d(n^2) limit", expression="exp(-5 pi^2/12)",
+        _L(id="EQ3.23a", description="d(n^2) limit",
            f_key="std:divisor_d_sq", form="A", sing=((1, 2), (2, 1), (3, 0)),
            target_fn=lambda: mp.exp(-5 * mp.pi**2 / 12)),
-        _L(id="EQ3.25a", description="d(n)^2 limit", expression="exp(-5 pi^4/72)",
+        _L(id="EQ3.25a", description="d(n)^2 limit",
            f_key="d_squared", form="A", sing=((1, 3), (2, 0), (3, 0)),
            target_fn=lambda: mp.exp(-5 * mp.pi**4 / 72)),
         _L(id="EQ3.27-1-s-1", description="sigma_s limit, s=-1",
-           expression="exp(-zeta(2) zeta(3))",
            f_key="std:sigma:-1", form="A",
            target_fn=lambda: mp.exp(-zeta(2) * zeta(3))),
         _L(id="EQ3.29-1", description="Liouville limit (sign-corrected target)",
-           expression="exp(-pi^4/90)",
            f_key="issquare", form="A",
            target_fn=lambda: mp.exp(-mp.pi**4 / 90)),
         _L(id="EQ3.30-1", description="alternating Liouville limit",
-           expression="exp(pi^2/12)",
            f_key="issquare", form="B", sign=1,
            sing=(("0.5", 0), (1, 0), ("1.5", 0), (2, 0)),
            target_fn=lambda: mp.exp(mp.pi**2 / 12)),
         _L(id="EQ3.31-1-v6", description="Ramanujan-sum limit, v=6",
-           expression="exp(-sigma_{-1}(6)) = exp(-2)",
            f_key="divides:6", form="A", target_fn=lambda: mp.exp(mpf(-2))),
         _L(id="EQ3.32-1-v4", description="alternating Ramanujan-sum limit, v=4",
-           expression="exp(d(4)/2) = exp(3/2)",
            f_key="divides:4", form="B", sign=1,
            target_fn=lambda: mp.exp(mpf("1.5"))),
-        _L(id="EQ3.33-1", description="r_2 limit", expression="exp(2 pi^2 G/3)",
+        _L(id="EQ3.33-1", description="r_2 limit",
            f_key="std:r2", form="A", sign=1, sing=((1, 1), (2, 1), (3, 0)),
            target_fn=_t_3_33_1),
-        _L(id="EQ3.43a-k1", description="mu_k limit, k=1", expression="exp(-1)",
+        _L(id="EQ3.43a-k1", description="mu_k limit, k=1",
            f_key="f_muk:1", form="A", target_fn=lambda: _t_3_43a(1)),
         _L(id="EQ3.43a-k2", description="mu_k limit, k=2",
-           expression="exp(-1 - sum (1+i)^omega(n)/n^2)",
            f_key="f_muk:2", form="A", sing=((1, 1), (2, 1), (3, 0)),
            target_fn=lambda: _t_3_43a(2)),
         _L(id="EQ3.43a-k3", description="mu_k limit, k=3",
-           expression="exp(-1 - sum (1+e^(i pi/3))^omega(n)/n^2)",
            f_key="f_muk:3", form="A", sing=((1, 1), (2, 1), (3, 0)),
            target_fn=lambda: _t_3_43a(3)),
         # stated divergence / vanishing verdicts
         _L(id="EQ3.6-lim", description="alternating |mu| form diverges",
-           expression=DIVERGES, f_key="std:two_pow_omega", form="B", sign=1,
-           verdict=DIVERGES),
+           f_key="std:two_pow_omega", form="B", sign=1, verdict=DIVERGES),
         _L(id="EQ3.8-lim", description="alternating Lambda form diverges",
-           expression=DIVERGES, f_key="log_n", form="B", sign=1, verdict=DIVERGES),
+           f_key="log_n", form="B", sign=1, verdict=DIVERGES),
         _L(id="EQ3.10-lim", description="alternating mu log form vanishes",
-           expression=TO_ZERO, f_key="std:mangoldt", form="B", sign=-1,
-           verdict=TO_ZERO),
+           f_key="std:mangoldt", form="B", sign=-1, verdict=TO_ZERO),
         _L(id="EQ3.12-lim", description="scaled phi product vanishes",
-           expression=TO_ZERO, f_key="id", form="A", verdict=TO_ZERO),
+           f_key="id", form="A", verdict=TO_ZERO),
         _L(id="EQ3.12b-lim", description="alternating phi form diverges",
-           expression=DIVERGES, f_key="id", form="B", sign=1, verdict=DIVERGES),
+           f_key="id", form="B", sign=1, verdict=DIVERGES),
         _L(id="EQ3.14-lim", description="alternating phi/n form diverges",
-           expression=DIVERGES, f_key="phi_over_n", form="B", sign=1,
-           verdict=DIVERGES),
+           f_key="phi_over_n", form="B", sign=1, verdict=DIVERGES),
         _L(id="EQ3.16-lim", description="alternating n/phi form diverges",
-           expression=DIVERGES, f_key="n_over_phi", form="B", sign=1,
-           verdict=DIVERGES),
+           f_key="n_over_phi", form="B", sign=1, verdict=DIVERGES),
         _L(id="EQ3.24-lim", description="alternating d(n^2) form diverges",
-           expression=DIVERGES, f_key="std:divisor_d_sq", form="B", sign=1,
-           verdict=DIVERGES),
+           f_key="std:divisor_d_sq", form="B", sign=1, verdict=DIVERGES),
         _L(id="EQ3.26-lim", description="alternating d(n)^2 form diverges",
-           expression=DIVERGES, f_key="d_squared", form="B", sign=1,
-           verdict=DIVERGES),
+           f_key="d_squared", form="B", sign=1, verdict=DIVERGES),
         _L(id="EQ3.34-lim", description="alternating r_2 form diverges",
-           expression=DIVERGES, f_key="std:r2", form="B", sign=1, verdict=DIVERGES),
+           f_key="std:r2", form="B", sign=1, verdict=DIVERGES),
     ]
     return recs
 

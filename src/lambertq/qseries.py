@@ -9,11 +9,13 @@ underflowing.  Tail estimates use the crude inequality
 
 Round-off.  The kernels log_qpoch_inf, qpoch_inf_direct, lambert_sum and
 weighted_product_log count their fixed-point round-off and lean on the
-unproven _roundoff cover only to round to the working precision.  qpoch_n,
-e_q, E_q, q_gamma, q_binomial_check's left side, triple_product's right
-side and weierstrass_delta count theirs on top of the kernels' bounds: one
-log and one exp of signed pairs (_qprod), or products (_product), taking
-libmp's logs and exps to be within a unit in the last place.  The cross-
+unproven _roundoff cover only to round to the working precision;
+intro_product_log, the kernel of the catalog's two introductory products,
+counts that rounding too.  qpoch_n, e_q, E_q, q_gamma, q_binomial_check's
+left side, triple_product's right side and weierstrass_delta count theirs
+on top of the kernels' bounds: one log and one exp of signed pairs
+(_qprod), or products (_product), taking libmp's logs and exps to be within
+a unit in the last place.  The cross-
 checks e_q_series, E_q_series, theta_sum and q_binomial_check's right side,
 and dedekind_eta, lean on _roundoff.
 """
@@ -1083,3 +1085,32 @@ def weighted_product_log(
     acc = _from_fx(ar, ai, -F, cplx)
     tail = pref * _poly_geom_tail(p, r, N)
     return SeriesValue(acc, tail + err_acc + _roundoff(N + inner_terms, acc), N)
+
+
+def intro_product_log(tot, q, tol, max_terms, odd_ratio: bool):
+    """sum_n phi(n)/n log(1 - q^n), or over odd n phi(n)/n log((1 + q^n)/(1 -
+    q^n)), on ints at F = prec + _GUARD bits: the intro products' factors.
+
+    |log(1 -+ x)| <= x/(1-x) and phi(n)/n <= 1: the tail after N terms is at
+    most 2 q^(N+1)/(1-q)^2 = pref * _poly_geom_tail(0, q, N).  q^n, one
+    multiply and shift per n, is off by Eq = 2/(1 - q - u) units u = 2^-F
+    (lambert_sum's power lemma), which moves the log by k Eq/(1 - q - Eq u),
+    k = 1 (2 for the quotient).  The one log (_log_quot) is within its count,
+    phi(n) v_n // n is one floor, and the final rounding is 2^-prec of the sum.
+    """
+    pref = 2 * (1 - mp.sqrt(q)) / (1 - q) ** 2
+    N = _truncation(tot, pref, 0, q, tol, max_terms, "intro product", "product")
+    F = mp.prec + _GUARD
+    one, Q, qn, acc, units = 1 << F, to_fixed(q._mpf_, F), 1 << F, 0, 0.0
+    d, u = float(1 - q), math.ldexp(1, -F)
+    ein = (4 if odd_ratio else 2) / (d * (d - u) - 2 * u)
+    for n in range(1, N + 1):
+        qn = qn * Q >> F
+        if n & 1 or not odd_ratio:
+            lr, lu, _ = _log_quot(*((one + qn, one - qn, 0) if odd_ratio else (one - qn, 1, -F)), F)
+            acc += tot.values[n] * lr // n
+            units += lu + ein + 1
+    value = _from_fx(acc, 0, -F, False)
+    # 1e-9 covers the float rounding of units
+    err = mp.ldexp(units * (1 + 1e-9), -F) + mp.ldexp(abs(value), -mp.prec)
+    return SeriesValue(value, pref * _poly_geom_tail(0, q, N) + err, N)

@@ -1,11 +1,13 @@
 """Acceptance suite: seven criteria, one pass/fail line each."""
 
+import hashlib
 import math
 import time
 
 import pytest
 from mpmath import mp, mpf, mpc
 
+from lambertq import cli
 from lambertq import identities as idmod
 from lambertq.arith import FunctionId, build_table, primes
 from lambertq.cli import main as cli_main
@@ -125,19 +127,28 @@ def test_criterion_4_classical_sums(capsys):
     criterion(capsys, 4, "classical Dirichlet-sum evaluations", ok, "; ".join(detail))
 
 
+# sha256 of `verify all --format json` and `limit all --format json` at 128
+# bits; an intended output change updates them and says why in CHANGES.md
+_VERIFY_ALL_SHA256 = "1ccfe80535b94f50ac1933ff7b1640a3aa491aedbec2b58c42a1cce213b252d1"
+_LIMIT_ALL_SHA256 = "8f38a8772b7ae6b7b2a9ba02f07b97050e9ab7711a5a7905ac68fc1191bdf3e2"
+
+
 def test_criterion_5_limit_suite(capsys):
     t0 = time.time()
     reports = idmod.limit_check_all()
     elapsed = time.time() - t0
+    out = cli._reports_out(reports, cli._LIMIT_COLS, "json")
+    digest = hashlib.sha256(out.encode()).hexdigest()
     bad = [(r.id, r.mode, str(r.rel_err)) for r in reports if not r.passed]
     named = {"EQ3.1a", "EQ3.2a", "EQ3.5a", "EQ3.7a", "EQ3.9a", "EQ3.13-1",
              "EQ3.17a-k0.5", "EQ3.19a-k1", "EQ3.21a-k1", "EQ3.23a",
              "EQ3.25a", "EQ3.27-1-s-1", "EQ3.29-1", "EQ3.30-1",
              "EQ3.31-1-v6", "EQ3.32-1-v4", "EQ3.33-1"}
-    ok = named <= {r.id for r in reports} and not bad and elapsed < 600
+    ok = (named <= {r.id for r in reports} and not bad and elapsed < 600
+          and digest == _LIMIT_ALL_SHA256)
     criterion(capsys, 5, "q->1 limit suite (extrapolated targets and divergence "
                  "verdicts)", ok,
-              f"{len(reports)} records, failures {bad}, {elapsed:.1f}s")
+              f"{len(reports)} records, failures {bad}, {elapsed:.1f}s, sha256 {digest[:12]}")
 
 
 def test_criterion_6_qseries_primitives(capsys):
@@ -174,6 +185,7 @@ def test_criterion_7_determinism(capsys):
         captured = capsys.readouterr()
         outs.append(captured.out.encode())
         assert code == 0
-    ok = outs[0] == outs[1] and len(outs[0]) > 0
+    digest = hashlib.sha256(outs[0]).hexdigest()
+    ok = outs[0] == outs[1] and len(outs[0]) > 0 and digest == _VERIFY_ALL_SHA256
     criterion(capsys, 7, "byte-identical repeated `verify all --format json` runs",
-              ok, f"{len(outs[0])} bytes")
+              ok, f"{len(outs[0])} bytes, sha256 {digest[:12]}")

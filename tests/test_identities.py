@@ -1,5 +1,6 @@
 """Catalog integrity, verification reports, and the limit engine."""
 
+import ast
 import hashlib
 import json
 from fractions import Fraction
@@ -52,6 +53,23 @@ def test_limit_targets_cover_both_kinds():
     recs = limit_targets()
     assert sum(1 for r in recs if r.verdict) >= 8
     assert sum(1 for r in recs if not r.verdict) >= 17
+
+
+def test_catalog_leaves_the_fixed_point_format_to_qseries():
+    # F = prec + _GUARD and the int kernels stay behind qseries' public names
+    with open(idmod.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("mpmath.libmp") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            assert not (node.module or "").startswith("mpmath.libmp")
+            assert not (node.module == "mpmath" and "libmp" in names)
+            if node.module in ("qseries", "lambertq.qseries") or "qseries" in names:
+                assert not [n for n in names if n.startswith("_")], names
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert not (node.value.id == "qseries" and node.attr.startswith("_"))
 
 
 # ---------------------------------------------------------------------------

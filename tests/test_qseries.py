@@ -340,13 +340,15 @@ def _triple_ref(z, q):
 
 
 def _reference_cases():
-    q3, q4, q5, q6, q7 = (mpf(x) for x in ("0.3", "0.4", "0.5", "0.6", "0.7"))
+    q3, q4, q5, q6, q7, q9 = (mpf(x) for x in ("0.3", "0.4", "0.5", "0.6", "0.7", "0.9"))
     x3, x4, x5, x6, x8 = (mpf(x) for x in ("0.3", "0.4", "0.5", "0.6", "0.8"))
     zc, n, a = mpc("0.2", "0.4"), mpc("0.7", "0.2"), mpc(2, 1)
     w1, w2, w3, w4 = mpf("2.6"), mpc("0.5", "0.3"), mpf("-0.5"), mpc("-1.5", "0.5")
     t, zero_z = mpc("0.6", "0.8"), 1 / mp.sqrt(q4)
     return {
         "qpoch_n-real": (lambda: qpoch_n(x8, q6, 5), lambda: mpmath.qp(x8, q6, 5)),
+        "qpoch_n-n-zero": (lambda: qpoch_n(x3, q5, 0), lambda: mpf(1)),
+        "qpoch_n-q-0.9": (lambda: qpoch_n(x5, q9, 3), lambda: mpmath.qp(x5, q9, 3)),
         "qpoch_n-complex-z": (lambda: qpoch_n(zc, q5, 3), lambda: mpmath.qp(zc, q5, 3)),
         "qpoch_n-complex-n": (lambda: qpoch_n(x3, q5, n),
                               lambda: mpmath.qp(x3, q5) / mpmath.qp(x3 * q5**n, q5)),

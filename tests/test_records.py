@@ -28,8 +28,7 @@ RECORDS = [
     (SeriesValue, {"value": mpf(1), "err_bound": mpf("1e-30"), "terms_used": 7}, {},
      {"terms_used": 8}),
     (IdentityRecord,
-     {"id": "X", "description": "d", "lhs_spec": "l", "rhs_spec": "r",
-      "domain": "0<q<1", "kind": "qz"},
+     {"id": "X", "description": "d", "kind": "qz"},
      {"g_key": "", "f_key": "", "form": "A", "weight": "over_n", "f_weight": "",
       "rhs_sign": -1, "closed_rhs": None, "value_space": False, "z_fixed": None,
       "exact_check": None},
@@ -44,7 +43,7 @@ RECORDS = [
       "target_value": mpf(2), "rel_err": mpf(0), "err_estimate": mpf("1e-9"),
       "passed": True, "mode": "extrapolation"},
      {"note": ""}, {"mode": "bracket"}),
-    (identities.LimitTarget, {"id": "X", "description": "d", "expression": "e"},
+    (identities.LimitTarget, {"id": "X", "description": "d"},
      {"f_key": "", "form": "A", "sign": -1, "verdict": "", "target_fn": None,
       "sing": ()},
      {"sign": 1}),
