@@ -8,6 +8,7 @@ spec parse error (including unknown catalog ids); 3 arithmetic overflow;
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -226,6 +227,9 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.id == "all":
+        if args.q is not None or args.z is not None:
+            raise ParseError("parse error: verify all runs the default grid; "
+                             "--q and --z apply to one record only")
         reports = identities.verify_all(tol=args.tol, max_terms=args.max_terms)
     else:
         q = _parse_number(args.q) if args.q is not None else None
@@ -275,5 +279,19 @@ def main(argv=None) -> int:
         return EXIT_CONVERGENCE
 
 
+def run(argv=None) -> int:
+    """Process entry of the ``lambertq`` script and ``python -m lambertq.cli``.
+
+    Returns main(argv) and then freezes the garbage collector, so that the
+    collections run at interpreter shutdown skip the ~18k objects mpmath and
+    lambertq leave tracked (about a tenth of a quick call).  main itself
+    has no process-wide effect: it is the in-process API.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -7,11 +7,11 @@ exponentiated once at the boundary, which keeps exponents like (2n-1)^2 from
 underflowing.  Tail estimates use the crude inequality
 1/(1 -+ q^n) <= 1/(1-q): certified correctness over tightness.
 
-Round-off.  The kernels log_qpoch_inf, qpoch_inf_direct, lambert_sum and
-weighted_product_log count their fixed-point round-off and lean on the
-unproven _roundoff cover only to round to the working precision;
+Round-off.  The kernels log_qpoch_inf, lambert_sum and weighted_product_log
+count their fixed-point round-off and lean on the unproven _roundoff cover
+only to round to the working precision; qpoch_inf_direct and
 intro_product_log, the kernel of the catalog's two introductory products,
-counts that rounding too.  qpoch_n, e_q, E_q, q_gamma, q_binomial_check's
+count that rounding too.  qpoch_n, e_q, E_q, q_gamma, q_binomial_check's
 left side, triple_product's right side and weierstrass_delta count theirs
 on top of the kernels' bounds: one log and one exp of signed pairs
 (_qprod), or products (_product), taking libmp's logs and exps to be within
@@ -562,20 +562,23 @@ def _product(parts):
     return SeriesValue(val, _MARGIN * err, sum(p.terms_used for p in parts))
 
 
-def qpoch_inf_direct(a, q, rel_tol=None) -> SeriesValue:
+def qpoch_inf_direct(a, q) -> SeriesValue:
     """(a;q)_inf by direct factor multiplication; works for any a.
 
     Used where |a| >= 1 rules out the log-series path (e.g. the q^(1/2)/z
     factor of the triple product) and by the eta/theta evaluators, with
     complex q.  The certified bound is relative and is converted to an
-    absolute one on the returned value.
+    absolute one on the returned value.  The value is the fixed-point product
+    P rounded once to nearest, off by at most 2^-prec |P| (each component by
+    2^-prec of itself); 2^(1-prec) |value| covers that and the rounding of
+    the bound.
     """
     q = q if isinstance(q, (mpf, mpc)) else mpf(q)
     a = a if isinstance(a, (mpf, mpc)) else mpf(a)
     absq = abs(q)
     if not absq < 1:
         raise DomainError(f"|q| must be < 1, got {absq}")
-    rel_tol = mpf(2) ** (-mp.prec + 2) if rel_tol is None else mpf(rel_tol)
+    rel_tol = mpf(2) ** (-mp.prec + 2)
     absa = abs(a)
 
     # once |a q^n| <= 1/2: |log prod_tail| <= sum 2|a q^j| <= 2|a q^n|/(1-|q|)
@@ -597,7 +600,7 @@ def qpoch_inf_direct(a, q, rel_tol=None) -> SeriesValue:
         fx_err = mp.exp(absa / (1 - absq)) * mp.expm1(mp.ldexp(2 * n * (ew + 2), -F))
     else:
         fx_err = abs(prod) * mp.expm1(mp.ldexp(2 * units, -F))
-    err = abs(prod) * mp.expm1(logtail) + fx_err + _roundoff(n, prod)
+    err = abs(prod) * (mp.expm1(logtail) + mp.ldexp(1, 1 - mp.prec)) + fx_err
     return SeriesValue(prod, err, n)
 
 

@@ -1,6 +1,7 @@
 """Exit-code contract, output formats, and determinism of the CLI."""
 
 import csv
+import gc
 import io
 import json
 import os
@@ -215,6 +216,14 @@ def test_verify_unknown_id_exits_2(capsys):
     assert code == 2 and "unknown" in err.lower()
 
 
+@pytest.mark.parametrize("point", [("--q", "0.9"), ("--z", "0.5"),
+                                   ("--q", "0.9", "--z", "0.5")])
+def test_verify_all_rejects_a_point(capsys, point):
+    code, out, err = run(capsys, "verify", "all", *point)
+    assert code == 2 and out == ""
+    assert "parse error" in err and "--q" in err and "--z" in err
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "THM-2.2", "--q", "0.3", "--z", "2",
                        "--format", "json")
@@ -352,3 +361,37 @@ def test_cold_cli_process_never_imports_dataclasses():
     out = subprocess.run([sys.executable, "-c", _COLD], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["[0,", "0,", "0,", "0,", "0,", "0]", "[]", "True", "True"]
+
+
+# one argv for each exit code the process can give
+_PROCESS_ARGVS = [
+    ["eval", "qpoch", "--z", "0.5", "--q", "0.5", "--format", "json"],
+    ["limit", "EQ3.13-1", "--limit-tol", "1e-9"],
+    ["verify", "all", "--q", "0.9", "--z", "0.5"],
+    ["sieve", "mobius", "0"],
+    ["eval", "lambert", "--f", "divisor_d", "--q", "0.99", "--z", "1", "--max-terms", "50"],
+]
+
+
+def test_process_entry_matches_in_process_main(capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("LAMBERTQ_PRECISION_BITS", None)
+    codes = []
+    for argv in _PROCESS_ARGVS:
+        proc = subprocess.run([sys.executable, "-m", "lambertq.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+        codes.append(proc.returncode)
+    assert codes == [0, 1, 2, 4, 5]
+
+
+def test_only_the_process_entry_freezes_the_collector(capsys):
+    assert gc.get_freeze_count() == 0
+    assert main(["sieve", "mobius", "3"]) == 0
+    assert gc.get_freeze_count() == 0
+    try:
+        assert cli.run(["sieve", "mobius", "3"]) == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()

@@ -142,6 +142,27 @@ def test_kernels_fail_at_once_beyond_the_term_cap():
     assert time.perf_counter() - t0 < 2
 
 
+# near q = 1 the product is far below 1 in modulus (1e-1104 at a = 2,
+# q = 0.999), so only a bound relative to the value certifies anything
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("a, q", [("0.5", "0.99"), ("0.5", "0.999"), ("2", "0.999"),
+                                  ("-0.5", "0.99"), ("0.3+0.2j", "0.9"), ("-3.5", "0.4")])
+def test_qpoch_direct_bound_is_relative(a, q, bits):
+    with precision(bits):
+        a, q = mp.mpmathify(a), mpf(q)
+        sv = qpoch_inf_direct(a, q)
+        with precision(2 * bits):
+            ref = qpoch_inf_direct(a, q)
+        assert abs(sv.value - ref.value) + ref.err_bound <= sv.err_bound
+        assert sv.err_bound <= mp.ldexp(abs(sv.value), 28 - bits)
+
+
+def test_primitives_through_the_direct_product_keep_the_counted_scale():
+    # q^w with w < 0, and a z with |a z| > 1, leave the unit disc
+    assert q_gamma(mpf("-0.5"), mpf("0.3")).err_bound < 1e-37
+    assert q_binomial_check(2, mpf("0.6"), mpf("0.5"))[0].err_bound < 1e-37
+
+
 def _in_window(v, lt):
     """logb = v lies within _first_term's rounding window of lt."""
     return abs(v - lt) <= 1e-9 * (abs(lt) + abs(v) + 1)
@@ -723,7 +744,7 @@ def test_split_complex_product_against_mpf_loop(form):
 # _log_qpoch took its real quotient of plain ints, which kept every bit
 _KERNEL_DIGESTS = {
     "log_qpoch_inf": "cc8b110d838c5053cdcec18a9258b682cc3e6b31ed5a8b3e074d4494277ce114",
-    "qpoch_inf_direct": "77979defdf863b3ed306207937cb090c07a8b629bd05736bd54a9febebd05357",
+    "qpoch_inf_direct": "1c7cfb1f61f101c6d67dbcf04728ef05a69520c97c6adbf5c85c07bd72786646",
     "lambert_sum": "17b0008e62ffb7ea8971758fd917a5f5945a9fba9a87fc378c84a909fa961caa",
     "weighted_product_log": "71790e95eaef0eb637e2ee2e2811b3182ecd22c890e25b0dcda1c062e45bd2b9",
 }
