@@ -2,8 +2,8 @@
 two workhorse evaluators (Lambert-type sums and weighted log-products).
 
 Every evaluator returns a :class:`SeriesValue` carrying a rigorous absolute
-bound on the discarded tail.  Products are handled in log space and
-exponentiated once at the boundary, which keeps exponents like (2n-1)^2 from
+bound on the discarded tail.  Products are handled in log space or with a
+running binary exponent, which keeps exponents like (2n-1)^2 from
 underflowing.  Tail estimates use the crude inequality
 1/(1 -+ q^n) <= 1/(1-q): certified correctness over tightness.
 
@@ -12,12 +12,12 @@ count their fixed-point round-off and lean on the unproven _roundoff cover
 only to round to the working precision; qpoch_inf_direct and
 intro_product_log, the kernel of the catalog's two introductory products,
 count that rounding too.  qpoch_n, e_q, E_q, q_gamma, q_binomial_check's
-left side, triple_product's right side and weierstrass_delta count theirs
-on top of the kernels' bounds: one log and one exp of signed pairs
-(_qprod), or products (_product), taking libmp's logs and exps to be within
-a unit in the last place.  The cross-
-checks e_q_series, E_q_series, theta_sum and q_binomial_check's right side,
-and dedekind_eta, lean on _roundoff.
+left side, triple_product's right side, dedekind_eta and weierstrass_delta
+are direct products (_direct, which carries the error of a computed
+argument such as z q^n through every factor) combined by _product and
+_quotient, which count each rounding, taking mpmath's log, exp and pi to be
+within two units in the last place.  The cross-checks e_q_series,
+E_q_series, theta_sum and q_binomial_check's right side lean on _roundoff.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import islice
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import (
-    from_man_exp, mpc_exp, mpc_log, mpf_exp, mpf_log, round_nearest, to_fixed, to_float,
+    from_man_exp, mpc_log, mpf_log, round_nearest, to_fixed, to_float,
 )
 
 from .arith import ArithTable
@@ -296,7 +296,7 @@ def _fx_product(z, q, J, F, flush):
     return pieces, smin
 
 
-def _factor_error(J, lq, absw, smin, F, ew0=1.0, eq0=1.0):
+def _factor_error(J, lq, absw, smin, F, ew0, eq0):
     """Round-off of a J-factor product loop, in units of 2^-F.
 
     lq is log |q| as a float.  The inputs w and q are off by at most ew0 and
@@ -312,6 +312,10 @@ def _factor_error(J, lq, absw, smin, F, ew0=1.0, eq0=1.0):
         return None, ew
     d = 2 + F - smin  # beyond float range only above 1000 bits of precision
     return J * ((math.ldexp if d < 1000 else mp.ldexp)(ew, d) + 2), ew
+
+
+def _zero_factor(name):
+    return ConvergenceError(f"{name}: a factor 1 - z q^j is within round-off of 0")
 
 
 def _log1m(tr, ti, F):
@@ -419,7 +423,7 @@ def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
             p, e, smin = _fx_real(w[0], b[0], J, F)
         fe, _ = _factor_error(J, lb, 1.0, smin, F, ew, eb)  # |w_k| < 1
         if fe is None:
-            raise ConvergenceError(f"{name}: a factor 1 - z q^j is within round-off of 0")
+            raise _zero_factor(name)
         Js.append(J)
         units += 2 * fe
         if not cplx:
@@ -465,27 +469,14 @@ def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
 # ---------------------------------------------------------------------------
 # q-Pochhammer primitives
 
-def _log_pochs(pairs, q, tol, name):
-    """sum_k s_k log (w_k; q)_inf by one _log_qpoch call, for ``pairs`` of
-    (s_k = +-1, w_k, ew_k) with |w_k|, |q| < 1: w_k at F = prec + _GUARD bits
-    is off by ew_k units of 2^-F (1 if w_k is exact), sequence k stops at the
-    first J_k with _qpoch_tail <= tol, and w_k = 0 adds nothing.  Returns
-    _log_qpoch's (re, im, Js, units, absval), the summed tails and cplx."""
-    q = q if isinstance(q, (mpf, mpc)) else mpf(q)
-    absq, F, seqs, absws = abs(q), mp.prec + _GUARD, [], []
+def _disc(q, w, name):
+    """(|q|, |w|) after checking that both are below 1."""
+    absq, absw = abs(q), abs(w)
     if not absq < 1:
         raise DomainError(f"|q| must be < 1, got {absq}")
-    for s, w, ew in pairs:
-        absw = abs(w)
-        if not absw < 1:
-            raise DomainError(f"{name} requires |z| < 1, got |z|={absw}")
-        if w:
-            seqs.append((s, _fx(w, F), _ln(absw), -_ln1m(absq) - _ln1m(absw), ew))
-            absws.append(absw)
-    out = _log_qpoch(seqs, _fx(q, F), _ln(absq), _ln(tol), F, 1.0,
-                     lambda k, j: _qpoch_tail(absws[k], absq, j) <= tol, name)
-    return (*out, sum(_qpoch_tail(a, absq, J) for a, J in zip(absws, out[2])),
-            isinstance(q, mpc) or any(isinstance(w, mpc) for _, w, _ in pairs))
+    if not absw < 1:
+        raise DomainError(f"{name} requires |z| < 1, got |z|={absw}")
+    return absq, absw
 
 
 def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
@@ -495,39 +486,23 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
     |z| |q|^J / ((1-|q|)(1-|z|)), and the term count J is the first at which
     it is <= tol, found before the fixed-point product loop runs.  A long
     complex product is logged in pieces before its argument can wrap, so the
-    principal branch is preserved (_log_qpoch).  This is the one-pair front
-    of _log_pochs; its rounding to the working precision is inside _roundoff.
+    principal branch is preserved (_log_qpoch).  Its rounding to the working
+    precision is inside _roundoff.
     """
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
     tol = mpf(2) ** (-mp.prec) if tol is None else mpf(tol)
-    re, im, Js, units, absval, tail, cplx = _log_pochs([(1, z, 1.0)], q, tol, "log_qpoch_inf")
-    if not Js:  # z = 0
+    q = q if isinstance(q, (mpf, mpc)) else mpf(q)
+    absq, absz = _disc(q, z, "log_qpoch_inf")
+    if not z:
         return SeriesValue(mpf(0), mpf(0), 0)
-    units += _roundoff_units(Js[0], absval)
+    F = mp.prec + _GUARD
+    re, im, (J,), units, absval = _log_qpoch(
+        [(1, _fx(z, F), _ln(absz), -_ln1m(absq) - _ln1m(absz), 1.0)], _fx(q, F), _ln(absq),
+        _ln(tol), F, 1.0, lambda k, j: _qpoch_tail(absz, absq, j) <= tol, "log_qpoch_inf")
+    units += _roundoff_units(J, absval)
     # 1e-9 covers the float rounding of units
-    err = tail + mp.ldexp(units * (1 + 1e-9), -mp.prec)
-    return SeriesValue(_from_fx(re, im, -mp.prec - _GUARD, cplx), err, Js[0])
-
-
-def _qprod(pairs, q, name, shift=(0, 0, 0.0)):
-    """prod_k (w_k; q)_inf^(s_k) e^c: one log of ``pairs`` by _log_pochs at
-    tol 2^-prec, as in log_qpoch_inf, plus c = (cr + i ci) 2^-F off by ec
-    units of 2^-F (``shift``), and one exp.  mpf_exp and mpc_exp take the
-    log x exactly and round once after guard bits (mpc_exp: one product per
-    component), within 2^(1-prec) |e^x|; r = 2^(2-prec) is counted, as
-    _log_qpoch counts its logs.  The log's error moves e^x by |e^x|
-    expm1(logerr), and |e^x| <= |value|/(1 - r).  _MARGIN covers the
-    rounding of the bound."""
-    (cr, ci, ec), prec, F = shift, mp.prec, mp.prec + _GUARD
-    re, im, Js, units, _, tail, cplx = _log_pochs(pairs, q, mp.ldexp(1, -prec), name)
-    x = from_man_exp(re + cr, -F)
-    if cplx or ci:
-        v = mp.make_mpc(mpc_exp((x, from_man_exp(im + ci, -F)), prec, round_nearest))
-    else:
-        v = mp.make_mpf(mpf_exp(x, prec, round_nearest))
-    logerr = tail + mp.ldexp((units + ec / (1 << _GUARD)) * (1 + 1e-9), -prec)
-    r = mp.ldexp(1, 2 - prec)
-    return SeriesValue(v, _MARGIN * abs(v) * (mp.expm1(logerr) + r) / (1 - r), sum(Js))
+    err = _qpoch_tail(absz, absq, J) + mp.ldexp(units * (1 + 1e-9), -mp.prec)
+    return SeriesValue(_from_fx(re, im, -F, isinstance(q, mpc) or isinstance(z, mpc)), err, J)
 
 
 def _qpow(z, q, n):
@@ -562,23 +537,42 @@ def _product(parts):
     return SeriesValue(val, _MARGIN * err, sum(p.terms_used for p in parts))
 
 
+def _quotient(num, den, pole):
+    """num/den for SeriesValues a +- e_a over b +- e_b, off by (e_a + |a/b|
+    e_b)/(|b| - e_b) and by 2^-prec |a/b| for its rounding; raises ``pole``
+    if |b| <= e_b.  _MARGIN covers the rounding of the bound."""
+    if abs(den.value) <= den.err_bound:
+        raise pole
+    val = num.value / den.value
+    err = (num.err_bound + abs(val) * den.err_bound) / (abs(den.value) - den.err_bound)
+    return SeriesValue(val, _MARGIN * (err + mp.ldexp(abs(val), -mp.prec)),
+                       num.terms_used + den.terms_used)
+
+
 def qpoch_inf_direct(a, q) -> SeriesValue:
     """(a;q)_inf by direct factor multiplication; works for any a.
 
-    Used where |a| >= 1 rules out the log-series path (e.g. the q^(1/2)/z
-    factor of the triple product) and by the eta/theta evaluators, with
-    complex q.  The certified bound is relative and is converted to an
-    absolute one on the returned value.  The value is the fixed-point product
-    P rounded once to nearest, off by at most 2^-prec |P| (each component by
-    2^-prec of itself); 2^(1-prec) |value| covers that and the rounding of
-    the bound.
+    The one route of the q-product primitives, through its core _direct,
+    and of triple_product; a and q may be complex.  The certified bound is
+    relative and is converted to an absolute one on the returned value.  The
+    value is the fixed-point product P rounded once to nearest, off by at
+    most 2^-prec |P| (each component by 2^-prec of itself); 2^(1-prec)
+    |value| covers that and the rounding of the bound.
     """
+    return _direct(a, q, "qpoch_inf_direct", tail=2)
+
+
+def _direct(a, q, name, ew0=1.0, eq0=1.0, tail=0):
+    """qpoch_inf_direct(a, q) for an a and a q off by at most ew0 and eq0
+    units of 2^-F, F = prec + _GUARD (1.0 if exact, as _fx truncates), which
+    _factor_error carries through every factor, and a tail whose bound on
+    the log is at most 2^(tail - prec).  ``name`` is the caller's, for errors."""
     q = q if isinstance(q, (mpf, mpc)) else mpf(q)
     a = a if isinstance(a, (mpf, mpc)) else mpf(a)
     absq = abs(q)
     if not absq < 1:
         raise DomainError(f"|q| must be < 1, got {absq}")
-    rel_tol = mpf(2) ** (-mp.prec + 2)
+    rel_tol = mpf(2) ** (-mp.prec + tail)
     absa = abs(a)
 
     # once |a q^n| <= 1/2: |log prod_tail| <= sum 2|a q^j| <= 2|a q^n|/(1-|q|)
@@ -587,14 +581,13 @@ def qpoch_inf_direct(a, q) -> SeriesValue:
         return absw <= _HALF and 2 * absw / (1 - absq) <= rel_tol
 
     n = _linear_terms(_ln(absa), _ln(absq),
-                      min(-_LN2, _ln(rel_tol) + _ln1m(absq) - _LN2), holds,
-                      "qpoch_inf_direct")
+                      min(-_LN2, _ln(rel_tol) + _ln1m(absq) - _LN2), holds, name)
     logtail = 2 * absa * absq**n / (1 - absq)
     F = mp.prec + _GUARD
     pieces, smin = _fx_product(_fx(a, F), _fx(q, F), n, F, math.inf)
     pr, pi, e = pieces[0]
     prod = _from_fx(pr, pi, e, isinstance(a, mpc) or isinstance(q, mpc))
-    units, ew = _factor_error(n, _ln(absq), absa, smin, F)
+    units, ew = _factor_error(n, _ln(absq), absa, smin, F, ew0, eq0)
     if units is None:
         # a factor within round-off of 0: every factor is at most 1 + |a q^j|
         fx_err = mp.exp(absa / (1 - absq)) * mp.expm1(mp.ldexp(2 * n * (ew + 2), -F))
@@ -605,18 +598,24 @@ def qpoch_inf_direct(a, q) -> SeriesValue:
 
 
 def qpoch_n(z, q, n) -> SeriesValue:
-    """(z;q)_n = (z;q)_inf / (z q^n;q)_inf; the index n may be any complex.
-    One quotient of the sequences z and z q^n (_qpow), |z|, |z q^n| < 1."""
+    """(z;q)_n = (z;q)_inf / (z q^n;q)_inf, |z|, |z q^n| < 1, for any complex
+    index n; z q^n enters with the error _qpow works out."""
     q = mpf(q)
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
     zqn, ew = _qpow(z, q, n if isinstance(n, (mpf, mpc)) else mpf(n))
-    return _qprod([(1, z, 1.0), (-1, zqn, 2 + ew)], q, "qpoch_n")
+    _disc(q, z, "qpoch_n")
+    _disc(q, zqn, "qpoch_n")
+    return _quotient(_direct(z, q, "qpoch_n"), _direct(zqn, q, "qpoch_n", 2 + ew),
+                     _zero_factor("qpoch_n"))
 
 
 def e_q(z, q) -> SeriesValue:
     """Euler q-exponential e_q(z) = 1/(z;q)_inf, |z| < 1 (product form)."""
+    q = q if isinstance(q, (mpf, mpc)) else mpf(q)
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    return _qprod([(-1, z, 1.0)], q, "e_q")
+    _disc(q, z, "e_q")
+    return _quotient(SeriesValue(mpf(1), mpf(0), 0), _direct(z, q, "e_q"),
+                     _zero_factor("e_q"))
 
 
 def _series_start(z, q, tol, name):
@@ -653,10 +652,10 @@ def e_q_series(z, q, tol=None) -> SeriesValue:
 
 
 def E_q(z, q) -> SeriesValue:
-    """Euler q-exponential E_q(z) = (-z;q)_inf, entire in z."""
+    """Euler q-exponential E_q(z) = (-z;q)_inf, entire in z (direct product)."""
     q = mpf(q)
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    return _qprod([(1, -z, 1.0)], q, "E_q") if abs(z) < 1 else qpoch_inf_direct(-z, q)
+    return _direct(-z, q, "E_q")
 
 
 def E_q_series(z, q, tol=None) -> SeriesValue:
@@ -685,8 +684,7 @@ def q_binomial_check(a, z, q, tol=None):
     """Both sides of (az;q)_inf/(z;q)_inf = sum (a;q)_n/(q;q)_n z^n, |z| < 1.
 
     Returns (lhs, rhs) as SeriesValues computed by independent routes.  The
-    left side, with az exact, is the quotient of the sequences az and z, or
-    qpoch_inf_direct(az) times e_q(z) if |az| >= 1.
+    left side, with az exact, is the quotient of two direct products.
     """
     q = mpf(q)
     a = a if isinstance(a, (mpf, mpc)) else mpf(a)
@@ -695,9 +693,9 @@ def q_binomial_check(a, z, q, tol=None):
         raise DomainError("q-binomial series needs |z| < 1")
     if tol is None:
         tol = mpf(2) ** (-mp.prec + 4)
-    az, ez = mp.fmul(a, z, exact=True), (-1, z, 1.0)
-    lhs = (_qprod([(1, az, 1.0), ez], q, "q_binomial_check") if abs(az) < 1 else
-           _product([qpoch_inf_direct(az, q), _qprod([ez], q, "q_binomial_check")]))
+    name = "q_binomial_check"
+    lhs = _quotient(_direct(mp.fmul(a, z, exact=True), q, name),
+                    _direct(z, q, name), _zero_factor(name))
 
     qq_inf = qpoch_inf_direct(q, q)
     floor = abs(qq_inf.value) - qq_inf.err_bound
@@ -727,13 +725,11 @@ def q_binomial_check(a, z, q, tol=None):
 def q_gamma(w, q) -> SeriesValue:
     """Gamma_q(w) = (q;q)_inf / (q^w;q)_inf * (1-q)^(1-w).
 
-    The quotient of the sequences q and q^w (_qpow), with c = (1-w) log(1-q)
-    added to its log (_qprod).  c is worked out 16 bits above F = prec +
+    (q;q)_inf times p = (1-q)^(1-w) over the direct product of q^w (_qpow).
+    p = e^c, c = (1-w) log(1-q), is worked out 16 bits above F = prec +
     _GUARD, where 1-q, 1-w and the product round by u = 2^-(F+16) and the
-    log by 2u: it is off by |1-w| (4|log(1-q)| + 2) u, and by one unit of
-    2^-F per component at F bits.  If |q^w| >= 1, (q;q)_inf e^c is divided
-    by qpoch_inf_direct(q^w) (_direct_at): a +- e_a over d +- e_d is off by
-    (e_a + |a/d| e_d)/(|d| - e_d), and its rounding by 2^-prec |a/d|.
+    log by 2u: c is off by |1-w| (4|log(1-q)| + 2) u, and e^c within 2u, so
+    p is off by (|1-w| (4|log(1-q)| + 2) + 3) u of it, to first order.
     """
     q = mpf(q)
     if not 0 < q < 1:
@@ -743,18 +739,11 @@ def q_gamma(w, q) -> SeriesValue:
     F = mp.prec + _GUARD
     with mp.workprec(F + 16):
         lq1 = mp.log(1 - q)
-        cr, ci = _fx((1 - w) * lq1, F)
-    shift = (cr, ci, 2 + float(abs(1 - w)) * (4 * float(abs(lq1)) + 2) * 2.0**-16)
-    if abs(qw) < 1:
-        return _qprod([(1, q, 1.0), (-1, qw, 2 + ew)], q, "q_gamma", shift)
-    top = _qprod([(1, q, 1.0)], q, "q_gamma", shift)
-    bot = _direct_at(qw, mp.ldexp(ew, -F), q)
-    if abs(bot.value) <= bot.err_bound:
-        raise DomainError(f"q_gamma pole at w={w}")
-    val = top.value / bot.value
-    err = (top.err_bound + abs(val) * bot.err_bound) / (abs(bot.value) - bot.err_bound)
-    return SeriesValue(val, _MARGIN * (err + mp.ldexp(abs(val), -mp.prec)),
-                       top.terms_used + bot.terms_used)
+        p = mp.exp((1 - w) * lq1)
+    ep = mp.ldexp(abs(p) * (float(abs(1 - w)) * (4 * float(abs(lq1)) + 2) + 3), -F - 16)
+    top = _product([_direct(q, q, "q_gamma"), SeriesValue(p, ep, 0)])
+    return _quotient(top, _direct(qw, q, "q_gamma", 2 + ew),
+                     DomainError(f"q_gamma pole at w={w}"))
 
 
 # ---------------------------------------------------------------------------
@@ -806,33 +795,40 @@ def triple_product(z, q):
 
 
 def dedekind_eta(tau) -> SeriesValue:
-    """eta(tau) = q^(1/24) (q;q)_inf with q = exp(2 pi i tau), Im tau > 0."""
-    tau = mpc(tau)
-    if not tau.imag > 0:
-        raise DomainError("dedekind_eta needs Im(tau) > 0")
-    q = mp.exp(2j * mp.pi * tau)
-    pref = mp.exp(2j * mp.pi * tau / 24)
-    poch = qpoch_inf_direct(q, q)
-    val = pref * poch.value
-    return SeriesValue(val, abs(pref) * poch.err_bound + _roundoff(1, val), poch.terms_used)
+    """eta(tau) = q^(1/24) (q;q)_inf with q = exp(2 pi i tau), Im tau > 0.
 
-
-def weierstrass_delta(tau) -> SeriesValue:
-    """Modular discriminant Delta(tau) = (2 pi)^12 q (q;q)_inf^24.
-
-    The product of c = (2 pi)^12 q and 24 factors P = (q;q)_inf +- e
-    (qpoch_inf_direct) by _product, whose bound holds (|P| + e)^24 - |P|^24.
-    pi and c's product round by 2^-prec relative and the power by 4 ulps, so
-    c is off by under 22 2^-prec |c|, for q = e^(2 pi i tau) as rounded.
+    q and q^(1/24) are worked out 16 bits above F = prec + _GUARD, where pi
+    and each product round by u = 2^-(F+16): y = 2 pi i tau is off by 3u|y|
+    and y/24 by 4u|y/24|, so with each exp within 2u, both are off by (3|y| +
+    4)u of themselves, to first order.  q enters the direct product off by
+    that and 2 units of 2^-F, as argument and as base.
     """
     tau = mpc(tau)
     if not tau.imag > 0:
+        raise DomainError("dedekind_eta needs Im(tau) > 0")
+    with mp.workprec(mp.prec + _GUARD + 16):
+        y = 2j * mp.pi * tau
+        q, pref = mp.exp(y), mp.exp(y / 24)
+    e = (3 * float(abs(y)) + 4) * 2.0**-16  # in units of 2^-F
+    eq = 2 + float(abs(q)) * e
+    return _product([_direct(q, q, "dedekind_eta", eq, eq),
+                     SeriesValue(pref, mp.ldexp(abs(pref) * e, -mp.prec - _GUARD), 0)])
+
+
+def weierstrass_delta(tau) -> SeriesValue:
+    """Modular discriminant Delta(tau) = (2 pi)^12 eta(tau)^24.
+
+    The product of c = (2 pi)^12 and 24 factors eta +- e by _product, whose
+    bound holds (|eta| + e)^24 - |eta|^24.  pi rounds by 2^-prec relative,
+    which the power takes to under 12.01 2^-prec, and the power rounds by 4
+    ulps, so c is off by under 17 2^-prec |c|.
+    """
+    if not mpc(tau).imag > 0:
         raise DomainError("weierstrass_delta needs Im(tau) > 0")
-    q = mp.exp(2j * mp.pi * tau)
-    poch = qpoch_inf_direct(q, q)
-    c = (2 * mp.pi) ** 12 * q
-    val, err, _ = _product([SeriesValue(c, mp.ldexp(22 * abs(c), -mp.prec), 0)] + [poch] * 24)
-    return SeriesValue(val, err, poch.terms_used)
+    eta = dedekind_eta(tau)
+    c = (2 * mp.pi) ** 12
+    val, err, _ = _product([SeriesValue(c, mp.ldexp(17 * c, -mp.prec), 0)] + [eta] * 24)
+    return SeriesValue(val, err, eta.terms_used)
 
 
 # ---------------------------------------------------------------------------

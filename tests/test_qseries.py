@@ -347,8 +347,8 @@ def test_triple_product_bound_keeps_a_zero_factors_bound():
         assert rhs.err_bound >= others * part.err_bound
 
 
-# each case: a call of a primitive that runs through the one quotient route
-# or a counted product bound, and its reference from mpmath, both on the same
+# each case: a call of a primitive made of direct products with a counted
+# product or quotient bound, and its reference from mpmath, both on the same
 # inputs; the inputs are built at the working precision and the reference
 # runs at twice it
 def _qbin_ref(a, z, q):
@@ -360,12 +360,17 @@ def _triple_ref(z, q):
     return mpmath.qp(q, q) * mpmath.qp(sq * z, q) * mpmath.qp(sq / z, q)
 
 
+def _eta_ref(tau):
+    q = mp.exp(2j * mp.pi * tau)
+    return mp.exp(2j * mp.pi * tau / 24) * mpmath.qp(q, q)
+
+
 def _reference_cases():
     q3, q4, q5, q6, q7, q9 = (mpf(x) for x in ("0.3", "0.4", "0.5", "0.6", "0.7", "0.9"))
     x3, x4, x5, x6, x8 = (mpf(x) for x in ("0.3", "0.4", "0.5", "0.6", "0.8"))
     zc, n, a = mpc("0.2", "0.4"), mpc("0.7", "0.2"), mpc(2, 1)
     w1, w2, w3, w4 = mpf("2.6"), mpc("0.5", "0.3"), mpf("-0.5"), mpc("-1.5", "0.5")
-    t, zero_z = mpc("0.6", "0.8"), 1 / mp.sqrt(q4)
+    t, zero_z, tau = mpc("0.6", "0.8"), 1 / mp.sqrt(q4), mpc("0.3", "0.8")
     return {
         "qpoch_n-real": (lambda: qpoch_n(x8, q6, 5), lambda: mpmath.qp(x8, q6, 5)),
         "qpoch_n-n-zero": (lambda: qpoch_n(x3, q5, 0), lambda: mpf(1)),
@@ -399,6 +404,9 @@ def _reference_cases():
         "weierstrass_delta": (lambda: weierstrass_delta(mpc(0, 1)),
                               lambda: (2 * mp.pi) ** 12
                               * (mp.gamma(mpf(1) / 4) / (2 * mp.pi ** (mpf(3) / 4))) ** 24),
+        "dedekind_eta-i": (lambda: dedekind_eta(mpc(0, 1)),
+                           lambda: mp.gamma(mpf(1) / 4) / (2 * mp.pi ** (mpf(3) / 4))),
+        "dedekind_eta-complex": (lambda: dedekind_eta(tau), lambda: _eta_ref(tau)),
     }
 
 
@@ -411,6 +419,36 @@ def test_primitive_within_its_bound_of_twice_the_precision(case, bits):
         with precision(2 * bits):
             exact = ref()
         assert abs(sv.value - exact) <= sv.err_bound
+
+
+# near q = 1, where the cases above stop at q = 0.9, each primitive is one
+# or two direct products of up to about 3.6e5 factors (q = 0.999 at 512
+# bits); the q-binomial series side, unused here, stops at once
+NEAR_ONE = {
+    "e_q": (e_q, "0.5"),
+    "E_q-inside-unit-disc": (E_q, "0.5"),
+    "E_q-outside-unit-disc": (E_q, "2"),
+    "qpoch_n": (lambda z, q: qpoch_n(z, q, mpf("40.5")), "0.5"),
+    "q_gamma": (q_gamma, "-0.5"),
+    "q_binomial": (lambda z, q: q_binomial_check(mpf("0.375"), z, q, tol=mp.inf)[0], "0.4"),
+}
+
+
+@pytest.mark.parametrize("q", ["0.99", "0.999"])
+@pytest.mark.parametrize("case", sorted(NEAR_ONE))
+def test_primitive_bound_is_relative_near_one(case, q):
+    # the inputs are 64-bit numbers, so one reference at 512 bits, twice the
+    # highest precision checked, serves all three
+    call, x = NEAR_ONE[case]
+    with precision(64):
+        x, q = mpf(x), mpf(q)
+    with precision(512):
+        ref = call(x, q)
+    for bits in (64, 128, 256):
+        with precision(bits):
+            sv = call(x, q)
+            assert abs(sv.value - ref.value) + ref.err_bound <= sv.err_bound, bits
+            assert sv.err_bound <= mp.ldexp(abs(sv.value), 28 - bits), bits
 
 
 @pytest.mark.parametrize("tau", [mpc(0, 1), mpc("0.3", "0.8")])
