@@ -319,7 +319,8 @@ def _mu_k(N, k):
         return mob, (1, 0)
     root = mp.expjpi(mpf(1) / int(k))
     omega = _omega(N)
-    return [mpc(0)] + [root ** omega[n] if mob[n] else mpc(0) for n in range(1, N + 1)], (1, 0)
+    pw = [root**j for j in range(max(omega) + 1)]
+    return [pw[j] if m else mpc(0) for j, m in zip(omega, mob)], (1, 0)
 
 
 # tag -> builder(N, *params) returning (values, growth)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
 
 from mpmath import mp, mpf, mpc
 
 from . import arith
-from .arith import ArithTable, build_table, custom_table, h_transform
+from .arith import ArithTable, build_table, custom_table
 from .numerics import (
     ConvergenceError,
     DomainError,
@@ -110,8 +110,11 @@ def _f_muk(N, arg):
     k = int(arg)
     if k == 1:  # (1 + e^(i pi))^omega(n) = [n = 1], kept exact
         return _pointwise(N, lambda n: int(n == 1)), (1, 0)
+    # |w| = 2 cos(pi/2k) <= 2, so |w^omega(n)| <= 2^omega(n) <= d(n) <= 2 sqrt(n)
     w = 1 + mp.expjpi(mpf(1) / k)
-    return arith.multiplicative(N, lambda p, a: w, mpc(1)), (2, 0.5)
+    omega = build_table("omega", N).values
+    pw = list(accumulate(repeat(w, max(omega)), mpc.__mul__, initial=mpc(1)))
+    return [0] + [pw[j] for j in omega[1:]], (2, 0.5)
 
 
 def _j2k_ratio(N, arg):
@@ -161,6 +164,10 @@ _NAMED = {
     "mu_nsq": lambda N, _: (_pointwise(N, lambda n, m: m * n * n, "mobius"), (1, 2)),
     "prod1mp2": lambda N, _: (arith.multiplicative(N, lambda p, a: 1 - p * p), (1, 2)),
     "f_muk": _f_muk,
+    # m(n) = n h(n) for h = (mu/id) * d is mu * (id d): m(p^a) = (a+1) p^a - a p^(a-1);
+    # |h(n)| <= sum_{d|n} d(n/d) <= 4n d(n) <= 8 n^1.5, h_transform's bound
+    "h_of_d": lambda N, _: ([0] + list(map(Fraction, arith.multiplicative(
+        N, lambda p, a: (a + 1) * p**a - a * p ** (a - 1))[1:], range(1, N + 1))), (8, 1.5)),
     "conv_one_d": lambda N, _: (
         arith.divisor_sum(N, build_table("divisor_d", N).values.__getitem__), (8, 1.5)),
     # sum_k gcd(n,k) mu(gcd(n,k)) = sum_{d|n} d mu(d) phi(n/d) = mu(n): the
@@ -174,8 +181,6 @@ def _build_named(key: str, N: int) -> ArithTable:
     name, _, arg = key.partition(":")
     if name == "std":
         return build_table(arg, N)
-    if name == "h_of_d":
-        return h_transform(build_table("divisor_d", N))
     if name not in _NAMED:
         raise DomainError(f"unknown table key {key!r}")
     vals, growth = _NAMED[name](N, arg)

@@ -14,9 +14,9 @@ intro_product_log, the kernel of the catalog's two introductory products,
 count that rounding too.  qpoch_n, e_q, E_q, q_gamma, q_binomial_check's
 left side, triple_product's right side, dedekind_eta and weierstrass_delta
 are direct products (_direct, which carries the error of a computed
-argument such as z q^n through every factor) combined by _product and
-_quotient, which count each rounding, taking mpmath's log, exp and pi to be
-within two units in the last place.  The cross-checks e_q_series,
+argument such as z q^n or sqrt(q) z through every factor) combined by
+_product and _quotient, which count each rounding, taking mpmath's log, exp
+and pi to be within two units in the last place.  The cross-checks e_q_series,
 E_q_series, theta_sum and q_binomial_check's right side lean on _roundoff.
 """
 
@@ -516,15 +516,6 @@ def _qpow(z, q, n):
     return x, float(abs(x)) * (3 * float(abs(y)) + 4) * 2.0**-16
 
 
-def _direct_at(a, da, q):
-    """qpoch_inf_direct(a, q), 0 < q < 1, for an a off by da from the point
-    meant: |d/dt (t;q)_inf| = |sum_j q^j prod_(i != j) (1 - t q^i)| is at
-    most (-|t|;q)_inf/(1-q), which grows with |t| <= |a| + da."""
-    v, e, n = qpoch_inf_direct(a, q)
-    cap = qpoch_inf_direct(-(abs(a) + da), q)
-    return SeriesValue(v, e + da * (abs(cap.value) + cap.err_bound) / (1 - q), n)
-
-
 def _product(parts):
     """The product of SeriesValues v_i +- e_i, off by prod (|v_i| + e_i) -
     prod |v_i|, summed as D_k = D_(k-1) (|v_k| + e_k) + |v_1 ... v_(k-1)| e_k
@@ -783,15 +774,17 @@ def triple_product(z, q):
     """LHS and RHS of the Jacobi triple product identity.
 
     LHS: the bilateral theta sum; RHS: (q;q)_inf (sqrt(q) z;q)_inf
-    (sqrt(q)/z;q)_inf, three direct products multiplied by _product.
-    sqrt(q) rounds by 2^-prec relative and sqrt(q) z, sqrt(q)/z by 2^-prec
-    (1 + 2^-8) more: each is off by under 3 2^-prec of it (_direct_at).
+    (sqrt(q)/z;q)_inf, three direct products multiplied by _product.  Each
+    x = sqrt(q) z, sqrt(q)/z rounds twice, to under 3 2^-prec |x|: 1 + 3 |x|
+    2^_GUARD units of 2^-F in _direct with _fx's truncation.  As x stays at
+    the working precision, z = q^(-1/2) still gives a zero factor.
     """
     q = mpf(q)
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
     sq = mp.sqrt(q)
     return theta_sum(z, q), _product([qpoch_inf_direct(q, q)] + [
-        _direct_at(x, mp.ldexp(3 * abs(x), -mp.prec), q) for x in (sq * z, sq / z)])
+        _direct(x, q, "triple_product", 1 + 3 * float(abs(x)) * 2.0**_GUARD)
+        for x in (sq * z, sq / z)])
 
 
 def dedekind_eta(tau) -> SeriesValue:

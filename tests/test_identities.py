@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc
 
+from lambertq import arith
 from lambertq import identities as idmod
 from lambertq.arith import build_table, gcd_sum_transform
 from lambertq.identities import (
@@ -303,6 +304,34 @@ def test_record_tables_satisfy_growth_certificates():
         assert tab.N == N
         for n in range(1, N + 1):
             assert tab.growth_holds(n), f"{key} growth fails at n={n}"
+
+
+# growth certificates proved in a comment beside their rules, checked well
+# past the 2^10 of the test above
+@pytest.mark.parametrize("key", ["h_of_d", "f_muk:2", "f_muk:3"])
+def test_growth_certificates_hold_to_two_to_the_15(key):
+    N = 1 << 15
+    tab = idmod._build_named(key, N)
+    assert all(tab.growth_holds(n) for n in range(1, N + 1))
+
+
+# the mu_k-family tables read w^omega(n) from a list of powers; every entry
+# keeps the bits of the one product or power per entry it replaced
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_mu_k_family_entries_keep_their_bits(bits):
+    N = 1 << 12
+    set_precision(bits)
+    omega = build_table("omega", N).values
+    mob = build_table("mobius", N).values
+    for k in (2, 3):
+        w = 1 + mp.expjpi(mpf(1) / k)
+        old = arith.multiplicative(N, lambda p, a: w, mpc(1))
+        new = idmod._build_named(f"f_muk:{k}", N).values
+        assert [v._mpc_ for v in new[1:]] == [v._mpc_ for v in old[1:]]
+        root = mp.expjpi(mpf(1) / k)
+        old = [root ** omega[n] if mob[n] else mpc(0) for n in range(1, N + 1)]
+        new = build_table(f"mu_k:{k}", N).values
+        assert [v._mpc_ for v in new[1:]] == [v._mpc_ for v in old]
 
 
 # sha256 over (type name, value) of every exact-valued record table at

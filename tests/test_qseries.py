@@ -451,6 +451,22 @@ def test_primitive_bound_is_relative_near_one(case, q):
             assert sv.err_bound <= mp.ldexp(abs(sv.value), 28 - bits), bits
 
 
+# triple_product's right side near q = 1: sqrt(q) z and sqrt(q)/z enter its
+# direct products with their rounding, so the bound stays relative
+@pytest.mark.parametrize("q, z", [("0.99", "0.7"), ("0.99", "2"), ("0.99", "0.6+0.8j"),
+                                  ("0.999", "0.7"), ("0.999", "2")])
+def test_triple_product_bound_is_relative_near_one(q, z):
+    with precision(64):
+        q, z = mpf(q), mp.mpmathify(z)
+    with precision(512):
+        ref = triple_product(z, q)[1]
+    for bits in (64, 128, 256):
+        with precision(bits):
+            sv = triple_product(z, q)[1]
+            assert abs(sv.value - ref.value) + ref.err_bound <= sv.err_bound, bits
+            assert sv.err_bound <= mp.ldexp(abs(sv.value), 64 - bits), bits
+
+
 @pytest.mark.parametrize("tau", [mpc(0, 1), mpc("0.3", "0.8")])
 def test_delta_is_eta_to_the_24(tau):
     delta = weierstrass_delta(tau)
