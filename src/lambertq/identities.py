@@ -406,13 +406,27 @@ def _check_jordan_gcd(N=200):
 
 
 def _check_jordan_gcd_real(N=120):
-    """The same gcd-sum identity at real order alpha = 0.5."""
+    """The same gcd-sum identity at real order alpha = 0.5.
+
+    Budget, with u = 2^-prec.  A rule value J_x(p^a) = p^(a x) - p^((a-1) x)
+    rounds its two powers, each within 2u of itself (mpmath raises p, or
+    sqrt(p) rounded 10 bits further, to an integer power of at most 9 and
+    rounds once), and their difference, whose terms sum to at most
+    (1 + 2^-x)/(1 - 2^-x) times it: it is off by 12.7u of itself at x = 0.5
+    and 5.2u at x = 1.5.  An entry multiplies omega(n) < L = bit_length(n)
+    of them, so it is off by 14 L u (7 L u at x = 1.5) of itself.  The gcd
+    sum adds n positive terms d J_0.5(d), each off by (14 L + 1)u of itself,
+    with n roundings of at most u of the sum, and the exact sum is J_1.5(n).
+    So the difference is at most (21 L + n + 1) u J_1.5(n) to first order;
+    1.01 covers the rest.
+    """
     ja = build_table("jordan:0.5", N)
     ja1 = build_table("jordan:1.5", N)
-    worst = mpf(0)
+    worst = budget = mpf(0)
     for n in range(1, N + 1):
         worst = max(worst, abs(ja1.values[n] - arith.gcd_sum_transform(ja, n)))
-    return worst, mpf("1e-20"), "alpha = 0.5, n<=120"
+        budget = max(budget, (21 * n.bit_length() + n + 1) * ja1.values[n])
+    return worst, mp.ldexp(mpf("1.01") * budget, -mp.prec), "alpha = 0.5, n<=120"
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,8 @@ def glaisher() -> mpf:
 
 
 def catalan() -> mpf:
-    """Catalan constant G = beta(2), via an accelerated alternating series."""
-    n = int(1.31 * mp.dps) + 10
-    return _alternating_sum(lambda k: mpf(1) / mpf(2 * k + 1) ** 2, n)
+    """Catalan constant G = beta(2)."""
+    return dirichlet_beta(2)
 
 
 def richardson_extrapolate(xs, ys):

@@ -17,7 +17,10 @@ are direct products (_direct, which carries the error of a computed
 argument such as z q^n or sqrt(q) z through every factor) combined by
 _product and _quotient, which count each rounding, taking mpmath's log, exp
 and pi to be within two units in the last place.  The cross-checks e_q_series,
-E_q_series, theta_sum and q_binomial_check's right side lean on _roundoff.
+E_q_series, theta_sum and q_binomial_check's right side are one ratio series,
+_ratio_series, whose tail comes from the term ratio alone, so they call none
+of the products they check, and whose bound counts the round-off of every
+term and every addition.
 """
 
 from __future__ import annotations
@@ -609,37 +612,95 @@ def e_q(z, q) -> SeriesValue:
                      _zero_factor("e_q"))
 
 
-def _series_start(z, q, tol, name):
-    """(z, q, tol, floor) for the e_q and E_q series: 0 < q < 1, tol 2^(2-prec)
-    by default, and 0 < floor <= (q;q)_inf <= (q;q)_n."""
-    q = mpf(q)
-    if not 0 < q < 1:
-        raise DomainError(f"{name} series needs 0 < q < 1")
-    qq_inf = qpoch_inf_direct(q, q)
-    tol = mpf(2) ** (-mp.prec + 2) if tol is None else tol
-    return z if isinstance(z, (mpf, mpc)) else mpf(z), q, tol, abs(qq_inf.value) - qq_inf.err_bound
+def _ratio_series(w, a, q, beta, eps, tol, name, rw=0) -> SeriesValue:
+    """sum_{n>=0} t_n with t_0 = 1 and t_(n+1) = t_n m_n, m_n = w q^(beta n)
+    (1 - a q^n)/(1 - eps q^(n+1)), beta and eps 0 or 1, q a real number of at
+    most prec bits with |q| < 1, and w off by at most rw u |w|, u = 2^-F at
+    F = prec + _GUARD bits: the one shape of the cross-checks' series (Gasper
+    and Rahman, ch. 1).  ``name`` is the caller's, for errors.
+
+    Tail: rho_n = |w| |q|^(beta n) (1 + |a| |q|^n)/(1 - eps |q|^(n+1)) bounds
+    |m_k| for every k >= n and does not grow with n, so once rho_n < 1 the
+    terms after t_n sum to at most |t_n| rho_n/(1 - rho_n).  The loop stops
+    at the first n where that is at most tol; no product is worked out.
+
+    Round-off, at F bits.  A real operation, and each component of a complex
+    sum or of a complex times or over a real, rounds once, within u of its
+    computed result; mpmath rounds each component of a complex product once
+    after exact partial products, and of a complex quotient once after two
+    values rounded 10 bits further.  2u is counted for every complex
+    multiply and divide.  P = q^n, one multiply per n, is off by n u |P|.
+    So, to first order in computed values, c = w P^beta is off by rc u |c|
+    with rc = rw + beta (n + 2); D = 1 - eps q P by rD u D with rD = 1 + (n +
+    1) |q P|/D (D = 1 and rD = 0 if eps = 0); x = a P and A = 1 - x by u (|A|
+    + (n + 2) |x|) (A = 1 if a = 0); N = c A by u |c| (|A| (3 + rc) + (n + 2)
+    |x|); and m = N/D by Em = u K |c|/D with K = |A| (5 + rc + rD) + (n + 2)
+    |x|.  Then t' = t m is off by at most e' = e |m| + (|t| + e) Em + 2u |t'|
+    <= s (|A| (e + 2u |t|) + u K (|t| + e)), as |m| <= s |A| with s = |w|
+    |P|^beta/(1 - eps |q P|) >= |c|/D, and each addition to the sum by u of
+    its result.  Those counts bound the sum's round-off, and its rounding to
+    prec bits adds 2^-prec |value|.  Each count leaves out terms of higher
+    order, which multiply it by relative errors of at most (n + 2) u/(1 -
+    |q|) <= 2^-12, as n <= DEFAULT_MAX_TERMS < 2^20 and 1 - |q| >= 2^-prec,
+    or by rw u; _MARGIN on K and on the bound covers them, the float rounding
+    of K and |A| and the rounding of the bound.  In s, 1 - |q P| - (n + 2) u
+    is at most 1 - |q|^(n+1), so rho_n = s (1 + |a| |P|) is then off by the
+    roundings and the errors of P and |w|, under (2n + 12 + rw) u <= 2^-60 of
+    itself with F >= 85: the factor 1 + 2^-40 covers them.
+    """
+    prec = mp.prec
+    with mp.workprec(prec + _GUARD):
+        u = mp.ldexp(1, -mp.prec)
+        absw, absa, uk, u2 = abs(w), abs(a), _MARGIN * u, 2 * u
+        rb = 1 + mp.ldexp(1, -40)
+        t = acc = P = mpf(1)
+        e = eacc = sacc = mpf(0)
+        for n in range(DEFAULT_MAX_TERMS + 1):
+            P1, at, absp = P * q, abs(t), abs(P)
+            s = absw * absp if beta else absw
+            if eps:
+                s /= 1 - abs(P1) - (n + 2) * u
+            rho = rb * s * (1 + absa * absp)
+            if rho < 1:
+                tail = (at + e) * rho / (1 - rho)
+                if tail <= tol:
+                    break
+            m = c = w * P if beta else w
+            K, fa = 5 + rw + beta * (n + 2), 1.0
+            if a:
+                x = a * P
+                A = 1 - x
+                m = c * A
+                fa = float(abs(A))
+                K = fa * K + (n + 2) * float(abs(x))
+            if eps:
+                D = 1 - P1
+                m /= D
+                K += fa * (1 + (n + 1) * float(abs(P1) / D))
+            t = t * m
+            e = s * (fa * (e + u2 * at) + uk * K * (at + e))
+            P = P1
+            acc += t
+            eacc += e
+            sacc += abs(acc)
+        else:
+            raise ConvergenceError(f"{name} did not reach tolerance")
+    value = +acc
+    err = eacc + u * sacc + tail + mp.ldexp(abs(value), -prec)
+    return SeriesValue(value, _MARGIN * err, n + 1)
 
 
 def e_q_series(z, q, tol=None) -> SeriesValue:
-    """Series form sum z^n/(q;q)_n; independent cross-check of e_q."""
-    z, q, tol, floor = _series_start(z, q, tol, "e_q")
+    """Series form sum z^n/(q;q)_n, |z| < 1, each term z/(1 - q^(n+1)) times
+    the one before (_ratio_series); independent cross-check of e_q."""
+    q = mpf(q)
+    if not 0 < q < 1:
+        raise DomainError("e_q series needs 0 < q < 1")
+    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
     if not abs(z) < 1:
         raise DomainError("e_q series needs |z| < 1")
-    acc = mpf(0) * z
-    zn = 1
-    poch = mpf(1)
-    n = 0
-    while True:
-        acc = acc + zn / poch
-        zn = zn * z
-        poch = poch * (1 - q ** (n + 1))
-        n += 1
-        tail = abs(zn) / ((1 - abs(z)) * floor)
-        if tail <= tol:
-            break
-        if n > DEFAULT_MAX_TERMS:
-            raise ConvergenceError("e_q series did not reach tolerance")
-    return SeriesValue(acc, tail + _roundoff(n, acc), n)
+    tol = mpf(2) ** (-mp.prec + 2) if tol is None else tol
+    return _ratio_series(z, 0, q, 0, 1, tol, "e_q series")
 
 
 def E_q(z, q) -> SeriesValue:
@@ -650,32 +711,23 @@ def E_q(z, q) -> SeriesValue:
 
 
 def E_q_series(z, q, tol=None) -> SeriesValue:
-    """Series form sum q^(n(n-1)/2) z^n/(q;q)_n; cross-check of E_q."""
-    z, q, tol, floor = _series_start(z, q, tol, "E_q")
-    acc = mpf(0) * z
-    term_num = mpc(1) if isinstance(z, mpc) else mpf(1)  # q^binom(n,2) z^n
-    poch = mpf(1)
-    n = 0
-    while True:
-        acc = acc + term_num / poch
-        term_num = term_num * z * q**n
-        poch = poch * (1 - q ** (n + 1))
-        n += 1
-        ratio = abs(z) * q**n  # |term_{n+1}|/|term_n| decreases in n
-        if ratio < _HALF:
-            tail = 2 * abs(term_num) / floor
-            if tail <= tol:
-                break
-        if n > DEFAULT_MAX_TERMS:
-            raise ConvergenceError("E_q series did not reach tolerance")
-    return SeriesValue(acc, tail + _roundoff(n, acc), n)
+    """Series form sum q^(n(n-1)/2) z^n/(q;q)_n, each term z q^n/(1 - q^(n+1))
+    times the one before (_ratio_series); cross-check of E_q."""
+    q = mpf(q)
+    if not 0 < q < 1:
+        raise DomainError("E_q series needs 0 < q < 1")
+    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
+    tol = mpf(2) ** (-mp.prec + 2) if tol is None else tol
+    return _ratio_series(z, 0, q, 1, 1, tol, "E_q series")
 
 
 def q_binomial_check(a, z, q, tol=None):
     """Both sides of (az;q)_inf/(z;q)_inf = sum (a;q)_n/(q;q)_n z^n, |z| < 1.
 
     Returns (lhs, rhs) as SeriesValues computed by independent routes.  The
-    left side, with az exact, is the quotient of two direct products.
+    left side, with az exact, is the quotient of two direct products; on the
+    right, each term is z (1 - a q^n)/(1 - q^(n+1)) times the one before
+    (_ratio_series).
     """
     q = mpf(q)
     a = a if isinstance(a, (mpf, mpc)) else mpf(a)
@@ -688,28 +740,7 @@ def q_binomial_check(a, z, q, tol=None):
     lhs = _quotient(_direct(mp.fmul(a, z, exact=True), q, name),
                     _direct(z, q, name), _zero_factor(name))
 
-    qq_inf = qpoch_inf_direct(q, q)
-    floor = abs(qq_inf.value) - qq_inf.err_bound
-    # |(a;q)_n| <= prod (1+|a|q^j) <= (-|a|;q)_inf
-    cap = qpoch_inf_direct(-abs(a), q)
-    M = (abs(cap.value) + cap.err_bound) / floor
-    acc = mpf(0) * z * a
-    poch_a = mpc(1) if isinstance(a, mpc) or isinstance(z, mpc) else mpf(1)
-    poch_q = mpf(1)
-    zn = 1
-    n = 0
-    while True:
-        acc = acc + poch_a / poch_q * zn
-        poch_a = poch_a * (1 - a * q**n)
-        poch_q = poch_q * (1 - q ** (n + 1))
-        zn = zn * z
-        n += 1
-        tail = M * abs(zn) / (1 - abs(z))
-        if tail <= tol:
-            break
-        if n > DEFAULT_MAX_TERMS:
-            raise ConvergenceError("q-binomial series did not reach tolerance")
-    rhs = SeriesValue(acc, tail + _roundoff(n, acc), n)
+    rhs = _ratio_series(z, a, q, 0, 1, tol, "q-binomial series")
     return lhs, rhs
 
 
@@ -741,7 +772,15 @@ def q_gamma(w, q) -> SeriesValue:
 # theta / eta
 
 def theta_sum(z, q, tol=None) -> SeriesValue:
-    """sum over all integers n of q^(n^2/2) (-z)^n, |q| < 1, z != 0."""
+    """sum over all integers n of q^(n^2/2) (-z)^n, 0 < q < 1, z != 0.
+
+    The sum is S(-sqrt(q) z) + S(-sqrt(q)/z) - 1, where S(w) = sum_{n>=0}
+    q^(n(n-1)/2) w^n is _ratio_series with ratio w q^n and a tail of at most
+    tol/2.  sqrt(q), at prec + _GUARD bits, rounds by u = 2^-(prec + _GUARD)
+    and each w by 2u more (a complex multiply or divide), so w is off by 3u
+    |w| to first order; 4u |w| is counted.  The two sums and -1 add by two
+    roundings, of 2^-prec of their results.
+    """
     q = mpf(q)
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
     if z == 0:
@@ -750,24 +789,14 @@ def theta_sum(z, q, tol=None) -> SeriesValue:
         raise DomainError("theta_sum needs 0 < q < 1")
     if tol is None:
         tol = mpf(2) ** (-mp.prec + 2)
-    sq = mp.sqrt(q)
-    Z = max(abs(z), 1 / abs(z))
-    acc = mpc(1) if isinstance(z, mpc) else mpf(1)  # n = 0 term
-    n = 0
-    while True:
-        n += 1
-        qn2 = q ** (mpf(n) ** 2 / 2)
-        acc = acc + qn2 * ((-z) ** n + (-z) ** (-n))
-        # term ratio for |m| > n: q^(m+1/2) Z; once < 1/2 the tail telescopes
-        ratio = sq * q**n * Z
-        bound_term = q ** (mpf(n + 1) ** 2 / 2) * Z ** (n + 1)
-        if ratio < _HALF:
-            tail = 4 * bound_term
-            if tail <= tol:
-                break
-        if n > 10000:
-            raise ConvergenceError("theta_sum did not reach tolerance")
-    return SeriesValue(acc, tail + _roundoff(2 * n + 1, acc), 2 * n + 1)
+    with mp.workprec(mp.prec + _GUARD):
+        sq = mp.sqrt(q)
+        ws = -sq * z, -sq / z
+    s1, s2 = (_ratio_series(w, 0, q, 1, 0, tol / 2, "theta_sum", 4) for w in ws)
+    s = s1.value + s2.value
+    value = s - 1
+    err = s1.err_bound + s2.err_bound + mp.ldexp(abs(s) + abs(value), -mp.prec)
+    return SeriesValue(value, _MARGIN * err, s1.terms_used + s2.terms_used - 1)
 
 
 def triple_product(z, q):

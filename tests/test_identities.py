@@ -22,7 +22,7 @@ from lambertq.identities import (
     verify,
     verify_all,
 )
-from lambertq.numerics import ConvergenceError, DomainError, set_precision
+from lambertq.numerics import ConvergenceError, DomainError, precision, set_precision
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +90,17 @@ def test_exact_records_have_zero_tolerance():
     for id in ("EQ2.6", "EQ2.12"):
         rep = verify(id)
         assert rep.passed and rep.error_budget == 0 and rep.abs_diff == 0
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_real_jordan_gcd_budget_scales_with_the_precision(bits):
+    # the real-order gcd-sum check passes at every precision, with a counted
+    # budget that falls with 2^-bits
+    with precision(bits):
+        rep = verify("EQ2.12-real")
+        ja1 = build_table("jordan:1.5", 120)
+        cap = mp.ldexp(max(ja1.values[1:]), 32 - bits)
+        assert rep.passed and 0 < rep.error_budget <= cap
 
 
 def test_complex_z_point():

@@ -423,7 +423,8 @@ def test_primitive_within_its_bound_of_twice_the_precision(case, bits):
 
 # near q = 1, where the cases above stop at q = 0.9, each primitive is one
 # or two direct products of up to about 3.6e5 factors (q = 0.999 at 512
-# bits); the q-binomial series side, unused here, stops at once
+# bits); the q-binomial series side, unused here, stops at the first n
+# whose term ratio bound rho_n is below 1
 NEAR_ONE = {
     "e_q": (e_q, "0.5"),
     "E_q-inside-unit-disc": (E_q, "0.5"),
@@ -465,6 +466,61 @@ def test_triple_product_bound_is_relative_near_one(q, z):
             sv = triple_product(z, q)[1]
             assert abs(sv.value - ref.value) + ref.err_bound <= sv.err_bound, bits
             assert sv.err_bound <= mp.ldexp(abs(sv.value), 64 - bits), bits
+
+
+# each cross-check series against its product at 512 bits, on inputs
+# parsed at 64 bits: near q = 1 and under cancellation the series' counted
+# bound must still hold the difference
+CROSS_CHECKS = {
+    "e_q_series-0.9": (e_q_series, e_q, "-0.9", "0.9"),
+    "e_q_series-0.99": (e_q_series, e_q, "-0.9", "0.99"),
+    "E_q_series-0.9": (E_q_series, E_q, "-3", "0.9"),
+    "E_q_series-0.99": (E_q_series, E_q, "-3", "0.99"),
+    "E_q_series-complex": (E_q_series, E_q, "2+1j", "0.9"),
+    "q_binomial-0.9": (lambda x, q: q_binomial_check(3, x, q)[1],
+                       lambda x, q: q_binomial_check(3, x, q)[0], "-0.9", "0.9"),
+    "q_binomial-0.99": (lambda x, q: q_binomial_check(3, x, q)[1],
+                        lambda x, q: q_binomial_check(3, x, q)[0], "-0.9", "0.99"),
+    "q_binomial-complex": (lambda x, q: q_binomial_check(mpc(1, 1), x, q)[1],
+                           lambda x, q: q_binomial_check(mpc(1, 1), x, q)[0], "0.4", "0.9"),
+    "theta_sum-0.99": (theta_sum, lambda x, q: triple_product(x, q)[1], "2", "0.99"),
+    "theta_sum-complex": (theta_sum, lambda x, q: triple_product(x, q)[1], "0.6+0.8j", "0.9"),
+    "theta_sum-0.999": (theta_sum, lambda x, q: triple_product(x, q)[1], "0.7", "0.999"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_CHECKS))
+def test_cross_check_within_its_bound_of_the_product(case):
+    call, ref, x, q = CROSS_CHECKS[case]
+    with precision(64):
+        x, q = mp.mpmathify(x), mpf(q)
+    with precision(512):
+        exact = ref(x, q)
+    for bits in (64, 128, 256):
+        with precision(bits):
+            sv = call(x, q)
+            assert abs(sv.value - exact.value) <= sv.err_bound + exact.err_bound, bits
+
+
+def test_cross_checks_call_no_product(monkeypatch):
+    # the series take their tails from the term ratio alone
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cross-check called a product or _roundoff")
+
+    for name in ("_direct", "qpoch_inf_direct", "_roundoff"):
+        monkeypatch.setattr(qseries, name, forbidden)
+    e_q_series(mpf("-0.9"), mpf("0.9"))
+    E_q_series(mpc(2, 1), mpf("0.9"))
+    theta_sum(mpc("0.6", "0.8"), mpf("0.9"))
+    qseries._ratio_series(mpf("0.4"), 3, mpf("0.9"), 0, 1, mpf("1e-30"), "q-binomial series")
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_triple_product_sides_agree_near_one(bits):
+    # the theta side's terms reach about 1e27 and cancel to about 1e-2115
+    with precision(bits):
+        lhs, rhs = triple_product(mpf("0.7"), mpf("0.999"))
+        assert abs(lhs.value - rhs.value) <= lhs.err_bound + rhs.err_bound
 
 
 @pytest.mark.parametrize("tau", [mpc(0, 1), mpc("0.3", "0.8")])
