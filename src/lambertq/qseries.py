@@ -357,10 +357,12 @@ def _log1m(tr, ti, F):
 
 def _log_quot(num, den, ne, F):
     """log(num/den 2^ne) for ints num, den > 0, as (re, units, float value): the
-    real one-log tail of _log_qpoch, whose docstring counts its units of 2^-F."""
+    one log of _log_qpoch_real, whose docstring counts its units of 2^-F.
+    den = 1 skips the shift and division, which would leave num 2^ne as is."""
     one = 1 << F
-    sh = den.bit_length() + F + 1  # den = 1 leaves the value as it is
-    num, ne = (num << sh) // den, ne - sh
+    if den != 1:
+        sh = den.bit_length() + F + 1
+        num, ne = (num << sh) // den, ne - sh
     d = -ne - F
     t = one - (num >> d if d >= 0 else num << -d)
     if abs(t) >> (F - 16):
@@ -371,9 +373,49 @@ def _log_quot(num, den, ne, F):
     return lr, lu + 4, lr / one
 
 
+def _log_qpoch_real(b, lb, lt, F, eb, holds, name, w, lw, lpref, ew,
+                    v=None, lv=0.0, lprefv=0.0, ev=0.0):
+    """log (w; b)_inf - log (v; b)_inf, or log (w; b)_inf if v is None: the
+    real case of _log_qpoch, for real ints w, v and b at F bits, each
+    sequence's w, lw, lpref and ew (v, lv, lprefv and ev) as there, and k = 0
+    for w and 1 for v in ``holds(k, J)``.  Returns (re, J, Jv, units, value):
+    the log as an int at F bits, the two J (Jv = 0 without v), a float bound
+    on its round-off in units of 2^-prec and the log as a float.
+
+    Each product runs through _fx_real, and the two multiply, exactly, into
+    one quotient num/den 2^ne of plain ints, which takes one log (_log_quot):
+    num 2^sh // den, by _log1m within 2^-16 of 1, else by mpf_log.
+
+    Round-off, in units of 2^-F: 2 per unit of factor error that
+    _factor_error counts.  The quotient's floor is off by under one unit of
+    a value of at least 2^(F+1), which moves the log by 1/2 unit (none if
+    den = 1).  Near 1, t = 1 - x at F bits is off by that and a floor, under
+    2 units, which move log(1 - t) by under 3: 4 are counted on top of
+    _log1m's.  Away from 1, the log is off by at most 4 |log| units and its
+    truncation to F bits by 1: 4 |log| + 2 is counted.
+    """
+    J = _linear_terms(lw, lb, lt - lpref, holds, name, 0)
+    num, ne, smin = _fx_real(w, b, J, F)
+    fe, _ = _factor_error(J, lb, 1.0, smin, F, ew, eb)  # |w| < 1
+    if fe is None:
+        raise _zero_factor(name)
+    units, den, Jv = 2 * fe, 1, 0
+    if v is not None:
+        Jv = _linear_terms(lv, lb, lt - lprefv, holds, name, 1)
+        den, e, smin = _fx_real(v, b, Jv, F)
+        fe, _ = _factor_error(Jv, lb, 1.0, smin, F, ev, eb)
+        if fe is None:
+            raise _zero_factor(name)
+        units += 2 * fe
+        ne -= e
+    lr, lu, val = _log_quot(num, den, ne, F)
+    return lr, J, Jv, (units + lu) / (1 << _GUARD), val
+
+
 def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
     """sum_k s_k sum_{j<J_k} log(1 - w_k b^j), the log of a product of
-    q-Pochhammer symbols (w_k; b)_inf^(s_k) with s_k = +-1.
+    q-Pochhammer symbols (w_k; b)_inf^(s_k) with s_k = +-1, where b or some
+    w_k has an imaginary part; _log_qpoch_real takes the real case.
 
     ``seqs`` holds (s_k, w_k, lw_k, lpref_k, ew_k).  w_k and b are int pairs
     at F = prec + _GUARD fractional bits, |w_k|, |b| < 1, off by at most ew_k
@@ -390,48 +432,35 @@ def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
 
     The products multiply, exactly, into a quotient (nr + i ni)/(dr + i di)
     2^ne, divided out as n conj(d) 2^sh // |d|^2 per component, and each
-    quotient takes one log: by _log1m within 2^-16 of 1, else by mpf_log or
-    mpc_log.  A real product, with no imaginary part in b or any w_k, is one
-    quotient of plain ints, num 2^sh // den.  A complex one keeps the
-    principal branch, as |arg(1 - x)| <= arcsin |x| <= (pi/2)|x| for |x| < 1.
-    A sequence starts a new quotient if it would take the summed |w_k b^j|
-    of the quotient's factors past _ARG_FLUSH, so |arg| <= 0.6 pi; its own
-    sum is at most |w_k|/(1-|b|), and at most _ARG_FLUSH if _fx_product
-    keeps it in one piece.  The pieces of a split sequence go one by one.
-    Each but the last ends on the factor that takes its sum past _ARG_FLUSH,
-    no larger than the earlier ones, so it has one or two factors
-    (|arg| < pi) or a last one of at most 0.6 (|arg| <= 0.9 pi).  The margin
-    to pi covers float rounding and the round-off of the w_k b^j.
+    quotient takes one log: by _log1m within 2^-16 of 1, else by mpc_log.
+    It keeps the principal branch, as |arg(1 - x)| <= arcsin |x| <= (pi/2)|x|
+    for |x| < 1.  A sequence starts a new quotient if it would take the
+    summed |w_k b^j| of the quotient's factors past _ARG_FLUSH, so |arg| <=
+    0.6 pi; its own sum is at most |w_k|/(1-|b|), and at most _ARG_FLUSH if
+    _fx_product keeps it in one piece.  The pieces of a split sequence go
+    one by one.  Each but the last ends on the factor that takes its sum
+    past _ARG_FLUSH, no larger than the earlier ones, so it has one or two
+    factors (|arg| < pi) or a last one of at most 0.6 (|arg| <= 0.9 pi).  The
+    margin to pi covers float rounding and the round-off of the w_k b^j.
 
-    Round-off, in units of 2^-F (in |re| + |im| if complex): 2 per unit of
-    factor error that _factor_error counts.  The quotient's floors are off by
-    under one unit per component of a value of modulus at least 2^(F+1)
-    (sqrt(2) 2^F if complex), which moves the log by 1/2 unit (1).  Near 1,
-    t = 1 - x at F bits is off by that and a floor per component, under 2.5
-    units of modulus, which move log(1 - t) by under 3.5: 4 are counted on
-    top of _log1m's.  Away from 1, the log is off by at most 4 |log| units
-    and its truncation to F bits by 1 per component: 4 |log| + 2 is counted,
-    4 (|re| + |im|) + 4 if complex.
+    Round-off, in units of 2^-F in |re| + |im|: 2 per unit of factor error
+    that _factor_error counts.  The quotient's floors are off by under one
+    unit per component of a value of modulus at least sqrt(2) 2^F, which
+    moves the log by 1 unit.  Near 1, t = 1 - x at F bits is off by that and
+    a floor per component, under 2.5 units of modulus, which move log(1 - t)
+    by under 3.5: 4 are counted on top of _log1m's.  Away from 1, the log is
+    off by at most 4 |log| units and its truncation to F bits by 1 per
+    component: 4 (|re| + |im|) + 4 is counted.
     """
-    cplx = b[1]
-    for _, (_, wi), _, _, _ in seqs:
-        cplx = cplx or wi
     one, Js, units, groups, budget = 1 << F, [], 0.0, [[]], 0.0
-    num, den, ne = 1, 1, 0  # a real product's quotient num/den 2^ne
     for k, (s, w, lw, lpref, ew) in enumerate(seqs):
         J = _linear_terms(lw, lb, lt - lpref, holds, name, k)
-        if cplx:
-            pieces, smin = _fx_product(w, b, J, F, _ARG_FLUSH)
-        else:
-            p, e, smin = _fx_real(w[0], b[0], J, F)
+        pieces, smin = _fx_product(w, b, J, F, _ARG_FLUSH)
         fe, _ = _factor_error(J, lb, 1.0, smin, F, ew, eb)  # |w_k| < 1
         if fe is None:
             raise _zero_factor(name)
         Js.append(J)
         units += 2 * fe
-        if not cplx:
-            num, den, ne = (num * p, den, ne + e) if s > 0 else (num, den * p, ne - e)
-            continue
         # the summed |w b^j| of a piece; a split sequence's pieces go alone
         pb = min(math.exp(lw) / -math.expm1(lb), _ARG_FLUSH) if len(pieces) == 1 else math.inf
         for piece in pieces:
@@ -440,9 +469,6 @@ def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
                 budget = 0.0
             groups[-1].append((s, piece))
             budget += pb
-    if not cplx:
-        lr, lu, v = _log_quot(num, den, ne, F)
-        return lr, 0, Js, (units + lu) / (1 << _GUARD), abs(v)
     re, im, fr, fi = 0, 0, 0.0, 0.0
     for group in groups:
         nr, ni, dr, di, ne = 1, 0, 1, 0, 0
@@ -487,8 +513,9 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
 
     z and q may be complex.  The certified tail bound is
     |z| |q|^J / ((1-|q|)(1-|z|)), and the term count J is the first at which
-    it is <= tol, found before the fixed-point product loop runs.  A long
-    complex product is logged in pieces before its argument can wrap, so the
+    it is <= tol, found before the fixed-point product loop runs.  Real z
+    and q at F = prec + _GUARD bits take _log_qpoch_real; a long complex
+    product is logged in pieces before its argument can wrap, so the
     principal branch is preserved (_log_qpoch).  Its rounding to the working
     precision is inside _roundoff.
     """
@@ -499,9 +526,20 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
     if not z:
         return SeriesValue(mpf(0), mpf(0), 0)
     F = mp.prec + _GUARD
-    re, im, (J,), units, absval = _log_qpoch(
-        [(1, _fx(z, F), _ln(absz), -_ln1m(absq) - _ln1m(absz), 1.0)], _fx(q, F), _ln(absq),
-        _ln(tol), F, 1.0, lambda k, j: _qpoch_tail(absz, absq, j) <= tol, "log_qpoch_inf")
+    w, b = _fx(z, F), _fx(q, F)
+    lw, lb, lt = _ln(absz), _ln(absq), _ln(tol)
+    lpref = -_ln1m(absq) - _ln1m(absz)
+
+    def holds(k, j):
+        return _qpoch_tail(absz, absq, j) <= tol
+
+    if w[1] or b[1]:
+        re, im, (J,), units, absval = _log_qpoch(
+            [(1, w, lw, lpref, 1.0)], b, lb, lt, F, 1.0, holds, "log_qpoch_inf")
+    else:
+        re, J, _, units, v = _log_qpoch_real(
+            b[0], lb, lt, F, 1.0, holds, "log_qpoch_inf", w[0], lw, lpref, 1.0)
+        im, absval = 0, abs(v)
     units += _roundoff_units(J, absval)
     # 1e-9 covers the float rounding of units
     err = _qpoch_tail(absz, absq, J) + mp.ldexp(units * (1 + 1e-9), -mp.prec)
@@ -1011,11 +1049,14 @@ def weighted_product_log(
     Form B: sum_n g(n)/n^w * [log (q^(n(z+1)); q^(2n))_inf
                               - log (q^(nz); q^(2n))_inf].
     The outer tail uses |log (q^(nz);q^n)_inf| <= r^n / ((1-q)(1-r)), and N
-    is sized as in lambert_sum.  Each inner log-Pochhammer is _log_qpoch on
+    is sized as in lambert_sum.  The inner log-Pochhammers of each n run on
     w_n = q^(nz) (and q^(n(z+1)) in form B) and b_n = q^n (q^(2n) in form B),
-    which advance as int pairs at F = prec + _GUARD bits by one multiply and
-    shift per n; it stops where log_qpoch_inf would.  Each base is worked out
-    16 bits above F, so by the power lemma of lambert_sum a power of a base of
+    which advance at F = prec + _GUARD bits by one multiply and shift per n,
+    as plain ints at real z and as int pairs at complex z; they stop where
+    log_qpoch_inf would.  Where no w_n has an imaginary part at F bits, as at
+    every n of a real z, one _log_qpoch_real call takes the log of the form's
+    whole quotient; else _log_qpoch takes it.  Each base is worked out 16
+    bits above F, so by the power lemma of lambert_sum a power of a base of
     modulus a is off by at most 5/(1 - a - 3u) units u = 2^-F.
 
     The outer sum is an int pair at the same F bits.  Each inner value v_n
@@ -1065,13 +1106,19 @@ def weighted_product_log(
     bn = x1r = x2r = 1 << F
     x1i = x2i = ar = ai = inner_terms = 0
     cplx = complex_z
+    name = "weighted_product_log"
     # sum of |g(n)/n^w| times the inner bounds, and the outer floors, in units of 2^-prec
     err_units = 2 * N / (1 << _GUARD)
     for n in range(1, N + 1):
         bn = bn * B >> F
-        x1r, x1i = (x1r * w1r - x1i * w1i) >> F, (x1r * w1i + x1i * w1r) >> F
-        if two:
-            x2r, x2i = (x2r * w2r - x2i * w2i) >> F, (x2r * w2i + x2i * w2r) >> F
+        if complex_z:
+            x1r, x1i = (x1r * w1r - x1i * w1i) >> F, (x1r * w1i + x1i * w1r) >> F
+            if two:
+                x2r, x2i = (x2r * w2r - x2i * w2i) >> F, (x2r * w2i + x2i * w2r) >> F
+        else:
+            x1r = x1r * w1r >> F
+            if two:
+                x2r = x2r * w2r >> F
         gv = g.values[n]
         if not gv:
             continue
@@ -1079,16 +1126,21 @@ def weighted_product_log(
         lb, lw1, lw2 = n * lb1, n * la1, n * la2
         lpb = -math.log(-math.expm1(lb))
         lp1 = lpb - math.log(-math.expm1(lw1))
-        prods = [(1, (x1r, x1i), lw1, lp1, ew1)]
+        lp2 = lpb - math.log(-math.expm1(lw2)) if two else lp1
+        if x1i or x2i:
+            prods = [(1, (x1r, x1i), lw1, lp1, ew1)]
+            if two:
+                prods.append((-1, (x2r, x2i), lw2, lp2, ew2))
+            vr, vi, Js, err, _ = _log_qpoch(prods, (bn, 0), lb, lt, F, eb, holds, name)
+            J1, J2 = Js if two else (Js[0], 0)
+        else:
+            vr, J1, J2, err, _ = _log_qpoch_real(bn, lb, lt, F, eb, holds, name, x1r, lw1, lp1,
+                                                 ew1, x2r if two else None, lw2, lp2, ew2)
+            vi = 0
+        err += math.exp(lw1 + J1 * lb + lp1 + lprec)
         if two:
-            lp2 = lpb - math.log(-math.expm1(lw2))
-            prods.append((-1, (x2r, x2i), lw2, lp2, ew2))
-        vr, vi, Js, err, _ = _log_qpoch(prods, (bn, 0), lb, lt, F, eb, holds,
-                                        "weighted_product_log")
-        err += math.exp(lw1 + Js[0] * lb + lp1 + lprec)
-        if two:
-            err += math.exp(lw2 + Js[1] * lb + lp2 + lprec)
-        inner_terms += sum(Js)
+            err += math.exp(lw2 + J2 * lb + lp2 + lprec)
+        inner_terms += J1 + J2
         if type(gv) is int:
             ar += gv * vr // n if w else gv * vr
             ai += gv * vi // n if w else gv * vi

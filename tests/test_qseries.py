@@ -515,6 +515,27 @@ def test_cross_checks_call_no_product(monkeypatch):
     qseries._ratio_series(mpf("0.4"), 3, mpf("0.9"), 0, 1, mpf("1e-30"), "q-binomial series")
 
 
+def test_real_inner_products_skip_the_complex_core(monkeypatch):
+    # real z and q take _log_qpoch_real alone; only complex ones reach _log_qpoch
+    class Forbidden(Exception):
+        pass
+
+    def forbidden(*args, **kwargs):
+        raise Forbidden
+
+    monkeypatch.setattr(qseries, "_log_qpoch", forbidden)
+    g = identities._build_named("std:mobius", 512)
+    q = mpf("0.7")
+    for form in "AB":
+        weighted_product_log(g, QPoint(q, mpf("0.5")), form=form)
+        with pytest.raises(Forbidden):
+            weighted_product_log(g, QPoint(q, mpc(1, "0.5")), form=form)
+    log_qpoch_inf(mpf("-0.6"), q)
+    for z, base in ((mpc("0.2", "0.4"), q), (mpf("0.3"), mpc("0.3", "0.4"))):
+        with pytest.raises(Forbidden):
+            log_qpoch_inf(z, base)
+
+
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_triple_product_sides_agree_near_one(bits):
     # the theta side's terms reach about 1e27 and cancel to about 1e-2115
@@ -895,6 +916,30 @@ def test_kernel_values_match_digest(kernel):
         h.update(repr((v._mpc_ if isinstance(v, mpc) else v._mpf_,
                        sv.err_bound._mpf_, sv.terms_used)).encode())
     assert h.hexdigest() == _KERNEL_DIGESTS[kernel]
+
+
+# the same digest over weighted_product_log at real z, every _PIN_TABLES
+# table, form and weight at each of 64/128/256 bits, q and z parsed at that
+# precision; recorded while every inner product still went through _log_qpoch
+_REAL_PRODUCT_DIGEST = "9d82441eeaab6f7c60e1b3568352792da8dbf9a780d47494b143b4f437f2358e"
+
+
+def test_real_z_products_match_digest():
+    h = hashlib.sha256()
+    for key in _PIN_TABLES:
+        g = identities._build_named(key, 2048)
+        for q in ("0.1", "0.5", "0.9"):
+            for z in ("1", "2", "0.5"):
+                for form in "AB":
+                    for weight in ("over_n", "plain"):
+                        for bits in (64, 128, 256):
+                            with precision(bits):
+                                sv = weighted_product_log(g, QPoint(mpf(q), mpf(z)),
+                                                          form=form, weight=weight)
+                            v = sv.value
+                            h.update(repr((v._mpc_ if isinstance(v, mpc) else v._mpf_,
+                                           sv.err_bound._mpf_, sv.terms_used)).encode())
+    assert h.hexdigest() == _REAL_PRODUCT_DIGEST
 
 
 def test_kernel_bench_runs_on_one_point():
