@@ -31,7 +31,6 @@ __all__ = [
 DEFAULT_PRECISION_BITS = 128
 
 _ENV_BITS = "LAMBERTQ_PRECISION_BITS"
-_HALF = mpf("0.5")
 
 
 class DomainError(ValueError):
@@ -91,28 +90,12 @@ def zeta(s) -> mpf:
     return mpf(mpmath.zeta(s))
 
 
-def _alternating_sum(term, n: int) -> mpf:
-    # Chebyshev-accelerated alternating summation: error decays like
-    # (3+sqrt(8))^(-n), so n ~ 1.31 * decimal_digits suffices.
-    d = (3 + 2 * mp.sqrt(2)) ** n
-    d = (d + 1 / d) / 2
-    b = mpf(-1)
-    c = -d
-    s = mpf(0)
-    for k in range(n):
-        c = b - c
-        s += c * term(k)
-        b *= mpf((k + n) * (k - n)) / ((k + _HALF) * (k + 1))
-    return s / d
-
-
 def dirichlet_beta(s) -> mpf:
     """Dirichlet beta function sum((-1)^n/(2n+1)^s), s > 0."""
     s = mpf(s)
     if not s > 0:
         raise DomainError(f"dirichlet_beta requires s > 0, got {s}")
-    n = int(1.31 * mp.dps) + 10
-    return _alternating_sum(lambda k: mpf(1) / mpf(2 * k + 1) ** s, n)
+    return mpmath.dirichlet(s, [0, 1, 0, -1])
 
 
 def euler_gamma() -> mpf:
@@ -121,14 +104,13 @@ def euler_gamma() -> mpf:
 
 
 def glaisher() -> mpf:
-    """Glaisher-Kinkelin constant A, via log A = 1/12 - zeta'(-1)."""
-    zp = mpmath.zeta(-1, derivative=1)
-    return mp.exp(mpf(1) / 12 - zp)
+    """Glaisher-Kinkelin constant A at the working precision."""
+    return +mp.glaisher
 
 
 def catalan() -> mpf:
-    """Catalan constant G = beta(2)."""
-    return dirichlet_beta(2)
+    """Catalan constant G = beta(2) at the working precision."""
+    return +mp.catalan
 
 
 def richardson_extrapolate(xs, ys):

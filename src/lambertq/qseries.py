@@ -147,8 +147,9 @@ def _poly_geom_tail(p, r, N):
 
 _GUARD = 32
 _LN2 = math.log(2)
-# cap on the summed |w b^j| of the complex factors merged into one log, so
-# that the merged quotient keeps its principal argument (_log_qpoch)
+# cap on the summed |w b^j| of the complex factors that take one log, in one
+# _fx_product piece or in _log_qpoch's shared quotient of two, so that the
+# log keeps its principal argument
 _ARG_FLUSH = 1.2
 
 
@@ -260,9 +261,10 @@ def _fx_product(z, q, J, F, flush):
     The running product is a mantissa of F + 1 bits with a binary exponent,
     so it neither underflows nor overflows.  A complex product is split into
     pieces, each closed by the factor that takes its summed |z q^j| past
-    ``flush``.  Returns
-    (pieces, smin): each piece is (re, im, e), the value (re + i im) 2^e,
-    and every factor has |1 - z q^j| >= 2^(smin - 2 - F).
+    ``flush``, so that _log_qpoch can log each piece on its principal
+    branch; a real one is one piece.  Returns (pieces, smin): each piece is
+    (re, im, e), the value (re + i im) 2^e, and every factor has
+    |1 - z q^j| >= 2^(smin - 2 - F).
     """
     wr, wi = z
     qr, qi = q
@@ -375,12 +377,22 @@ def _log_quot(num, den, ne, F):
 
 def _log_qpoch_real(b, lb, lt, F, eb, holds, name, w, lw, lpref, ew,
                     v=None, lv=0.0, lprefv=0.0, ev=0.0):
-    """log (w; b)_inf - log (v; b)_inf, or log (w; b)_inf if v is None: the
-    real case of _log_qpoch, for real ints w, v and b at F bits, each
-    sequence's w, lw, lpref and ew (v, lv, lprefv and ev) as there, and k = 0
-    for w and 1 for v in ``holds(k, J)``.  Returns (re, J, Jv, units, value):
-    the log as an int at F bits, the two J (Jv = 0 without v), a float bound
-    on its round-off in units of 2^-prec and the log as a float.
+    """log (w; b)_inf - log (v; b)_inf, or log (w; b)_inf if v is None, for
+    real ints w, v and b at F = prec + _GUARD fractional bits; _log_qpoch
+    takes the complex case with the same arguments and return.
+
+    |w|, |v|, |b| < 1, off by at most ew, ev and eb units of 2^-F.  lw, lv,
+    lb and lt are the natural logs of |w|, |v|, |b| and tol as floats, lpref
+    and lprefv those of 1/((1-|b|)(1-|w|)) and 1/((1-|b|)(1-|v|)).
+    ``holds(k, J)`` is the test _qpoch_tail(|x|, |b|, J) <= tol in mpf for
+    x = w (k = 0) or v (k = 1), which _linear_terms calls only near its
+    threshold.  J (Jv for v) is the first J >= 1 that passes it, so the
+    discarded tail is at most exp(lw + J lb + lpref).  ``name`` is the
+    caller's, for errors.  Returns (re, im, J, Jv, units, absval): the log as
+    an int pair at F bits (im = 0 here), the two J (Jv = 0 without v), a float
+    bound on its round-off in units of 2^-prec, and its modulus as a float,
+    for the _roundoff cover of a caller that rounds it to the working
+    precision.
 
     Each product runs through _fx_real, and the two multiply, exactly, into
     one quotient num/den 2^ne of plain ints, which takes one log (_log_quot):
@@ -409,39 +421,30 @@ def _log_qpoch_real(b, lb, lt, F, eb, holds, name, w, lw, lpref, ew,
         units += 2 * fe
         ne -= e
     lr, lu, val = _log_quot(num, den, ne, F)
-    return lr, J, Jv, (units + lu) / (1 << _GUARD), val
+    return lr, 0, J, Jv, (units + lu) / (1 << _GUARD), abs(val)
 
 
-def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
-    """sum_k s_k sum_{j<J_k} log(1 - w_k b^j), the log of a product of
-    q-Pochhammer symbols (w_k; b)_inf^(s_k) with s_k = +-1, where b or some
-    w_k has an imaginary part; _log_qpoch_real takes the real case.
+def _log_qpoch(b, lb, lt, F, eb, holds, name, w, lw, lpref, ew,
+               v=None, lv=0.0, lprefv=0.0, ev=0.0):
+    """_log_qpoch_real's log where b, w or v has an imaginary part: the same
+    arguments and return, with b, w and v as int pairs (re, im).
 
-    ``seqs`` holds (s_k, w_k, lw_k, lpref_k, ew_k).  w_k and b are int pairs
-    at F = prec + _GUARD fractional bits, |w_k|, |b| < 1, off by at most ew_k
-    and eb units of 2^-F.  lw_k, lpref_k, lb and lt are the natural logs of
-    |w_k|, 1/((1-|b|)(1-|w_k|)), |b| and tol as floats, and ``holds(k, J)``
-    is the test _qpoch_tail(|w_k|, |b|, J) <= tol in mpf, which
-    _linear_terms calls only near its threshold.  J_k is the first J >= 1
-    that passes it, so the discarded tail is at most
-    exp(lw_k + J_k lb + lpref_k).  ``name`` is the caller's, for errors.
-    Returns (re, im, Js, units, absval): the sum as an int pair at F bits,
-    the J_k, a float bound on its round-off in units of 2^-prec, and its
-    modulus as a float, for the _roundoff cover of a caller that rounds it
-    to the working precision.
+    Each product runs through _fx_product, which closes a piece wherever its
+    summed |w b^j| passes _ARG_FLUSH.  The pieces multiply, exactly, into
+    quotients (nr + i ni)/(dr + i di) 2^ne, divided out as n conj(d) 2^sh //
+    |d|^2 per component, and each quotient takes one log: by _log1m within
+    2^-16 of 1, else by mpc_log.  w's and v's products share one quotient
+    only if each is one piece and
+    min(|w|/(1-|b|), _ARG_FLUSH) + min(|v|/(1-|b|), _ARG_FLUSH) <= _ARG_FLUSH;
+    else every piece takes its own log, w's first.
 
-    The products multiply, exactly, into a quotient (nr + i ni)/(dr + i di)
-    2^ne, divided out as n conj(d) 2^sh // |d|^2 per component, and each
-    quotient takes one log: by _log1m within 2^-16 of 1, else by mpc_log.
-    It keeps the principal branch, as |arg(1 - x)| <= arcsin |x| <= (pi/2)|x|
-    for |x| < 1.  A sequence starts a new quotient if it would take the
-    summed |w_k b^j| of the quotient's factors past _ARG_FLUSH, so |arg| <=
-    0.6 pi; its own sum is at most |w_k|/(1-|b|), and at most _ARG_FLUSH if
-    _fx_product keeps it in one piece.  The pieces of a split sequence go
-    one by one.  Each but the last ends on the factor that takes its sum
-    past _ARG_FLUSH, no larger than the earlier ones, so it has one or two
-    factors (|arg| < pi) or a last one of at most 0.6 (|arg| <= 0.9 pi).  The
-    margin to pi covers float rounding and the round-off of the w_k b^j.
+    Each log keeps the principal branch, as |arg(1 - x)| <= arcsin |x| <=
+    (pi/2)|x| for |x| < 1.  A shared quotient's factors, and those of a
+    product kept in one piece, sum to at most _ARG_FLUSH, so |arg| <= 0.6 pi.
+    Each piece of a split product but the last ends on the factor that takes
+    its sum past _ARG_FLUSH, no larger than the earlier ones, so it has one or
+    two factors (|arg| < pi) or a last one of at most 0.6 (|arg| <= 0.9 pi).
+    The margin to pi covers float rounding and the round-off of the w b^j.
 
     Round-off, in units of 2^-F in |re| + |im|: 2 per unit of factor error
     that _factor_error counts.  The quotient's floors are off by under one
@@ -452,31 +455,28 @@ def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
     off by at most 4 |log| units and its truncation to F bits by 1 per
     component: 4 (|re| + |im|) + 4 is counted.
     """
-    one, Js, units, groups, budget = 1 << F, [], 0.0, [[]], 0.0
-    for k, (s, w, lw, lpref, ew) in enumerate(seqs):
-        J = _linear_terms(lw, lb, lt - lpref, holds, name, k)
-        pieces, smin = _fx_product(w, b, J, F, _ARG_FLUSH)
-        fe, _ = _factor_error(J, lb, 1.0, smin, F, ew, eb)  # |w_k| < 1
+    J = _linear_terms(lw, lb, lt - lpref, holds, name, 0)
+    pw, smin = _fx_product(w, b, J, F, _ARG_FLUSH)
+    fe, _ = _factor_error(J, lb, 1.0, smin, F, ew, eb)  # |w| < 1
+    if fe is None:
+        raise _zero_factor(name)
+    units, pv, Jv = 2 * fe, [], 0
+    if v is not None:
+        Jv = _linear_terms(lv, lb, lt - lprefv, holds, name, 1)
+        pv, smin = _fx_product(v, b, Jv, F, _ARG_FLUSH)
+        fe, _ = _factor_error(Jv, lb, 1.0, smin, F, ev, eb)
         if fe is None:
             raise _zero_factor(name)
-        Js.append(J)
         units += 2 * fe
-        # the summed |w b^j| of a piece; a split sequence's pieces go alone
-        pb = min(math.exp(lw) / -math.expm1(lb), _ARG_FLUSH) if len(pieces) == 1 else math.inf
-        for piece in pieces:
-            if groups[-1] and budget + pb > _ARG_FLUSH:
-                groups.append([])
-                budget = 0.0
-            groups[-1].append((s, piece))
-            budget += pb
-    re, im, fr, fi = 0, 0, 0.0, 0.0
-    for group in groups:
-        nr, ni, dr, di, ne = 1, 0, 1, 0, 0
-        for s, (pr, pi, e) in group:
-            if s > 0:
-                nr, ni, ne = nr * pr - ni * pi, nr * pi + ni * pr, ne + e
-            else:
-                dr, di, ne = dr * pr - di * pi, dr * pi + di * pr, ne - e
+    sb = -math.expm1(lb)
+    if len(pw) == len(pv) == 1 and (min(math.exp(lw) / sb, _ARG_FLUSH)
+                                    + min(math.exp(lv) / sb, _ARG_FLUSH) <= _ARG_FLUSH):
+        quots = [(pw[0], pv[0])]
+    else:
+        quots = [(p, (1, 0, 0)) for p in pw] + [((1, 0, 0), p) for p in pv]
+    one, re, im, fr, fi = 1 << F, 0, 0, 0.0, 0.0
+    for (nr, ni, ne), (dr, di, e) in quots:
+        ne -= e
         if dr != 1 or di:
             sh = (abs(dr) | abs(di)).bit_length() + F + 1
             if di:
@@ -492,7 +492,7 @@ def _log_qpoch(seqs, b, lb, lt, F, eb, holds, name):
             lr, li, lu = _log1m(tr, ti, F)
             vr, vi, lu = lr / one, li / one, lu + 4
         re, im, fr, fi, units = re + lr, im + li, fr + vr, fi + vi, units + lu
-    return re, im, Js, units / (1 << _GUARD), math.hypot(fr, fi)
+    return re, im, J, Jv, units / (1 << _GUARD), math.hypot(fr, fi)
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +513,11 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
 
     z and q may be complex.  The certified tail bound is
     |z| |q|^J / ((1-|q|)(1-|z|)), and the term count J is the first at which
-    it is <= tol, found before the fixed-point product loop runs.  Real z
-    and q at F = prec + _GUARD bits take _log_qpoch_real; a long complex
-    product is logged in pieces before its argument can wrap, so the
-    principal branch is preserved (_log_qpoch).  Its rounding to the working
-    precision is inside _roundoff.
+    it is <= tol, found before the fixed-point product loop runs.  z and q
+    at F = prec + _GUARD bits make one call of the inner routine they select:
+    _log_qpoch_real if both are real, else _log_qpoch, which logs a long
+    product in pieces before its argument can wrap, so the principal branch
+    is preserved.  Its rounding to the working precision is inside _roundoff.
     """
     z = z if isinstance(z, (mpf, mpc)) else mpf(z)
     tol = mpf(2) ** (-mp.prec) if tol is None else mpf(tol)
@@ -527,19 +527,17 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
         return SeriesValue(mpf(0), mpf(0), 0)
     F = mp.prec + _GUARD
     w, b = _fx(z, F), _fx(q, F)
+    inner = _log_qpoch
+    if not (w[1] or b[1]):
+        inner, w, b = _log_qpoch_real, w[0], b[0]
     lw, lb, lt = _ln(absz), _ln(absq), _ln(tol)
     lpref = -_ln1m(absq) - _ln1m(absz)
 
     def holds(k, j):
         return _qpoch_tail(absz, absq, j) <= tol
 
-    if w[1] or b[1]:
-        re, im, (J,), units, absval = _log_qpoch(
-            [(1, w, lw, lpref, 1.0)], b, lb, lt, F, 1.0, holds, "log_qpoch_inf")
-    else:
-        re, J, _, units, v = _log_qpoch_real(
-            b[0], lb, lt, F, 1.0, holds, "log_qpoch_inf", w[0], lw, lpref, 1.0)
-        im, absval = 0, abs(v)
+    re, im, J, _, units, absval = inner(
+        b, lb, lt, F, 1.0, holds, "log_qpoch_inf", w, lw, lpref, 1.0)
     units += _roundoff_units(J, absval)
     # 1e-9 covers the float rounding of units
     err = _qpoch_tail(absz, absq, J) + mp.ldexp(units * (1 + 1e-9), -mp.prec)
@@ -1053,11 +1051,12 @@ def weighted_product_log(
     w_n = q^(nz) (and q^(n(z+1)) in form B) and b_n = q^n (q^(2n) in form B),
     which advance at F = prec + _GUARD bits by one multiply and shift per n,
     as plain ints at real z and as int pairs at complex z; they stop where
-    log_qpoch_inf would.  Where no w_n has an imaginary part at F bits, as at
-    every n of a real z, one _log_qpoch_real call takes the log of the form's
-    whole quotient; else _log_qpoch takes it.  Each base is worked out 16
-    bits above F, so by the power lemma of lambert_sum a power of a base of
-    modulus a is off by at most 5/(1 - a - 3u) units u = 2^-F.
+    log_qpoch_inf would.  One call per n takes the log of the form's
+    quotient, with one return shape: _log_qpoch_real where no w_n has an
+    imaginary part at F bits, as at every n of a real z, else _log_qpoch on
+    int pairs.  Each base is worked out 16 bits above F, so by the power
+    lemma of lambert_sum a power of a base of modulus a is off by at most
+    5/(1 - a - 3u) units u = 2^-F.
 
     The outer sum is an int pair at the same F bits.  Each inner value v_n
     enters it as c_n v_n with c_n = g(n)/n^w exact, as in lambert_sum: an int
@@ -1128,15 +1127,13 @@ def weighted_product_log(
         lp1 = lpb - math.log(-math.expm1(lw1))
         lp2 = lpb - math.log(-math.expm1(lw2)) if two else lp1
         if x1i or x2i:
-            prods = [(1, (x1r, x1i), lw1, lp1, ew1)]
-            if two:
-                prods.append((-1, (x2r, x2i), lw2, lp2, ew2))
-            vr, vi, Js, err, _ = _log_qpoch(prods, (bn, 0), lb, lt, F, eb, holds, name)
-            J1, J2 = Js if two else (Js[0], 0)
+            vr, vi, J1, J2, err, _ = _log_qpoch(
+                (bn, 0), lb, lt, F, eb, holds, name, (x1r, x1i), lw1, lp1, ew1,
+                (x2r, x2i) if two else None, lw2, lp2, ew2)
         else:
-            vr, J1, J2, err, _ = _log_qpoch_real(bn, lb, lt, F, eb, holds, name, x1r, lw1, lp1,
-                                                 ew1, x2r if two else None, lw2, lp2, ew2)
-            vi = 0
+            vr, vi, J1, J2, err, _ = _log_qpoch_real(
+                bn, lb, lt, F, eb, holds, name, x1r, lw1, lp1, ew1,
+                x2r if two else None, lw2, lp2, ew2)
         err += math.exp(lw1 + J1 * lb + lp1 + lprec)
         if two:
             err += math.exp(lw2 + J2 * lb + lp2 + lprec)

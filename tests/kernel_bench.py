@@ -63,8 +63,10 @@ LAMBERT_POINTS = [("0.3", mpf("0.3")), ("0.9", mpf("0.9")), ("0.99", mpf("0.99")
                   ("1-2^-10", 1 - mpf(2) ** -10)]
 # q = 0.7 is the largest q of the library's default grid, where the slowest
 # ops of the benchmark's verify-grid workload sit
+# q = 0.9, z = 1+10j splits the inner products into pieces (_log_qpoch)
 PRODUCT_POINTS = [(q, z, form) for q in ("0.3", "0.7", "0.9", "0.99")
-                  for z in ("1", "2", "0.5", "1+0.5j") for form in ("A", "B")]
+                  for z in ("1", "2", "0.5", "1+0.5j") for form in ("A", "B")] + [
+                  ("0.9", "1+10j", form) for form in ("A", "B")]
 # one op of each kind in a cli-near1 round (benchmarks/workloads.py), at fixed
 # inputs: Lambert sums and q-Pochhammers at q = 0.9, 0.99 and 0.999, sieves of
 # an integer table at 2^13 and 2^16 and of a non-integer one at 2^11, a

@@ -1,6 +1,7 @@
 """Certified q-series primitives against independent oracles."""
 
 import hashlib
+import inspect
 import math
 import os
 import random
@@ -536,6 +537,38 @@ def test_real_inner_products_skip_the_complex_core(monkeypatch):
             log_qpoch_inf(z, base)
 
 
+@pytest.mark.parametrize("form", "AB")
+def test_complex_inner_routine_keeps_the_real_contract(form):
+    # _log_qpoch takes _log_qpoch_real's arguments with b, w and v as int
+    # pairs; given real ones it returns the same J and Jv with im = 0, and
+    # in form A the same log.  Form B's numerator and denominator it may log
+    # apart, so there the two logs agree within their two round-off bounds
+    params = inspect.signature(qseries._log_qpoch).parameters
+    assert params == inspect.signature(qseries._log_qpoch_real).parameters
+    F, tol = mp.prec + qseries._GUARD, mpf(2) ** -mp.prec
+    for q in map(mpf, ("0.1", "0.3", "0.5", "0.7", "0.9", "0.99")):
+        base = q if form == "A" else q * q
+        b, lb = qseries._fx(base, F)[0], qseries._ln(base)
+        for z in map(mpf, ("0.5", "1", "2", "3.5", "7")):
+            xs = (q**z,) if form == "A" else (q ** (z + 1), q**z)
+
+            def holds(k, j, xs=xs):
+                return qseries._qpoch_tail(xs[k], base, j) <= tol
+
+            seqs = [(qseries._fx(x, F)[0], qseries._ln(x),
+                     -qseries._ln1m(base) - qseries._ln1m(x), 1.0) for x in xs]
+            real = qseries._log_qpoch_real(b, lb, qseries._ln(tol), F, 1.0, holds, "test",
+                                           *(a for seq in seqs for a in seq))
+            pairs = qseries._log_qpoch((b, 0), lb, qseries._ln(tol), F, 1.0, holds, "test",
+                                       *(a for x, *rest in seqs for a in ((x, 0), *rest)))
+            assert len(real) == len(pairs) == 6
+            assert pairs[1:4] == real[1:4] and real[1] == 0
+            if form == "A":
+                assert pairs[0] == real[0]
+            else:
+                assert abs(pairs[0] - real[0]) <= (pairs[4] + real[4]) * 2**qseries._GUARD
+
+
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_triple_product_sides_agree_near_one(bits):
     # the theta side's terms reach about 1e27 and cancel to about 1e-2115
@@ -924,22 +957,38 @@ def test_kernel_values_match_digest(kernel):
 _REAL_PRODUCT_DIGEST = "9d82441eeaab6f7c60e1b3568352792da8dbf9a780d47494b143b4f437f2358e"
 
 
-def test_real_z_products_match_digest():
+def _product_digest(qs, zs):
+    # weighted_product_log over every _PIN_TABLES table, q, z, form and
+    # weight at each of 64/128/256 bits, with q and z parsed at that precision
     h = hashlib.sha256()
     for key in _PIN_TABLES:
         g = identities._build_named(key, 2048)
-        for q in ("0.1", "0.5", "0.9"):
-            for z in ("1", "2", "0.5"):
+        for q in qs:
+            for z in zs:
                 for form in "AB":
                     for weight in ("over_n", "plain"):
                         for bits in (64, 128, 256):
                             with precision(bits):
-                                sv = weighted_product_log(g, QPoint(mpf(q), mpf(z)),
+                                sv = weighted_product_log(g, QPoint(mpf(q), mp.mpmathify(z)),
                                                           form=form, weight=weight)
                             v = sv.value
                             h.update(repr((v._mpc_ if isinstance(v, mpc) else v._mpf_,
                                            sv.err_bound._mpf_, sv.terms_used)).encode())
-    assert h.hexdigest() == _REAL_PRODUCT_DIGEST
+    return h.hexdigest()
+
+
+def test_real_z_products_match_digest():
+    assert _product_digest(("0.1", "0.5", "0.9"), ("1", "2", "0.5")) == _REAL_PRODUCT_DIGEST
+
+
+# the same digest at complex z, recorded while _log_qpoch still took a list
+# of signed sequences and grouped their pieces by a running budget; at
+# q = 0.9 most of these products split into pieces
+_COMPLEX_PRODUCT_DIGEST = "c59733c3355d651cd078b32c6a35e8e3d29020ea2d5e218f3967d1dfa12aef13"
+
+
+def test_complex_z_products_match_digest():
+    assert _product_digest(("0.5", "0.9"), ("1+0.5j", "0.5+2j", "1+10j")) == _COMPLEX_PRODUCT_DIGEST
 
 
 def test_kernel_bench_runs_on_one_point():
