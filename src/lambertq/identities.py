@@ -234,10 +234,13 @@ class IdentityRecord(namedtuple(
         defaults=("", "", "A", "over_n", "", -1, None, False, None, None))):
     """One catalog entry pairing two independently evaluated sides.
 
-    ``kind`` is "qz" or "exact".  ``f_weight`` is the series-side weight when
-    it differs from the product side.  ``closed_rhs(pt)`` gives a value used
-    instead of ``f_key``.  ``value_space`` compares values instead of logs
-    and ``z_fixed`` restricts the record to one z (intro records).
+    ``kind`` is "qz" or "exact".  A "qz" record compares the weighted product
+    of ``g_key`` in ``form`` with ``rhs_sign`` times the Lambert series of
+    ``f_key`` (kernel 1/(1-q^n) in form A, 1/(1+q^n) in form B); ``_pair``
+    builds both forms of one (g, f) pair.  ``f_weight`` is the series-side
+    weight when it differs from the product side.  ``closed_rhs(pt)`` gives a
+    value used instead of ``f_key``.  ``value_space`` compares values instead
+    of logs and ``z_fixed`` restricts the record to one z (intro records).
     ``exact_check()`` returns (max_diff, budget, detail).
     """
 
@@ -320,6 +323,8 @@ def verify(id: str, q=None, z=None, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS
     """Evaluate both sides of one identity and compare against the budget."""
     rec = lookup(id)
     if rec.kind == "exact":
+        if q is not None or z is not None:
+            raise DomainError(f"{rec.id} is an exact statement and takes no q or z")
         max_diff, budget, detail = rec.exact_check()
         return IdentityReport(
             id=rec.id, q=None, z=None, params={},
@@ -436,11 +441,13 @@ _catalog_cache: list = []
 _catalog_index: dict = {}
 
 
-def _pair(id, desc, g_key, f_key, form, weight="over_n", f_weight="", sign=None):
-    if sign is None:
-        sign = -1 if form == "A" else 1
-    return IdentityRecord(id=id, description=desc, kind="qz", g_key=g_key, f_key=f_key,
-                          form=form, weight=weight, f_weight=f_weight, rhs_sign=sign)
+def _pair(a_id, b_id, desc, g_key, f_key, weight="over_n", f_weight="", sign=-1):
+    """The two records of one (g, f) pair: form A with ``sign`` and the
+    alternating form B, whose series side enters with the opposite sign."""
+    common = dict(kind="qz", g_key=g_key, f_key=f_key, weight=weight, f_weight=f_weight)
+    return [IdentityRecord(id=a_id, description=desc, form="A", rhs_sign=sign, **common),
+            IdentityRecord(id=b_id, description=f"alternating form of {a_id}", form="B",
+                           rhs_sign=-sign, **common)]
 
 
 def _build_catalog():
@@ -470,26 +477,16 @@ def _build_catalog():
     ))
 
     # main theorem / corollary with a generic pair g = d, f = 1*d
-    recs.append(_pair("THM-2.2", "product form over (q^{nz};q^n) with g=d vs f=1*d",
-                      "std:divisor_d", "conv_one_d", "A"))
-    recs.append(_pair("THM-2.3", "alternating-kernel form with g=d vs f=1*d",
-                      "std:divisor_d", "conv_one_d", "B"))
-    recs.append(_pair("COR-2.7", "plain-weight product with h-transform of f=d",
-                      "h_of_d", "std:divisor_d", "A", weight="plain"))
-    recs.append(_pair("COR-2.8", "plain-weight alternating form, h-transform of f=d",
-                      "h_of_d", "std:divisor_d", "B", weight="plain"))
-    recs.append(_pair("REM-2.9", "gcd-sum exponent (g=mu) vs f=1*mu",
-                      "gcdsum_mu", "unit_e", "A", weight="plain"))
-    recs.append(_pair("REM-2.10", "gcd-sum exponent (g=mu), alternating form",
-                      "gcdsum_mu", "unit_e", "B", weight="plain"))
-    recs.append(_pair("REM-2.13-a", "multiplicative kernel f(p)=1/p: g=mu/n vs phi/n",
-                      "mu_over_n", "phi_over_n", "A"))
-    recs.append(_pair("REM-2.13-b", "multiplicative kernel f(p)=p^2: g=mu n^2",
-                      "mu_nsq", "prod1mp2", "A"))
-    recs.append(_pair("REM-2.14-a", "alternating form of REM-2.13-a",
-                      "mu_over_n", "phi_over_n", "B"))
-    recs.append(_pair("REM-2.14-b", "alternating form of REM-2.13-b",
-                      "mu_nsq", "prod1mp2", "B"))
+    recs += _pair("THM-2.2", "THM-2.3", "product form over (q^{nz};q^n) with g=d vs f=1*d",
+                  "std:divisor_d", "conv_one_d")
+    recs += _pair("COR-2.7", "COR-2.8", "plain-weight product with h-transform of f=d",
+                  "h_of_d", "std:divisor_d", weight="plain")
+    recs += _pair("REM-2.9", "REM-2.10", "gcd-sum exponent (g=mu) vs f=1*mu",
+                  "gcdsum_mu", "unit_e", weight="plain")
+    recs += _pair("REM-2.13-a", "REM-2.14-a", "multiplicative kernel f(p)=1/p: g=mu/n vs phi/n",
+                  "mu_over_n", "phi_over_n")
+    recs += _pair("REM-2.13-b", "REM-2.14-b", "multiplicative kernel f(p)=p^2: g=mu n^2",
+                  "mu_nsq", "prod1mp2")
 
     recs.append(IdentityRecord(
         id="EQ2.6", description="triple divisor-sum equality, exact integers",
@@ -515,108 +512,72 @@ def _build_catalog():
         g_key="std:mobius", form="B",
         closed_rhs=lambda pt: _qz(pt) / (1 + pt.q),
     ))
-    recs.append(_pair("EQ3.3", "g=2^omega mu vs f=(-1)^omega",
-                      "two_pow_omega_mu", "std:neg_one_pow_omega", "A"))
-    recs.append(_pair("EQ3.4", "alternating form of EQ3.3",
-                      "two_pow_omega_mu", "std:neg_one_pow_omega", "B"))
-    recs.append(_pair("EQ3.5", "g=|mu| vs f=2^omega",
-                      "std:mobius_abs", "std:two_pow_omega", "A"))
-    recs.append(_pair("EQ3.6", "alternating form of EQ3.5",
-                      "std:mobius_abs", "std:two_pow_omega", "B"))
+    recs += _pair("EQ3.3", "EQ3.4", "g=2^omega mu vs f=(-1)^omega",
+                  "two_pow_omega_mu", "std:neg_one_pow_omega")
+    recs += _pair("EQ3.5", "EQ3.6", "g=|mu| vs f=2^omega", "std:mobius_abs", "std:two_pow_omega")
 
     # von Mangoldt family
-    recs.append(_pair("EQ3.7", "g=Lambda vs f=log n", "std:mangoldt", "log_n", "A"))
-    recs.append(_pair("EQ3.8", "alternating form of EQ3.7", "std:mangoldt", "log_n", "B"))
-    recs.append(_pair("EQ3.9", "g=mu log n vs f=Lambda (sign-flipped)",
-                      "mu_log", "std:mangoldt", "A", sign=1))
-    recs.append(_pair("EQ3.10", "alternating form of EQ3.9 (sign-flipped)",
-                      "mu_log", "std:mangoldt", "B", sign=-1))
+    recs += _pair("EQ3.7", "EQ3.8", "g=Lambda vs f=log n", "std:mangoldt", "log_n")
+    recs += _pair("EQ3.9", "EQ3.10", "g=mu log n vs f=Lambda (sign-flipped)",
+                  "mu_log", "std:mangoldt", sign=1)
 
     # Euler totient family
-    recs.append(_pair("EQ3.11", "g=phi vs f=n", "std:totient", "id", "A"))
-    recs.append(_pair("EQ3.12", "alternating form of EQ3.11", "std:totient", "id", "B"))
-    recs.append(_pair("EQ3.13", "g=mu/n vs f=phi/n", "mu_over_n", "phi_over_n", "A"))
-    recs.append(_pair("EQ3.14", "alternating form of EQ3.13",
-                      "mu_over_n", "phi_over_n", "B"))
-    recs.append(_pair("EQ3.15", "g=mu^2/phi vs f=n/phi",
-                      "mu2_over_phi", "n_over_phi", "A"))
-    recs.append(_pair("EQ3.16", "alternating form of EQ3.15",
-                      "mu2_over_phi", "n_over_phi", "B"))
+    recs += _pair("EQ3.11", "EQ3.12", "g=phi vs f=n", "std:totient", "id")
+    recs += _pair("EQ3.13", "EQ3.14", "g=mu/n vs f=phi/n", "mu_over_n", "phi_over_n")
+    recs += _pair("EQ3.15", "EQ3.16", "g=mu^2/phi vs f=n/phi", "mu2_over_phi", "n_over_phi")
 
     # Jordan totient family, k in {1, 2, 3}
     for k in (1, 2, 3):
-        recs.append(_pair(f"EQ3.17-k{k}", f"g=J_{k} vs f=n^{k}",
-                          f"std:jordan:{k}", f"pow:{k}", "A"))
-        recs.append(_pair(f"EQ3.18-k{k}", f"alternating form, g=J_{k}",
-                          f"std:jordan:{k}", f"pow:{k}", "B"))
-        recs.append(_pair(f"EQ3.19-k{k}", f"g=mu/n^{k} vs f=J_{k}/n^{k}",
-                          f"mu_over_pow:{k}", f"jk_over_pow:{k}", "A"))
-        recs.append(_pair(f"EQ3.20-k{k}", f"alternating form of EQ3.19-k{k}",
-                          f"mu_over_pow:{k}", f"jk_over_pow:{k}", "B"))
-        recs.append(_pair(f"EQ3.21-k{k}", f"g=|mu|/n^{k} vs f=J_{2*k}/(n^{k} J_{k})",
-                          f"absmu_over_pow:{k}", f"j2k_ratio:{k}", "A"))
-        recs.append(_pair(f"EQ3.22-k{k}", f"alternating form of EQ3.21-k{k}",
-                          f"absmu_over_pow:{k}", f"j2k_ratio:{k}", "B"))
+        recs += _pair(f"EQ3.17-k{k}", f"EQ3.18-k{k}", f"g=J_{k} vs f=n^{k}",
+                      f"std:jordan:{k}", f"pow:{k}")
+        recs += _pair(f"EQ3.19-k{k}", f"EQ3.20-k{k}", f"g=mu/n^{k} vs f=J_{k}/n^{k}",
+                      f"mu_over_pow:{k}", f"jk_over_pow:{k}")
+        recs += _pair(f"EQ3.21-k{k}", f"EQ3.22-k{k}", f"g=|mu|/n^{k} vs f=J_{2*k}/(n^{k} J_{k})",
+                      f"absmu_over_pow:{k}", f"j2k_ratio:{k}")
 
     # divisor family
-    recs.append(_pair("EQ3.23", "g=2^omega vs f=d(n^2)",
-                      "std:two_pow_omega", "std:divisor_d_sq", "A"))
-    recs.append(_pair("EQ3.24", "alternating form of EQ3.23",
-                      "std:two_pow_omega", "std:divisor_d_sq", "B"))
-    recs.append(_pair("EQ3.25", "g=d(n^2) vs f=d(n)^2",
-                      "std:divisor_d_sq", "d_squared", "A"))
-    recs.append(_pair("EQ3.26", "alternating form of EQ3.25",
-                      "std:divisor_d_sq", "d_squared", "B"))
+    recs += _pair("EQ3.23", "EQ3.24", "g=2^omega vs f=d(n^2)",
+                  "std:two_pow_omega", "std:divisor_d_sq")
+    recs += _pair("EQ3.25", "EQ3.26", "g=d(n^2) vs f=d(n)^2", "std:divisor_d_sq", "d_squared")
     for s, tagf in ((-1, "-1"), (0.5, "0.5")):
-        recs.append(_pair(f"EQ3.27-s{tagf}", f"g=n^s vs f=sigma_s, s={s}",
-                          f"pow:{tagf}", f"std:sigma:{tagf}", "A"))
-        recs.append(_pair(f"EQ3.28-s{tagf}", f"alternating form, s={s}",
-                          f"pow:{tagf}", f"std:sigma:{tagf}", "B"))
+        recs += _pair(f"EQ3.27-s{tagf}", f"EQ3.28-s{tagf}", f"g=n^s vs f=sigma_s, s={s}",
+                      f"pow:{tagf}", f"std:sigma:{tagf}")
 
     # Liouville family (the series side runs over square indices)
-    recs.append(_pair("EQ3.29", "g=lambda vs f=[n is square]",
-                      "std:liouville", "issquare", "A"))
-    recs.append(_pair("EQ3.30", "alternating form of EQ3.29",
-                      "std:liouville", "issquare", "B"))
+    recs += _pair("EQ3.29", "EQ3.30", "g=lambda vs f=[n is square]", "std:liouville", "issquare")
 
     # Ramanujan sums, v in {1, 4, 6, 12}
     for v in (1, 4, 6, 12):
-        recs.append(_pair(f"EQ3.31-v{v}", f"g=c_n({v}) vs finite divisor sum",
-                          f"std:ramanujan:{v}", f"divides:{v}", "A"))
-        recs.append(_pair(f"EQ3.32-v{v}", f"alternating form, v={v}",
-                          f"std:ramanujan:{v}", f"divides:{v}", "B"))
+        recs += _pair(f"EQ3.31-v{v}", f"EQ3.32-v{v}", f"g=c_n({v}) vs finite divisor sum",
+                      f"std:ramanujan:{v}", f"divides:{v}")
 
     # sums of squares: residue-class products as signed-table evaluations
-    recs.append(_pair("EQ3.33", "r_2 residue-class ratio: g=-4 chi_1 vs f=-r_2",
-                      "neg4chi1", "neg_r2", "A"))
-    recs.append(_pair("EQ3.34", "alternating r_2 form", "neg4chi1", "neg_r2", "B"))
-    recs.append(_pair("EQ3.35", "three-residue-class product vs f=r_4/8",
-                      "not_div4", "r4_over8", "A", weight="plain", f_weight="over_n"))
-    recs.append(_pair("EQ3.36", "alternating form of EQ3.35",
-                      "not_div4", "r4_over8", "B", weight="plain", f_weight="over_n"))
-    recs.append(_pair("EQ3.37", "odd-index product vs odd-divisor sum",
-                      "odd_ind", "odd_sigma", "A", weight="plain", f_weight="over_n"))
-    recs.append(_pair("EQ3.38", "alternating form of EQ3.37",
-                      "odd_ind", "odd_sigma", "B", weight="plain", f_weight="over_n"))
-    recs.append(_pair("EQ3.39", "parity-split squared exponents vs signed cube sums",
-                      "signed_nsq", "neg_signed_cube", "A", weight="plain",
-                      f_weight="over_n"))
-    recs.append(_pair("EQ3.40", "alternating parity-split form",
-                      "neg_signed_nsq", "signed_cube", "B", weight="plain",
-                      f_weight="over_n"))
+    recs += _pair("EQ3.33", "EQ3.34", "r_2 residue-class ratio: g=-4 chi_1 vs f=-r_2",
+                  "neg4chi1", "neg_r2")
+    recs += _pair("EQ3.35", "EQ3.36", "three-residue-class product vs f=r_4/8",
+                  "not_div4", "r4_over8", weight="plain", f_weight="over_n")
+    recs += _pair("EQ3.37", "EQ3.38", "odd-index product vs odd-divisor sum",
+                  "odd_ind", "odd_sigma", weight="plain", f_weight="over_n")
+    # the parity-split pair: both tables change sign between the two forms
+    recs.append(IdentityRecord(
+        id="EQ3.39", description="parity-split squared exponents vs signed cube sums",
+        kind="qz", g_key="signed_nsq", f_key="neg_signed_cube", weight="plain",
+        f_weight="over_n",
+    ))
+    recs.append(IdentityRecord(
+        id="EQ3.40", description="alternating parity-split form", kind="qz",
+        g_key="neg_signed_nsq", f_key="signed_cube", form="B", weight="plain",
+        f_weight="over_n", rhs_sign=1,
+    ))
 
     # core function
-    recs.append(_pair("EQ3.41", "g=phi |mu| vs f=core gamma",
-                      "std:phi_abs_mu", "std:core_gamma", "A"))
-    recs.append(_pair("EQ3.42", "alternating form of EQ3.41",
-                      "std:phi_abs_mu", "std:core_gamma", "B"))
+    recs += _pair("EQ3.41", "EQ3.42", "g=phi |mu| vs f=core gamma",
+                  "std:phi_abs_mu", "std:core_gamma")
 
     # generalized Mobius mu_k, k in {1, 2, 3}
     for k in (1, 2, 3):
-        recs.append(_pair(f"EQ3.43-k{k}", f"g=mu_{k} vs f=(1+e^(i pi/{k}))^omega",
-                          f"std:mu_k:{k}", f"f_muk:{k}", "A"))
-        recs.append(_pair(f"EQ3.44-k{k}", f"alternating form, k={k}",
-                          f"std:mu_k:{k}", f"f_muk:{k}", "B"))
+        recs += _pair(f"EQ3.43-k{k}", f"EQ3.44-k{k}", f"g=mu_{k} vs f=(1+e^(i pi/{k}))^omega",
+                      f"std:mu_k:{k}", f"f_muk:{k}")
 
     return recs
 
@@ -838,32 +799,32 @@ def _sing_basis(sing):
 
 
 def _limit_exponent(rec: LimitTarget, j: int, abs_tol):
-    """The log of the limit statistic at q = 1 - 2^-j, with certified tail."""
+    """The log of the limit statistic at q = 1 - 2^-j, to within abs_tol."""
     x = mpf(2) ** (-j)
-    q = 1 - x
-    pt = QPoint(q, 1)
-    kern = KernelForm("minus" if rec.form == "A" else "plus", "over_n")
-    if rec.form == "A":
-        inner_tol = abs_tol / x
-    else:
-        inner_tol = abs_tol
-
-    s = _with_table(rec.f_key, lambda f: lambert_sum(
-        f, kern, pt, tol=inner_tol, max_terms=2 * DEFAULT_MAX_TERMS))
     scale = x if rec.form == "A" else mpf(1)
-    return rec.sign * scale * s.value, scale * s.err_bound
+    kern = KernelForm("minus" if rec.form == "A" else "plus", "over_n")
+    s = _with_table(rec.f_key, lambda f: lambert_sum(
+        f, kern, QPoint(1 - x, 1), tol=abs_tol / scale, max_terms=2 * DEFAULT_MAX_TERMS))
+    return rec.sign * scale * s.value
+
+
+def _check_limit_tol(limit_tol):
+    limit_tol = mpf(limit_tol)
+    if not 0 < limit_tol < mp.inf:
+        raise DomainError("limit_tol must be a positive finite number")
+    return limit_tol
 
 
 def limit_check(id: str, limit_tol=mpf("1e-3")) -> LimitReport:
     """Extrapolate the q->1 limit (or confirm a divergence verdict)."""
     rec = limit_lookup(id)
-    limit_tol = mpf(limit_tol)
+    limit_tol = _check_limit_tol(limit_tol)
     if rec.verdict:
         return _divergence_check(rec)
 
     # the point nearest 1 first: it fetches the longest table, which the
     # other points then slice instead of rebuilding it at each doubling of N*
-    ys = [_limit_exponent(rec, j, mpf("1e-13"))[0] for j in reversed(_LIMIT_J)][::-1]
+    ys = [_limit_exponent(rec, j, mpf("1e-13")) for j in reversed(_LIMIT_J)][::-1]
     xs = [mpf(2) ** (-j) for j in _LIMIT_J]
     qs = [1 - x for x in xs]
     # extrapolate toward x = 0 (nodes must decrease toward the target)
@@ -893,7 +854,7 @@ def _divergence_check(rec: LimitTarget) -> LimitReport:
     qs, Ls = [], []
     escaped = False
     for j in _LIMIT_J:
-        L, _ = _limit_exponent(rec, j, mpf("1e-6"))
+        L = _limit_exponent(rec, j, mpf("1e-6"))
         qs.append(1 - mpf(2) ** (-j))
         Ls.append(L)
         v = mp.exp(L)
@@ -924,6 +885,7 @@ def _divergence_check(rec: LimitTarget) -> LimitReport:
 
 
 def limit_check_all(limit_tol=mpf("1e-3")):
+    limit_tol = _check_limit_tol(limit_tol)
     reports = []
     for rec in limit_targets():
         try:

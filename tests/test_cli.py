@@ -275,6 +275,20 @@ def test_verify_fixed_z_conflict_exits_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("point", [("--z", "3"), ("--q", "0.5"), ("--q", "0.3", "--z", "1")])
+@pytest.mark.parametrize("id", ["EQ2.6", "EQ2.12"])
+def test_verify_exact_record_at_a_point_exits_4(capsys, id, point):
+    code, out, err = run(capsys, "verify", id, *point)
+    assert code == 4 and "takes no q or z" in err and out == ""
+
+
+@pytest.mark.parametrize("limit_tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("id", ["EQ3.1a", "EQ3.13-1", "all"])
+def test_limit_tol_not_positive_finite_exits_4(capsys, id, limit_tol):
+    code, out, err = run(capsys, "limit", id, f"--limit-tol={limit_tol}")
+    assert code == 4 and "limit_tol must be a positive finite number" in err and out == ""
+
+
 def test_limit_single_record(capsys):
     code, out, _ = run(capsys, "limit", "EQ3.1a", "--format", "json")
     assert code == 0

@@ -43,6 +43,23 @@ def test_catalog_size_and_uniqueness():
     assert ids == sorted(ids)
 
 
+# sha256 over every record's fields but its description, in catalog order;
+# a record whose tables, weights or sign change moves it
+_CATALOG_DIGEST = "c91a59e5105fd6e7eb4b35fc7a64036c2b4be083895dd2802094470ae2204101"
+
+
+def test_catalog_matches_digest():
+    h = hashlib.sha256()
+    recs = catalog()
+    for r in recs:
+        fields = (r.id, r.kind, r.g_key, r.f_key, r.form, r.weight, r.f_weight,
+                  r.rhs_sign, r.value_space, str(r.z_fixed), r.closed_rhs is not None,
+                  r.exact_check.__name__ if r.exact_check else None)
+        h.update(f"{fields!r}\n".encode())
+    assert len(recs) == 85
+    assert h.hexdigest() == _CATALOG_DIGEST
+
+
 def test_lookup_errors():
     with pytest.raises(UnknownIdError):
         lookup("EQ99.1")
@@ -126,6 +143,13 @@ def test_fixed_z_records_reject_other_z():
         verify("INTRO-1", mpf("0.3"), 2)
 
 
+@pytest.mark.parametrize("id, q, z", [("EQ2.12", None, 3), ("EQ2.6", mpf("0.5"), None),
+                                      ("EQ2.12-real", mpf("0.3"), 1)])
+def test_exact_records_reject_a_point(id, q, z):
+    with pytest.raises(DomainError, match="takes no q or z"):
+        verify(id, q, z)
+
+
 def test_tolerance_scaling_coherence():
     # loosening tol must loosen the certified budget but not move the values
     # beyond it
@@ -207,6 +231,16 @@ def test_limit_divergence_escape():
 def test_limit_failure_when_tolerance_is_unreachable():
     rep = limit_check("EQ3.13-1", limit_tol=mpf("1e-9"))
     assert not rep.passed
+
+
+@pytest.mark.parametrize("limit_tol", ["-1", "0", "nan", "inf"])
+def test_limit_tol_must_be_positive_and_finite(monkeypatch, limit_tol):
+    with pytest.raises(DomainError, match="limit_tol"):
+        limit_check("EQ3.1a", limit_tol)
+    # limit_check_all rejects the argument before it checks any record
+    monkeypatch.setattr(idmod, "limit_check", None)
+    with pytest.raises(DomainError, match="limit_tol"):
+        idmod.limit_check_all(limit_tol)
 
 
 @pytest.mark.parametrize("id", ["EQ3.30-1", "EQ3.32-1-v4"])
