@@ -259,8 +259,8 @@ def main(argv=None) -> int:
             raise DomainError("precision_bits must be >= 53")
         if args.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
-        if not args.tol > 0:
-            raise DomainError("tol must be positive")
+        if not (args.tol > 0 and mp.isfinite(args.tol)):
+            raise DomainError(f"tol must be positive and finite, got {args.tol}")
         set_precision(precision)
         handler = {"sieve": cmd_sieve, "eval": cmd_eval,
                    "verify": cmd_verify, "limit": cmd_limit}[args.command]

@@ -602,6 +602,8 @@ def _direct(a, q, name, ew0=1.0, eq0=1.0, tail=0):
     absq = abs(q)
     if not absq < 1:
         raise DomainError(f"|q| must be < 1, got {absq}")
+    if not mp.isfinite(a):
+        raise DomainError(f"z must be finite, got {a}")
     rel_tol = mpf(2) ** (-mp.prec + tail)
     absa = abs(a)
 
@@ -897,9 +899,9 @@ def _growth(f: ArithTable):
     return mpf(C), mpf(beta)
 
 
-def _truncation(f, pref, p, r, tol, max_terms, name, side):
+def _truncation(pref, p, r, tol):
     """N*, the smallest N >= 1 with pref * _poly_geom_tail(p, r, N) <= tol (inf
-    if r rounds to 1), checked against max_terms and the table f's length."""
+    if r rounds to 1)."""
     lr, N = _ln(r), math.inf
     if lr < 0:
         lu, pf, lt = -lr / 2, float(p), _ln(tol)
@@ -913,13 +915,56 @@ def _truncation(f, pref, p, r, tol, max_terms, name, side):
 
         N = _first_term(logb, lt, lambda n: pref * _poly_geom_tail(p, r, n) <= tol,
                         (base - lt) / -lr - 1)
+    return N
+
+
+def _check_terms(N, f, max_terms, name, side):
+    """Raise unless N* = N is within max_terms and the table f's length."""
     if N > max_terms:
         raise ConvergenceError(
             f"{name} needs N*={N:.6g} terms, more than max_terms={max_terms}", side=side)
     if N > f.N:
         raise TableTooShortError(
             f"{name} needs N*={N:.6g} tabulated values, more than {f.N}", side=side, needed=N)
-    return N
+
+
+# Lambert plans: what lambert_sum works out without reading a table value,
+# keyed by (q, z, mp.prec, growth, kernel, tol) as exact tuples; past
+# _PLAN_CAP entries the oldest is dropped
+_PLAN_CAP = 1024
+_LAMBERT_PLANS = {}
+_LambertPlan = namedtuple("_LambertPlan", "N F Q br bi bounds")
+
+
+def _lambert_plan(growth, kernel, q, z, tol):
+    """lambert_sum's plan at (q, z, tol) for a table of growth (C, beta), C > 0,
+    at the working precision: N*, F, Q = q and (br, bi) = q^z at F bits, and
+    the bound tail + _MARGIN units u of a real sum (bounds[0]) and of a
+    complex one (bounds[1]), to which a call adds the _roundoff cover of its
+    value.  Only N is set where N* = inf."""
+    C, beta = mpf(growth[0]), mpf(growth[1])
+    complex_z = isinstance(z, mpc)
+    w = 1 if kernel.weight == "over_n" else 0
+    p = beta - w
+    r = q ** (z.real if complex_z else z)
+    pref = C / (1 - q)
+    N = _truncation(pref, p, r, tol)
+    if N == math.inf:
+        return _LambertPlan(N, None, None, None, None, None)
+    # the minus kernel carries the error of q^n into the term by 1/(1-q^n)^2
+    F = mp.prec + 32 + 2 * math.ceil(-math.log2(float(1 - q)))
+    with mp.workprec(F + 16):
+        qz = mp.exp(z * mp.log(q)) if complex_z else q**z
+    br, bi = _fx(qz, F)
+    u = mp.ldexp(1, -F)
+    dmin = 1 - q if kernel.kernel == "minus" else mpf(1)
+    eq = 2 / (1 - q - u)
+    dhat = dmin - eq * u
+    ex = 5 / (1 - r - 3 * u)
+    units = C * N * max(1, mpf(N) ** p) * (ex + eq / dmin) / dhat
+    tail = pref * _poly_geom_tail(p, r, N)
+    return _LambertPlan(N, F, to_fixed(q._mpf_, F), br, bi,
+                        tuple(tail + _MARGIN * (k * N + units) * u for k in (1, 2)))
 
 
 def lambert_sum(
@@ -960,25 +1005,34 @@ def lambert_sum(
     rounding of this bound and table values a rounding above C n^beta.  The
     sum is exact; its final rounding to the working precision lies inside
     the unchanged _roundoff cover.
+
+    What reads no table value is the point's Lambert plan (_lambert_plan):
+    N*, F, q and q^z at F bits, and tail + 1.01 units u for k = 1 and for
+    k = 2, as an mpc table value makes a real-z sum complex mid-loop.  Plans
+    are kept in _LAMBERT_PLANS, keyed by the exact (q, z, mp.prec, f.growth,
+    kernel, tol), up to _PLAN_CAP of them, the oldest dropped first.  A call
+    takes or makes its plan, checks N* against max_terms and the table's
+    length (_check_terms), runs the loop and adds _roundoff(N, value), so a
+    warm call returns the bits of a cold one.
     """
     q, z = pt.q, pt.z
     tol = mpf(tol)
-    C, beta = _growth(f)
     complex_z = isinstance(z, mpc)
-    if C == 0:
+    growth = f.growth
+    if growth[0] == 0:
         return SeriesValue(mpc(0) if complex_z else mpf(0), mpf(0), 0)
-    w = 1 if kernel.weight == "over_n" else 0
-    p = beta - w
-    r = q ** (z.real if complex_z else z)
-    pref = C / (1 - q)
-    N = _truncation(f, pref, p, r, tol, max_terms, "lambert_sum", "lambert")
+    key = (q._mpf_, z._mpc_ if complex_z else z._mpf_, mp.prec, growth, kernel, tol._mpf_)
+    plan = _LAMBERT_PLANS.get(key)
+    if plan is None:
+        plan = _lambert_plan(growth, kernel, q, z, tol)
+        if len(_LAMBERT_PLANS) >= _PLAN_CAP:
+            del _LAMBERT_PLANS[next(iter(_LAMBERT_PLANS))]
+        _LAMBERT_PLANS[key] = plan
+    N, F, Q, br, bi, bounds = plan
+    _check_terms(N, f, max_terms, "lambert_sum", "lambert")
 
-    # the minus kernel carries the error of q^n into the term by 1/(1-q^n)^2
-    F = mp.prec + 32 + 2 * math.ceil(-math.log2(float(1 - q)))
-    with mp.workprec(F + 16):
-        qz = mp.exp(z * mp.log(q)) if complex_z else q**z
-    one, Q = 1 << F, to_fixed(q._mpf_, F)
-    br, bi = _fx(qz, F)
+    w = 1 if kernel.weight == "over_n" else 0
+    one = 1 << F
     minus = kernel.kernel == "minus"
     ar = ai = xi = 0
     sn, xr = -one if minus else one, one  # sn = -+q^n: 1 -+ q^n is one + sn
@@ -1001,15 +1055,7 @@ def lambert_sum(
         dr, di = _fixed_term(c, xr, xi, F, div)
         ar, ai = ar + dr, ai + di
     acc = _from_fx(ar, ai, -F, cplx)
-
-    u = mp.ldexp(1, -F)
-    dmin = 1 - q if minus else mpf(1)
-    eq = 2 / (1 - q - u)
-    dhat = dmin - eq * u
-    ex = 5 / (1 - r - 3 * u)
-    units = (2 if cplx else 1) * N + C * N * max(1, mpf(N) ** p) * (ex + eq / dmin) / dhat
-    tail = pref * _poly_geom_tail(p, r, N)
-    return SeriesValue(acc, tail + _MARGIN * units * u + _roundoff(N, acc), N)
+    return SeriesValue(acc, bounds[cplx] + _roundoff(N, acc), N)
 
 
 def _fixed_term(c, xr, xi, sh, div):
@@ -1082,7 +1128,8 @@ def weighted_product_log(
     r = q ** (z.real if complex_z else z)
     # r rounds to 1 once Re z is below about 2^-prec; no N certifies then
     pref = (2 if form == "B" else 1) * C / ((1 - q) * (1 - r)) if r < 1 else mp.inf
-    N = _truncation(g, pref, p, r, tol, max_terms, "weighted_product_log", "product")
+    N = _truncation(pref, p, r, tol)
+    _check_terms(N, g, max_terms, "weighted_product_log", "product")
 
     prec, F = mp.prec, mp.prec + _GUARD
     inner_tol, lt, u3, lprec = mp.ldexp(1, -prec), -prec * _LN2, math.ldexp(3, -F), prec * _LN2
@@ -1169,7 +1216,8 @@ def intro_product_log(tot, q, tol, max_terms, odd_ratio: bool):
     phi(n) v_n // n is one floor, and the final rounding is 2^-prec of the sum.
     """
     pref = 2 * (1 - mp.sqrt(q)) / (1 - q) ** 2
-    N = _truncation(tot, pref, 0, q, tol, max_terms, "intro product", "product")
+    N = _truncation(pref, 0, q, tol)
+    _check_terms(N, tot, max_terms, "intro product", "product")
     F = mp.prec + _GUARD
     one, Q, qn, acc, units = 1 << F, to_fixed(q._mpf_, F), 1 << F, 0, 0.0
     d, u = float(1 - q), math.ldexp(1, -F)

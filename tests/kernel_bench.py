@@ -12,20 +12,33 @@ tolerance and 128 bits.  Each kernel and its oracle run in this one process
 on the same table, alternating which goes first, and each time is the
 median of ``runs`` calls; the ratio is oracle median / kernel median.
 
-To compare weighted_product_log with another checkout's, for instance the
-parent commit's exported to OLD:
+To compare the kernels with another checkout's, for instance the parent
+commit's exported to OLD:
 
     PYTHONPATH=src:tests python tests/kernel_bench.py --against OLD/src
 
 imports the package under OLD/src a second time, as ``lambertq_against``,
-and at each point of PRODUCT_POINTS calls the two trees' kernels in this one
-process, alternating which goes first, for at least PAIR_RUNS pairs and
-PAIR_SECONDS seconds; each time is the median of its tree's calls, so a
-drift in the host's speed weighs on both alike.  The q = 0.99 rows take
-20-100 ms a call, so PAIR_SECONDS stops them at the PAIR_RUNS minimum.  On
-two identical trees (2-core Xeon, Python 3.11), three runs with 21 pairs
-read one such row as low as 0.968; three with 41 read them all at
-0.978-1.016.
+and at each point calls the two trees' kernels in this one process,
+alternating which goes first, for at least PAIR_RUNS pairs and PAIR_SECONDS
+seconds; each time is the median of its tree's calls, so a drift in the
+host's speed weighs on both alike.  weighted_product_log runs at each point
+of PRODUCT_POINTS.  lambert_sum runs at the 16 (q, z) points of the default
+grid, where the benchmark's verify-grid workload sums, in two rows each: a
+warm row repeats one call, so a tree that keeps Lambert plans reuses its
+plan, and a miss row clears each tree's plans (qseries._LAMBERT_PLANS, where
+it has them) before every call, so each call works its set-up out afresh.
+The q = 0.99 product rows take 20-100 ms a call, so PAIR_SECONDS stops them
+at the PAIR_RUNS minimum.  On two identical trees (2-core Xeon, Python 3.11),
+three runs with 21 pairs read one such row as low as 0.968; three with 41
+read them all at 0.978-1.016.
+
+The fast rows (under 1 ms a call, hundreds of pairs) are no steadier: on two
+identical trees one read 0.966 in one run of three and 0.992-1.015 in the
+others, and more pairs do not help a row that already has hundreds.  So a
+ratio below 0.97 on one row is not by itself a slowdown.  Rerun that row
+alone (``compare_products(OLD_SRC, points=[...], lambert_points=[...])``)
+and count it only if the rerun reads below 0.97 as well; a bar over a set
+of rows applies to the median of their ratios.
 
     PYTHONPATH=src:tests python tests/kernel_bench.py --against OLD/src --cold
 
@@ -71,6 +84,8 @@ LAMBERT_POINTS = [("0.3", mpf("0.3")), ("0.9", mpf("0.9")), ("0.99", mpf("0.99")
 PRODUCT_POINTS = [(q, z, form) for q in ("0.3", "0.7", "0.9", "0.99")
                   for z in ("1", "2", "0.5", "1+0.5j") for form in ("A", "B")] + [
                   ("0.9", "1+10j", form) for form in ("A", "B")]
+# the library's default grid (identities.DEFAULT_GRID_Q and DEFAULT_GRID_Z)
+LAMBERT_GRID = [(q, z) for q in identities.DEFAULT_GRID_Q for z in identities.DEFAULT_GRID_Z]
 # one op of each kind in a cli-near1 round (benchmarks/workloads.py), at fixed
 # inputs: Lambert sums and q-Pochhammers at q = 0.9, 0.99 and 0.999, sieves of
 # an integer table at 2^13 and 2^16 and of a non-integer one at 2^11, a
@@ -179,16 +194,47 @@ def _load_tree(src, name="lambertq_against"):
     return importlib.import_module(name + ".identities"), importlib.import_module(name + ".qseries")
 
 
-def compare_products(parent_src, points=PRODUCT_POINTS, runs=PAIR_RUNS, seconds=PAIR_SECONDS):
-    """weighted_product_log of the package under ``parent_src`` against this
-    tree's, interleaved in this process (_alternate) at each point; each
-    ratio is parent / change."""
+def _point(qs, q, z):
+    return qs.QPoint(mpf(q), mpc(complex(z)) if "j" in z else mpf(z))
+
+
+def _lambert_rows(trees, points, runs, seconds):
+    """lambert_sum of both trees at each (q, z) of ``points``: a warm and a
+    miss row each (module docstring); each ratio is parent / change."""
+    rows = []
+    for q, z in points:
+        for mode in ("warm", "miss"):
+            fns = {}
+            for tree, (ids, qs) in trees.items():
+                pt, kern = _point(qs, q, z), qs.KernelForm("minus", "over_n")
+                f = ids._get_table("std:mobius", 1 << 10)
+                plans = getattr(qs, "_LAMBERT_PLANS", {}) if mode == "miss" else {}
+
+                def call(qs=qs, f=f, kern=kern, pt=pt, plans=plans):
+                    plans.clear()
+                    return qs.lambert_sum(f, kern, pt)
+
+                fns[tree] = call
+            change, parent = _alternate(fns["change"], fns["parent"], runs, seconds)
+            row = {"q": q, "z": z, "mode": mode, "terms": fns["change"]().terms_used,
+                   "parent_s": statistics.median(parent), "change_s": statistics.median(change)}
+            row["ratio"] = round(row["parent_s"] / row["change_s"], 3)
+            row["parent_runs_s"], row["change_runs_s"] = parent, change
+            rows.append(row)
+    return rows
+
+
+def compare_products(parent_src, points=PRODUCT_POINTS, runs=PAIR_RUNS, seconds=PAIR_SECONDS,
+                     lambert_points=LAMBERT_GRID):
+    """weighted_product_log and lambert_sum of the package under
+    ``parent_src`` against this tree's, interleaved in this process
+    (_alternate) at each point; each ratio is parent / change."""
     trees = {"parent": _load_tree(parent_src), "change": (identities, qseries)}
     table = []
     for q, z, form in points:
         fns = {}
         for tree, (ids, qs) in trees.items():
-            pt = qs.QPoint(mpf(q), mpc(complex(z)) if "j" in z else mpf(z))
+            pt = _point(qs, q, z)
             g = ids._get_table("std:mobius", 1 << 15)
             fns[tree] = (lambda qs=qs, g=g, pt=pt: qs.weighted_product_log(g, pt, form=form))
         change, parent = _alternate(fns["change"], fns["parent"], runs, seconds)
@@ -205,7 +251,12 @@ def compare_products(parent_src, points=PRODUCT_POINTS, runs=PAIR_RUNS, seconds=
                 "%g s; each warm time is the median of its tree's calls" % (runs, seconds),
         "setup": {"g": "mobius", "forms": "A and B", "weight": "over_n", "tol": "1e-25",
                   "precision_bits": mp.prec},
-        "points": table}}
+        "points": table}, "lambert_sum": {
+        "what": "lambert_sum of the two trees, interleaved as above; a warm row repeats one "
+                "call, a miss row clears each tree's Lambert plans before every call",
+        "setup": {"f": "mobius", "kernel": "minus", "weight": "over_n", "tol": "1e-25",
+                  "table_N": 1 << 10, "precision_bits": mp.prec},
+        "points": _lambert_rows(trees, lambert_points, runs, seconds)}}
 
 
 def _wall(argv, src):
@@ -324,7 +375,7 @@ def main():
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description="per-kernel timings as JSON")
     ap.add_argument("--against", metavar="SRC",
-                    help="compare weighted_product_log with the lambertq package under SRC")
+                    help="compare the kernels with the lambertq package under SRC")
     ap.add_argument("--cold", action="store_true",
                     help="with --against, compare cold CLI processes instead")
     args = ap.parse_args()

@@ -17,6 +17,7 @@ from lambertq.qseries import (
     KernelForm,
     QPoint,
     SeriesValue,
+    _check_terms,
     _growth,
     _poly_geom_tail,
     _roundoff,
@@ -129,7 +130,8 @@ def oracle_weighted_product_log(
     p = beta - w
     r = q ** (z.real if complex_z else z)
     pref = (2 if form == "B" else 1) * C / ((1 - q) * (1 - r))
-    N = _truncation(g, pref, p, r, tol, max_terms, "weighted_product_log", "product")
+    N = _truncation(pref, p, r, tol)
+    _check_terms(N, g, max_terms, "weighted_product_log", "product")
 
     logq = mp.log(q)
     qz = mp.exp(z * logq) if complex_z else q**z
@@ -185,7 +187,8 @@ def oracle_lambert_sum(
     p = beta - w
     r = q ** (z.real if complex_z else z)
     pref = C / (1 - q)
-    N = _truncation(f, pref, p, r, tol, max_terms, "lambert_sum", "lambert")
+    N = _truncation(pref, p, r, tol)
+    _check_terms(N, f, max_terms, "lambert_sum", "lambert")
 
     sign = -1 if kernel.kernel == "plus" else 1
     qz = mp.exp(z * mp.log(q)) if complex_z else q**z

@@ -115,9 +115,11 @@ def test_eval_domain_error_exits_4(capsys):
 
 @pytest.mark.parametrize("cmd", [("eval", "lambert", "--f", "mobius"),
                                  ("eval", "product", "--g", "mobius"),
-                                 ("verify", "EQ3.29")])
+                                 ("verify", "EQ3.29"),
+                                 ("eval", "qpoch")])
 @pytest.mark.parametrize("point", [("--z", "inf"), ("--z", "1+infj"), ("--z", "inf+1j"),
-                                   ("--z", "nan"), ("--q", "inf"), ("--q", "nan")])
+                                   ("--z", "nan"), ("--q", "inf"), ("--q", "nan"),
+                                   ("--z", "1e400")])
 def test_non_finite_point_exits_4(capsys, cmd, point):
     argv = cmd + ("--q", "0.5", "--z", "1")
     code, out, err = run(capsys, *argv, *point)
@@ -131,10 +133,20 @@ def test_max_terms_below_one_exits_4(capsys, max_terms):
     assert code == 4 and "max_terms must be >= 1" in err
 
 
-@pytest.mark.parametrize("tol", ["0", "-1e-30", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1e-30", "nan", "inf", "-inf"])
 def test_non_positive_tol_exits_4(capsys, tol):
     code, out, err = run(capsys, f"--tol={tol}", "eval", "lambert", "--f", "mobius")
-    assert code == 4 and "tol must be positive" in err and out == ""
+    assert code == 4 and "tol must be positive and finite" in err and out == ""
+
+
+def test_huge_finite_tol_keeps_a_certified_budget(capsys):
+    # a huge finite tol is accepted: each side sums one term, and the check
+    # passes against the certified tail of those terms, which it reports
+    code, out, _ = run(capsys, "--tol", "1e300", "verify", "EQ3.11", "--q", "0.5",
+                       "--format", "json")
+    (rec,) = json.loads(out)
+    assert code == 0 and rec["pass"] and rec["terms_used"] == 2
+    assert float(rec["abs_diff"]) <= float(rec["error_budget"]) < 10
 
 
 def test_eval_convergence_failure_exits_5(capsys):

@@ -681,6 +681,86 @@ def test_short_table_is_rejected_before_any_value_is_read(evaluate):
 
 
 # ---------------------------------------------------------------------------
+# Lambert plans: lambert_sum's set-up, kept per (q, z, precision, growth,
+# kernel, tol)
+
+def _bits(sv):
+    v = sv.value
+    return v._mpc_ if isinstance(v, mpc) else v._mpf_, sv.err_bound._mpf_, sv.terms_used
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(qseries, "_LAMBERT_PLANS", cache)
+    return cache
+
+
+# an mpf, an mpc and a Fraction table with one growth certificate, (2, 0.5)
+_SHARED_GROWTH = ("log_n", "f_muk:2", "n_over_phi")
+
+
+@pytest.mark.parametrize("key", _SHARED_GROWTH)
+@pytest.mark.parametrize("z", [mpf(1), mpc(1, "0.5")])
+@pytest.mark.parametrize("kernel", ["minus", "plus"])
+def test_warm_plan_is_bit_identical_to_a_cold_one(plans, key, z, kernel):
+    tables = {k: identities._build_named(k, 1024) for k in _SHARED_GROWTH}
+    assert len({t.growth for t in tables.values()}) == 1
+    kern, pt = KernelForm(kernel, "over_n"), QPoint("0.5", z)
+    cold = lambert_sum(tables[key], kern, pt)
+    plans.clear()
+    for other in _SHARED_GROWTH:
+        if other != key:
+            lambert_sum(tables[other], kern, pt)
+    assert len(plans) == 1
+    assert _bits(lambert_sum(tables[key], kern, pt)) == _bits(cold)
+    assert len(plans) == 1
+
+
+def test_warm_plan_keeps_the_term_checks(plans):
+    kern, pt = KernelForm("minus", "over_n"), QPoint("0.9", 1)
+    with pytest.raises(TableTooShortError) as cold:
+        lambert_sum(table("mobius", N=8), kern, pt)
+    N = cold.value.needed
+    with pytest.raises(TableTooShortError) as warm:
+        lambert_sum(table("mobius", N=N - 1), kern, pt)
+    assert warm.value.needed == N and warm.value.side == "lambert"
+    with pytest.raises(ConvergenceError) as exc:
+        lambert_sum(table("mobius"), kern, pt, max_terms=N - 1)
+    assert not isinstance(exc.value, TableTooShortError) and exc.value.side == "lambert"
+    assert lambert_sum(table("mobius", N=N), kern, pt).terms_used == N
+    assert len(plans) == 1
+
+
+def test_precision_and_tol_miss_the_plan(plans):
+    f, kern, pt = table("mobius"), KernelForm("minus", "over_n"), QPoint("0.7", 1)
+    lambert_sum(f, kern, pt)
+    lambert_sum(f, kern, pt)
+    assert len(plans) == 1
+    loose = lambert_sum(f, kern, pt, tol=mpf("1e-10"))
+    assert len(plans) == 2
+    with precision(192):
+        wide = lambert_sum(f, kern, pt)
+        assert len(plans) == 3
+        plans.clear()
+        assert _bits(lambert_sum(f, kern, pt)) == _bits(wide)
+    plans.clear()
+    assert _bits(lambert_sum(f, kern, pt, tol=mpf("1e-10"))) == _bits(loose)
+
+
+def test_plans_stay_within_their_cap(plans, monkeypatch):
+    f, kern = table("mobius"), KernelForm("plus", "plain")
+    pts = [QPoint(mpf(k) / 10, z) for k in range(1, 8) for z in (mpf(1), mpc(2, 1))]
+    unbounded = [_bits(lambert_sum(f, kern, pt)) for pt in pts]
+    assert len(plans) == len(pts)
+    plans.clear()
+    monkeypatch.setattr(qseries, "_PLAN_CAP", 4)
+    for _ in range(2):
+        assert [_bits(lambert_sum(f, kern, pt)) for pt in pts] == unbounded
+        assert len(plans) == 4
+
+
+# ---------------------------------------------------------------------------
 # certificate audit: the value lies within err_bound of a reference at twice
 # the precision and tol 1e-6, and the term count is the smallest certified
 
@@ -1002,6 +1082,10 @@ def test_kernel_bench_runs_on_one_point():
     assert prod["form"] == "B" and prod["terms"] > 0 and len(prod["warm_runs_s"]) == 1
     assert min(prod["warm_s"], prod["oracle_s"], prod["ratio"]) > 0
     src = os.path.join(os.path.dirname(qseries.__file__), os.pardir)
-    (ab,) = kernel_bench.compare_products(src, points=[("0.3", "2", "A")], runs=1, seconds=0)[
-        "weighted_product_log"]["points"]
+    both = kernel_bench.compare_products(src, points=[("0.3", "2", "A")], runs=1, seconds=0,
+                                         lambert_points=[("0.3", "1+0.5j")])
+    (ab,) = both["weighted_product_log"]["points"]
     assert ab["terms"] > 0 and ab["parent_warm_runs_s"] and ab["warm_ratio"] > 0
+    warm, miss = both["lambert_sum"]["points"]
+    assert (warm["mode"], miss["mode"]) == ("warm", "miss") and warm["terms"] == miss["terms"] > 0
+    assert min(warm["ratio"], miss["ratio"]) > 0 and len(miss["change_runs_s"]) == 1
