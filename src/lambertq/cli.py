@@ -17,7 +17,7 @@ from mpmath import mp, mpf, mpc
 
 from . import identities
 from .arith import FunctionId, build_table
-from .numerics import ConvergenceError, DomainError, set_precision
+from .numerics import ConvergenceError, DomainError, _tol, set_precision
 from .qseries import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
@@ -110,18 +110,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("N", type=int)
     p.add_argument("--out", default="-", help="output path (default stdout)")
 
+    # each eval target takes only its own options
     p = sub.add_parser("eval", parents=[common], help="evaluate a series or product")
-    p.add_argument("what", choices=("lambert", "product", "qpoch", "eta"))
-    p.add_argument("--f", dest="fspec", default="one",
-                   help="arithmetic function for the series side")
-    p.add_argument("--g", dest="gspec", default="one",
-                   help="arithmetic function for the product exponents")
-    p.add_argument("--weight", choices=("over_n", "plain"), default="over_n")
-    p.add_argument("--kernel", choices=("minus", "plus"), default="minus")
-    p.add_argument("--form", choices=("A", "B"), default="A")
-    p.add_argument("--q", default="0.5")
-    p.add_argument("--z", default="1")
-    p.add_argument("--tau", default="1j", help="upper-half-plane point (eta)")
+    what = p.add_subparsers(dest="what", required=True)
+    lam = what.add_parser("lambert", parents=[common], help="Lambert series of f")
+    lam.add_argument("--f", dest="spec", default="one", help="arithmetic function f")
+    lam.add_argument("--kernel", choices=("minus", "plus"), default="minus")
+    prod = what.add_parser("product", parents=[common],
+                           help="log of the weighted q-Pochhammer product of g")
+    prod.add_argument("--g", dest="spec", default="one",
+                      help="arithmetic function g of the exponents")
+    prod.add_argument("--form", choices=("A", "B"), default="A")
+    qp = what.add_parser("qpoch", parents=[common], help="(z;q)_inf by direct product")
+    for t in (lam, prod):
+        t.add_argument("--weight", choices=("over_n", "plain"), default="over_n")
+    for t in (lam, prod, qp):
+        t.add_argument("--q", default="0.5")
+        t.add_argument("--z", default="1")
+    eta = what.add_parser("eta", parents=[common], help="Dedekind eta")
+    eta.add_argument("--tau", default="1j", help="upper-half-plane point")
 
     p = sub.add_parser("verify", parents=[common], help="verify one identity or 'all'")
     p.add_argument("id")
@@ -208,14 +215,13 @@ def cmd_eval(args) -> int:
         sv = dedekind_eta(_parse_number(args.tau, real=False))
     else:
         pt = QPoint(_parse_number(args.q), _parse_number(args.z, real=False))
-        spec = args.fspec if args.what == "lambert" else args.gspec
-        _parse_spec(spec)
+        _parse_spec(args.spec)
         if args.what == "lambert":
             kern = KernelForm(args.kernel, args.weight)
-            sv = identities._with_table(f"std:{spec}", lambda f: lambert_sum(
+            sv = identities._with_table(f"std:{args.spec}", lambda f: lambert_sum(
                 f, kern, pt, tol=args.tol, max_terms=args.max_terms))
         else:
-            sv = identities._with_table(f"std:{spec}", lambda g: weighted_product_log(
+            sv = identities._with_table(f"std:{args.spec}", lambda g: weighted_product_log(
                 g, pt, form=args.form, weight=args.weight,
                 tol=args.tol, max_terms=args.max_terms))
     fields = sv._asdict()
@@ -254,13 +260,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         precision = args.precision if args.precision is not None else mp.prec
-        args.tol = _parse_number(args.tol) if args.tol is not None else DEFAULT_TOL
-        if precision < 53:
-            raise DomainError("precision_bits must be >= 53")
+        args.tol = _tol(_parse_number(args.tol)) if args.tol is not None else DEFAULT_TOL
         if args.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
-        if not (args.tol > 0 and mp.isfinite(args.tol)):
-            raise DomainError(f"tol must be positive and finite, got {args.tol}")
         set_precision(precision)
         handler = {"sieve": cmd_sieve, "eval": cmd_eval,
                    "verify": cmd_verify, "limit": cmd_limit}[args.command]

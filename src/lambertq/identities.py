@@ -24,6 +24,7 @@ from .arith import ArithTable, build_table, custom_table
 from .numerics import (
     ConvergenceError,
     DomainError,
+    _tol,
     catalan,
     euler_gamma,
     glaisher,
@@ -321,6 +322,7 @@ def _record_sides(rec: IdentityRecord, pt: QPoint, tol, max_terms):
 
 def verify(id: str, q=None, z=None, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS):
     """Evaluate both sides of one identity and compare against the budget."""
+    tol = _tol(tol)
     rec = lookup(id)
     if rec.kind == "exact":
         if q is not None or z is not None:
@@ -339,7 +341,7 @@ def verify(id: str, q=None, z=None, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS
     pt = QPoint(q, z)
     if rec.z_fixed is not None and pt.z != rec.z_fixed:
         raise DomainError(f"{rec.id} is only asserted at z={rec.z_fixed}")
-    lhs, rhs = _record_sides(rec, pt, mpf(tol), max_terms)
+    lhs, rhs = _record_sides(rec, pt, tol, max_terms)
     diff = abs(lhs.value - rhs.value)
     budget = lhs.err_bound + rhs.err_bound
     return IdentityReport(
@@ -353,6 +355,7 @@ def verify(id: str, q=None, z=None, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS
 def verify_all(grid_q=DEFAULT_GRID_Q, grid_z=DEFAULT_GRID_Z,
                tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS):
     """Verify every catalog record over the grid; failures are recorded."""
+    tol = _tol(tol)
     reports = []
     qs = [mpf(q) for q in grid_q]
     zs = [z if z.imag else z.real for z in map(mp.mpmathify, grid_z)]

@@ -62,13 +62,23 @@ def set_precision(bits: int) -> None:
     mp.prec = bits
 
 
+def _tol(tol, shift=0):
+    """A tolerance as an mpf at the working precision, 2^(shift - prec) for
+    None; it must be positive and finite.  The one tol rule of qseries'
+    evaluators, of verify and verify_all, and of the CLI's --tol."""
+    if tol is None:
+        return mp.ldexp(1, shift - mp.prec)
+    tol = mpf(tol)
+    if not 0 < tol < mp.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 @contextmanager
 def precision(bits: int):
     """Context manager that temporarily switches the working precision."""
-    if bits < 53:
-        raise DomainError(f"precision must be >= 53 bits, got {bits}")
     old = mp.prec
-    mp.prec = bits
+    set_precision(bits)
     try:
         yield
     finally:

@@ -35,7 +35,7 @@ from mpmath.libmp import (
 )
 
 from .arith import ArithTable
-from .numerics import ConvergenceError, DomainError
+from .numerics import ConvergenceError, DomainError, _tol
 
 __all__ = [
     "QPoint",
@@ -73,21 +73,51 @@ class TableTooShortError(ConvergenceError):
         self.needed = needed
 
 
+# ---------------------------------------------------------------------------
+# the input contract: every public entry point takes its base q through
+# _base, its other numbers through _arg and its tol through numerics._tol
+
+# the three domains of a base q
+_UNIT = "0 < q < 1"  # the series, q_gamma, theta_sum, triple_product, QPoint
+_REAL = "-1 < q < 1"  # qpoch_n, E_q, q_binomial_check
+_DISC = "|q| < 1"  # an mpf or mpc: log_qpoch_inf, _direct, e_q
+
+
+def _arg(x, name, disc=False):
+    """x as it is if an mpf or mpc, else through mpf; finite, and with
+    ``disc`` of modulus below 1."""
+    x = x if isinstance(x, (mpf, mpc)) else mpf(x)
+    if disc:
+        if not abs(x) < 1:
+            raise DomainError(f"|{name}| must be < 1, got {name}={x}")
+    elif not mp.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _base(q, domain):
+    """q in ``domain``: _DISC takes it as _arg does, a real domain through
+    mpf, which rounds it to the working precision."""
+    if domain is _DISC:
+        return _arg(q, "q", disc=True)
+    if isinstance(q, mpc):
+        raise DomainError(f"q must be real, got {q}")
+    q = mpf(q)
+    if not (0 if domain is _UNIT else -1) < q < 1:
+        raise DomainError(f"q must satisfy {domain}, got {q}")
+    return q
+
+
 class QPoint(namedtuple("QPoint", "q z")):
     """Evaluation point: base q in (0,1) and finite exponent shift z with Re z > 0."""
 
     __slots__ = ()
 
     def __new__(cls, q, z):
-        qv = mpf(q)
-        if not 0 < qv < 1:
-            raise DomainError(f"q must lie in (0,1), got {q}")
-        zv = mpc(z)
-        if not mp.isfinite(zv):
-            raise DomainError(f"z must be finite, got {z}")
-        if not zv.real > 0:
+        q, z = _base(q, _UNIT), _arg(mpc(z), "z")
+        if not z.real > 0:
             raise DomainError(f"Re(z) must be positive, got {z}")
-        return super().__new__(cls, qv, zv if zv.imag != 0 else mpf(zv.real))
+        return super().__new__(cls, q, z if z.imag != 0 else mpf(z.real))
 
 
 class KernelForm(namedtuple("KernelForm", "kernel weight")):
@@ -498,16 +528,6 @@ def _log_qpoch(b, lb, lt, F, eb, holds, name, w, lw, lpref, ew,
 # ---------------------------------------------------------------------------
 # q-Pochhammer primitives
 
-def _disc(q, w, name):
-    """(|q|, |w|) after checking that both are below 1."""
-    absq, absw = abs(q), abs(w)
-    if not absq < 1:
-        raise DomainError(f"|q| must be < 1, got {absq}")
-    if not absw < 1:
-        raise DomainError(f"{name} requires |z| < 1, got |z|={absw}")
-    return absq, absw
-
-
 def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
     """log (z;q)_inf = sum_{j>=0} log(1 - z q^j), for |z| < 1, |q| < 1.
 
@@ -519,10 +539,8 @@ def log_qpoch_inf(z, q, tol=None) -> SeriesValue:
     product in pieces before its argument can wrap, so the principal branch
     is preserved.  Its rounding to the working precision is inside _roundoff.
     """
-    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    tol = mpf(2) ** (-mp.prec) if tol is None else mpf(tol)
-    q = q if isinstance(q, (mpf, mpc)) else mpf(q)
-    absq, absz = _disc(q, z, "log_qpoch_inf")
+    q, z, tol = _base(q, _DISC), _arg(z, "z", disc=True), _tol(tol)
+    absq, absz = abs(q), abs(z)
     if not z:
         return SeriesValue(mpf(0), mpf(0), 0)
     F = mp.prec + _GUARD
@@ -597,15 +615,9 @@ def _direct(a, q, name, ew0=1.0, eq0=1.0, tail=0):
     units of 2^-F, F = prec + _GUARD (1.0 if exact, as _fx truncates), which
     _factor_error carries through every factor, and a tail whose bound on
     the log is at most 2^(tail - prec).  ``name`` is the caller's, for errors."""
-    q = q if isinstance(q, (mpf, mpc)) else mpf(q)
-    a = a if isinstance(a, (mpf, mpc)) else mpf(a)
-    absq = abs(q)
-    if not absq < 1:
-        raise DomainError(f"|q| must be < 1, got {absq}")
-    if not mp.isfinite(a):
-        raise DomainError(f"z must be finite, got {a}")
+    q, a = _base(q, _DISC), _arg(a, "z")
     rel_tol = mpf(2) ** (-mp.prec + tail)
-    absa = abs(a)
+    absq, absa = abs(q), abs(a)
 
     # once |a q^n| <= 1/2: |log prod_tail| <= sum 2|a q^j| <= 2|a q^n|/(1-|q|)
     def holds(n):
@@ -632,20 +644,16 @@ def _direct(a, q, name, ew0=1.0, eq0=1.0, tail=0):
 def qpoch_n(z, q, n) -> SeriesValue:
     """(z;q)_n = (z;q)_inf / (z q^n;q)_inf, |z|, |z q^n| < 1, for any complex
     index n; z q^n enters with the error _qpow works out."""
-    q = mpf(q)
-    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    zqn, ew = _qpow(z, q, n if isinstance(n, (mpf, mpc)) else mpf(n))
-    _disc(q, z, "qpoch_n")
-    _disc(q, zqn, "qpoch_n")
+    q, z = _base(q, _REAL), _arg(z, "z", disc=True)
+    zqn, ew = _qpow(z, q, _arg(n, "n"))
+    _arg(zqn, "z q^n", disc=True)
     return _quotient(_direct(z, q, "qpoch_n"), _direct(zqn, q, "qpoch_n", 2 + ew),
                      _zero_factor("qpoch_n"))
 
 
 def e_q(z, q) -> SeriesValue:
     """Euler q-exponential e_q(z) = 1/(z;q)_inf, |z| < 1 (product form)."""
-    q = q if isinstance(q, (mpf, mpc)) else mpf(q)
-    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    _disc(q, z, "e_q")
+    q, z = _base(q, _DISC), _arg(z, "z", disc=True)
     return _quotient(SeriesValue(mpf(1), mpf(0), 0), _direct(z, q, "e_q"),
                      _zero_factor("e_q"))
 
@@ -731,31 +739,19 @@ def _ratio_series(w, a, q, beta, eps, tol, name, rw=0) -> SeriesValue:
 def e_q_series(z, q, tol=None) -> SeriesValue:
     """Series form sum z^n/(q;q)_n, |z| < 1, each term z/(1 - q^(n+1)) times
     the one before (_ratio_series); independent cross-check of e_q."""
-    q = mpf(q)
-    if not 0 < q < 1:
-        raise DomainError("e_q series needs 0 < q < 1")
-    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    if not abs(z) < 1:
-        raise DomainError("e_q series needs |z| < 1")
-    tol = mpf(2) ** (-mp.prec + 2) if tol is None else tol
+    q, z, tol = _base(q, _UNIT), _arg(z, "z", disc=True), _tol(tol, 2)
     return _ratio_series(z, 0, q, 0, 1, tol, "e_q series")
 
 
 def E_q(z, q) -> SeriesValue:
     """Euler q-exponential E_q(z) = (-z;q)_inf, entire in z (direct product)."""
-    q = mpf(q)
-    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    return _direct(-z, q, "E_q")
+    return _direct(-_arg(z, "z"), _base(q, _REAL), "E_q")
 
 
 def E_q_series(z, q, tol=None) -> SeriesValue:
     """Series form sum q^(n(n-1)/2) z^n/(q;q)_n, each term z q^n/(1 - q^(n+1))
     times the one before (_ratio_series); cross-check of E_q."""
-    q = mpf(q)
-    if not 0 < q < 1:
-        raise DomainError("E_q series needs 0 < q < 1")
-    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    tol = mpf(2) ** (-mp.prec + 2) if tol is None else tol
+    q, z, tol = _base(q, _UNIT), _arg(z, "z"), _tol(tol, 2)
     return _ratio_series(z, 0, q, 1, 1, tol, "E_q series")
 
 
@@ -767,13 +763,7 @@ def q_binomial_check(a, z, q, tol=None):
     right, each term is z (1 - a q^n)/(1 - q^(n+1)) times the one before
     (_ratio_series).
     """
-    q = mpf(q)
-    a = a if isinstance(a, (mpf, mpc)) else mpf(a)
-    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
-    if not abs(z) < 1:
-        raise DomainError("q-binomial series needs |z| < 1")
-    if tol is None:
-        tol = mpf(2) ** (-mp.prec + 4)
+    q, a, z, tol = _base(q, _REAL), _arg(a, "a"), _arg(z, "z", disc=True), _tol(tol, 4)
     name = "q_binomial_check"
     lhs = _quotient(_direct(mp.fmul(a, z, exact=True), q, name),
                     _direct(z, q, name), _zero_factor(name))
@@ -791,10 +781,7 @@ def q_gamma(w, q) -> SeriesValue:
     log by 2u: c is off by |1-w| (4|log(1-q)| + 2) u, and e^c within 2u, so
     p is off by (|1-w| (4|log(1-q)| + 2) + 3) u of it, to first order.
     """
-    q = mpf(q)
-    if not 0 < q < 1:
-        raise DomainError("q_gamma needs 0 < q < 1")
-    w = w if isinstance(w, (mpf, mpc)) else mpf(w)
+    q, w = _base(q, _UNIT), _arg(w, "w")
     qw, ew = _qpow(1, q, w)
     F = mp.prec + _GUARD
     with mp.workprec(F + 16):
@@ -819,14 +806,9 @@ def theta_sum(z, q, tol=None) -> SeriesValue:
     |w| to first order; 4u |w| is counted.  The two sums and -1 add by two
     roundings, of 2^-prec of their results.
     """
-    q = mpf(q)
-    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
+    q, z, tol = _base(q, _UNIT), _arg(z, "z"), _tol(tol, 2)
     if z == 0:
         raise DomainError("theta_sum needs z != 0")
-    if not 0 < q < 1:
-        raise DomainError("theta_sum needs 0 < q < 1")
-    if tol is None:
-        tol = mpf(2) ** (-mp.prec + 2)
     with mp.workprec(mp.prec + _GUARD):
         sq = mp.sqrt(q)
         ws = -sq * z, -sq / z
@@ -846,8 +828,7 @@ def triple_product(z, q):
     2^_GUARD units of 2^-F in _direct with _fx's truncation.  As x stays at
     the working precision, z = q^(-1/2) still gives a zero factor.
     """
-    q = mpf(q)
-    z = z if isinstance(z, (mpf, mpc)) else mpf(z)
+    q, z = _base(q, _UNIT), _arg(z, "z")
     sq = mp.sqrt(q)
     return theta_sum(z, q), _product([qpoch_inf_direct(q, q)] + [
         _direct(x, q, "triple_product", 1 + 3 * float(abs(x)) * 2.0**_GUARD)
@@ -863,9 +844,9 @@ def dedekind_eta(tau) -> SeriesValue:
     4)u of themselves, to first order.  q enters the direct product off by
     that and 2 units of 2^-F, as argument and as base.
     """
-    tau = mpc(tau)
+    tau = _arg(mpc(tau), "tau")
     if not tau.imag > 0:
-        raise DomainError("dedekind_eta needs Im(tau) > 0")
+        raise DomainError(f"Im(tau) must be > 0, got tau={tau}")
     with mp.workprec(mp.prec + _GUARD + 16):
         y = 2j * mp.pi * tau
         q, pref = mp.exp(y), mp.exp(y / 24)
@@ -883,8 +864,6 @@ def weierstrass_delta(tau) -> SeriesValue:
     which the power takes to under 12.01 2^-prec, and the power rounds by 4
     ulps, so c is off by under 17 2^-prec |c|.
     """
-    if not mpc(tau).imag > 0:
-        raise DomainError("weierstrass_delta needs Im(tau) > 0")
     eta = dedekind_eta(tau)
     c = (2 * mp.pi) ** 12
     val, err, _ = _product([SeriesValue(c, mp.ldexp(17 * c, -mp.prec), 0)] + [eta] * 24)
@@ -1016,7 +995,7 @@ def lambert_sum(
     warm call returns the bits of a cold one.
     """
     q, z = pt.q, pt.z
-    tol = mpf(tol)
+    tol = _tol(tol)
     complex_z = isinstance(z, mpc)
     growth = f.growth
     if growth[0] == 0:
@@ -1118,7 +1097,7 @@ def weighted_product_log(
     if weight not in ("over_n", "plain"):
         raise DomainError(f"weight must be 'over_n' or 'plain', got {weight!r}")
     q, z = pt.q, pt.z
-    tol = mpf(tol)
+    tol = _tol(tol)
     C, beta = _growth(g)
     complex_z = isinstance(z, mpc)
     if C == 0:
@@ -1215,6 +1194,7 @@ def intro_product_log(tot, q, tol, max_terms, odd_ratio: bool):
     k = 1 (2 for the quotient).  The one log (_log_quot) is within its count,
     phi(n) v_n // n is one floor, and the final rounding is 2^-prec of the sum.
     """
+    q, tol = _base(q, _UNIT), _tol(tol)
     pref = 2 * (1 - mp.sqrt(q)) / (1 - q) ** 2
     N = _truncation(pref, 0, q, tol)
     _check_terms(N, tot, max_terms, "intro product", "product")

@@ -210,6 +210,36 @@ def test_unparseable_number_exits_2(capsys, argv):
     assert code == 2 and "parse error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "lambert", "--g", "mobius", "--q", "0.5", "--z", "1"),
+    ("eval", "lambert", "--form", "B"),
+    ("eval", "product", "--f", "mobius"),
+    ("eval", "product", "--kernel", "plus"),
+    ("eval", "qpoch", "--f", "mobius"),
+    ("eval", "qpoch", "--weight", "plain"),
+    ("eval", "qpoch", "--tau", "1j"),
+    ("eval", "eta", "--q", "0.9"),
+    ("eval", "eta", "--z", "5"),
+])
+def test_eval_option_of_another_target_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and "error" in out.err and out.out == ""
+
+
+def test_global_flags_accepted_around_the_eval_target(capsys):
+    flags = ("--format", "json", "--precision", "64", "--tol", "1e-15")
+    target = ("lambert", "--f", "mobius", "--q", "0.3")
+    full = json.loads(run(capsys, "--format", "json", "eval", *target)[1])
+    runs = [run(capsys, *flags, "eval", *target), run(capsys, "eval", *flags, *target),
+            run(capsys, "eval", *target, *flags)]
+    assert runs[0][0] == 0 and runs[0] == runs[1] == runs[2]
+    short = json.loads(runs[0][1])  # at 64 bits and tol 1e-15
+    assert int(short["terms_used"]) < int(full["terms_used"])
+    assert len(short["value"]) < len(full["value"])
+
+
 def test_eval_bad_function_exits_2(capsys):
     code, _, _ = run(capsys, "eval", "lambert", "--f", "nope", "--q", "0.3")
     assert code == 2

@@ -432,7 +432,7 @@ NEAR_ONE = {
     "E_q-outside-unit-disc": (E_q, "2"),
     "qpoch_n": (lambda z, q: qpoch_n(z, q, mpf("40.5")), "0.5"),
     "q_gamma": (q_gamma, "-0.5"),
-    "q_binomial": (lambda z, q: q_binomial_check(mpf("0.375"), z, q, tol=mp.inf)[0], "0.4"),
+    "q_binomial": (lambda z, q: q_binomial_check(mpf("0.375"), z, q, tol=mpf("1e300"))[0], "0.4"),
 }
 
 
@@ -1089,3 +1089,119 @@ def test_kernel_bench_runs_on_one_point():
     warm, miss = both["lambert_sum"]["points"]
     assert (warm["mode"], miss["mode"]) == ("warm", "miss") and warm["terms"] == miss["terms"] > 0
     assert min(warm["ratio"], miss["ratio"]) > 0 and len(miss["change_runs_s"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# one input contract
+
+def _sv_key(sv):
+    v = sv.value
+    return repr((v._mpc_ if isinstance(v, mpc) else v._mpf_, sv.err_bound._mpf_,
+                 sv.terms_used)).encode()
+
+
+# sha256, as in _KERNEL_DIGESTS, over the 13 public q-primitives at fixed valid
+# inputs: each domain of q and both signs of a real q, real and complex
+# arguments, a complex index n, Python and string inputs and an explicit tol.
+# The mpmath inputs are made at 256 bits, so the calls at 64 and 128 bits pin
+# how each primitive takes them in as well.  Recorded before the primitives
+# shared one set of input checks, which kept every bit.
+_PRIMITIVE_DIGEST = "b5cb55448e98ff87afbc3e2befbe6dfc96873c9649d090ed3a2dd2c4df819cfe"
+
+
+def _primitive_calls():
+    with precision(256):
+        q3, q7, qm, qc = mpf("0.3"), mpf("0.7"), mpf("-0.45"), mpc("0.3", "0.4")
+        x, xm, zc = mpf("0.35"), mpf("-0.6"), mpc("0.2", "0.45")
+        big, bigc, n = mpf("2.5"), mpc("1.5", "-0.7"), mpc("2.5", "0.5")
+        wc, tol, tau = mpc("0.5", "0.3"), mpf("1e-20"), mpc("0.3", "0.8")
+    calls = []
+    for q in (q3, qm, qc, 0.3, "0.7"):  # mpf or mpc with |q| < 1
+        for z in (x, xm, zc, 0.35):
+            calls += [(log_qpoch_inf, z, q), (e_q, z, q)]
+        calls += [(qpoch_inf_direct, a, q) for a in (big, bigc, -3)]
+        calls.append((log_qpoch_inf, x, q, tol))
+    for q in (q3, qm, 0.3):  # real with |q| < 1
+        calls += [(qpoch_n, x, q, 5), (qpoch_n, zc, q, n), (qpoch_n, xm, q, 2.5),
+                  (E_q, x, q), (E_q, bigc, q), (E_q, -2, q),
+                  (q_binomial_check, x, zc, q), (q_binomial_check, bigc, x, q),
+                  (q_binomial_check, 2, xm, q, 1e-18)]
+    for q in (q3, q7, "0.5"):  # 0 < q < 1
+        calls += [(e_q_series, x, q), (e_q_series, zc, q, tol), (E_q_series, big, q),
+                  (E_q_series, zc, q, 1e-15), (q_gamma, big, q), (q_gamma, wc, q),
+                  (q_gamma, -0.5, q), (theta_sum, x, q), (theta_sum, zc, q, tol),
+                  (triple_product, 2, q), (triple_product, zc, q)]
+    calls += [(dedekind_eta, tau), (dedekind_eta, 1j), (weierstrass_delta, tau),
+              (weierstrass_delta, 2j)]
+    return calls
+
+
+def test_primitive_values_match_digest():
+    h = hashlib.sha256()
+    calls = _primitive_calls()
+    assert len({c[0] for c in calls}) == 13
+    for i, (fn, *args) in enumerate(calls):
+        with precision((64, 128, 256)[i % 3]):
+            out = fn(*args)
+        for sv in ((out,) if isinstance(out, SeriesValue) else out):
+            h.update(_sv_key(sv))
+    assert h.hexdigest() == _PRIMITIVE_DIGEST
+
+
+# one valid call of each public entry point, by keyword; each contract case
+# puts one bad value in place of one argument
+def _valid_calls():
+    f, tot = build_table("mobius", 512), build_table("totient", 512)
+    x, q, tau, tol = mpf("0.3"), mpf("0.5"), mpc(0, 1), qseries.DEFAULT_TOL
+    pt = QPoint(q, 1)
+    return {
+        "log_qpoch_inf": (log_qpoch_inf, dict(z=x, q=q, tol=tol)),
+        "qpoch_inf_direct": (qpoch_inf_direct, dict(a=x, q=q)),
+        "qpoch_n": (qpoch_n, dict(z=x, q=q, n=3)),
+        "e_q": (e_q, dict(z=x, q=q)),
+        "e_q_series": (e_q_series, dict(z=x, q=q, tol=tol)),
+        "E_q": (E_q, dict(z=x, q=q)),
+        "E_q_series": (E_q_series, dict(z=x, q=q, tol=tol)),
+        "q_binomial_check": (q_binomial_check, dict(a=x, z=x, q=q, tol=tol)),
+        "q_gamma": (q_gamma, dict(w=x, q=q)),
+        "theta_sum": (theta_sum, dict(z=x, q=q, tol=tol)),
+        "triple_product": (triple_product, dict(z=x, q=q)),
+        "dedekind_eta": (dedekind_eta, dict(tau=tau)),
+        "weierstrass_delta": (weierstrass_delta, dict(tau=tau)),
+        "lambert_sum": (lambert_sum, dict(f=f, kernel=KernelForm(), pt=pt, tol=tol)),
+        "weighted_product_log": (weighted_product_log, dict(g=f, pt=pt, tol=tol)),
+        "intro_product_log": (qseries.intro_product_log,
+                              dict(tot=tot, q=q, tol=tol, max_terms=10**6, odd_ratio=False)),
+        "QPoint": (QPoint, dict(q=q, z=1)),
+        "verify": (identities.verify, dict(id="EQ3.29", q=q, z=1, tol=tol)),
+        "verify_all": (identities.verify_all, dict(tol=tol)),
+    }
+
+
+_COMPLEX_Q_OK = ("log_qpoch_inf", "qpoch_inf_direct", "e_q")
+
+
+def _contract_cases():
+    for name, (_, kw) in _valid_calls().items():
+        for arg in kw:
+            if arg == "tol":
+                bad = [mpf(0), mpf(-1), mp.nan, mp.inf]
+            elif arg == "tau":
+                bad = [mpc(0, mp.inf), mpc(mp.nan, 1), mpc(-mp.inf, 1)]
+            elif arg in ("z", "q", "a", "n", "w"):
+                bad = [mp.nan, mp.inf, -mp.inf]
+                if arg == "q" and name not in _COMPLEX_Q_OK:
+                    bad.append(mpc("0.3", "0.1"))
+            else:
+                continue
+            for v in bad:
+                yield pytest.param(name, arg, v, id=f"{name}-{arg}={v}")
+
+
+@pytest.mark.parametrize("name, arg, bad", _contract_cases())
+def test_bad_input_raises_domain_error_at_once(name, arg, bad):
+    fn, kw = _valid_calls()[name]
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        fn(**dict(kw, **{arg: bad}))
+    assert time.perf_counter() - t0 < 0.5
