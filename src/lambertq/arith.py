@@ -57,15 +57,9 @@ def smallest_prime_factors(N: int) -> list:
 
 
 def primes(N: int) -> list:
-    """All primes <= N (bytearray sieve)."""
-    if N < 2:
-        return []
-    mark = bytearray([1]) * (N + 1)
-    mark[0] = mark[1] = 0
-    for i in range(2, math.isqrt(N) + 1):
-        if mark[i]:
-            mark[i * i :: i] = bytearray(len(mark[i * i :: i]))
-    return [i for i in range(2, N + 1) if mark[i]]
+    """All primes <= N, read off the smallest-prime-factor sieve."""
+    spf = smallest_prime_factors(N)
+    return [n for n in range(2, N + 1) if spf[n] == n]
 
 
 def factorize(n: int, spf=None) -> list:
@@ -111,10 +105,10 @@ class FunctionId(namedtuple("FunctionId", "tag params")):
             if len(params) != 1:
                 raise DomainError(f"{tag} takes exactly one parameter")
             p = params[0]
-            if tag == "ramanujan" and (int(p) != p or p < 1):
-                raise DomainError("ramanujan parameter v must be a positive integer")
-            if tag == "mu_k" and (int(p) != p or p < 1):
-                raise DomainError("mu_k parameter k must be a positive integer")
+            if _PARAM_TAGS[tag] is int and (int(p) != p or p < 1):
+                raise DomainError(f"{tag} parameter must be a positive integer, got {p}")
+            if tag == "jordan" and p < 0:
+                raise DomainError(f"jordan exponent must be >= 0, got {p}")
         elif tag != "custom" and params:
             raise DomainError(f"{tag} takes no parameters")
         return super().__new__(cls, tag, params)
@@ -260,8 +254,6 @@ def _omega(N):
 
 
 def _jordan(N, alpha):
-    if alpha < 0:
-        raise DomainError("jordan exponent must be >= 0")
     if alpha == int(alpha):
         k = int(alpha)
         return multiplicative(N, lambda p, a: p ** (k * a) - p ** (k * a - k)), (1, k)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,9 @@ EXIT_PARSE = 2
 EXIT_OVERFLOW = 3
 EXIT_DOMAIN = 4
 EXIT_CONVERGENCE = 5
+
+# the default of --precision where that option is absent
+PRECISION_ENV = "LAMBERTQ_PRECISION_BITS"
 
 # largest N of `sieve`: its smallest-prime-factor array alone holds N + 1 ints
 SIEVE_MAX_N = 1 << 20
@@ -72,6 +76,14 @@ def _parse_number(text: str, real=True):
     return mpc(v) if v.imag else mpf(v.real)
 
 
+def _parse_bits(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"parse error: {PRECISION_ENV} must be an integer, "
+                         f"got {text!r}") from None
+
+
 def _parse_spec(text: str) -> FunctionId:
     try:
         return FunctionId.parse(text)
@@ -85,7 +97,8 @@ def _add_global_opts(parser, suppress: bool):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--precision", type=int, default=d(None),
                         metavar="BITS",
-                        help="working precision in bits (default: env or 128)")
+                        help=f"working precision in bits (default: {PRECISION_ENV}, "
+                             "else 128)")
     parser.add_argument("--tol", default=d(None), metavar="TOL",
                         help="certified truncation tolerance (default 1e-25)")
     parser.add_argument("--max-terms", type=int, default=d(DEFAULT_MAX_TERMS))
@@ -94,48 +107,50 @@ def _add_global_opts(parser, suppress: bool):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False throughout: a prefix such as --f or --form must not
+    # reach --format on a parser that has no option of that name
     top = argparse.ArgumentParser(
-        prog="lambertq",
+        prog="lambertq", allow_abbrev=False,
         description="Lambert series / q-exponential product evaluation and "
                     "identity verification with certified error bounds.",
     )
     _add_global_opts(top, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     _add_global_opts(common, suppress=True)
+    each = dict(parents=[common], allow_abbrev=False)  # of every subcommand
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", parents=[common],
-                       help="tabulate an arithmetic function as CSV")
+    p = sub.add_parser("sieve", **each, help="tabulate an arithmetic function as CSV")
     p.add_argument("spec", help="function spec, grammar name[:param[,param]]")
     p.add_argument("N", type=int)
     p.add_argument("--out", default="-", help="output path (default stdout)")
 
     # each eval target takes only its own options
-    p = sub.add_parser("eval", parents=[common], help="evaluate a series or product")
+    p = sub.add_parser("eval", **each, help="evaluate a series or product")
     what = p.add_subparsers(dest="what", required=True)
-    lam = what.add_parser("lambert", parents=[common], help="Lambert series of f")
+    lam = what.add_parser("lambert", **each, help="Lambert series of f")
     lam.add_argument("--f", dest="spec", default="one", help="arithmetic function f")
     lam.add_argument("--kernel", choices=("minus", "plus"), default="minus")
-    prod = what.add_parser("product", parents=[common],
+    prod = what.add_parser("product", **each,
                            help="log of the weighted q-Pochhammer product of g")
     prod.add_argument("--g", dest="spec", default="one",
                       help="arithmetic function g of the exponents")
     prod.add_argument("--form", choices=("A", "B"), default="A")
-    qp = what.add_parser("qpoch", parents=[common], help="(z;q)_inf by direct product")
+    qp = what.add_parser("qpoch", **each, help="(z;q)_inf by direct product")
     for t in (lam, prod):
         t.add_argument("--weight", choices=("over_n", "plain"), default="over_n")
     for t in (lam, prod, qp):
         t.add_argument("--q", default="0.5")
         t.add_argument("--z", default="1")
-    eta = what.add_parser("eta", parents=[common], help="Dedekind eta")
+    eta = what.add_parser("eta", **each, help="Dedekind eta")
     eta.add_argument("--tau", default="1j", help="upper-half-plane point")
 
-    p = sub.add_parser("verify", parents=[common], help="verify one identity or 'all'")
+    p = sub.add_parser("verify", **each, help="verify one identity or 'all'")
     p.add_argument("id")
     p.add_argument("--q", default=None)
     p.add_argument("--z", default=None)
 
-    p = sub.add_parser("limit", parents=[common], help="limit-check one record or 'all'")
+    p = sub.add_parser("limit", **each, help="limit-check one record or 'all'")
     p.add_argument("id")
     p.add_argument("--limit-tol", default="1e-3")
     return top
@@ -259,7 +274,10 @@ def cmd_limit(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        precision = args.precision if args.precision is not None else mp.prec
+        precision = args.precision
+        if precision is None:
+            env = os.environ.get(PRECISION_ENV)
+            precision = mp.prec if env is None else _parse_bits(env)
         args.tol = _tol(_parse_number(args.tol)) if args.tol is not None else DEFAULT_TOL
         if args.max_terms < 1:
             raise DomainError("max_terms must be >= 1")

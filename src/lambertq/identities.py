@@ -24,6 +24,7 @@ from .arith import ArithTable, build_table, custom_table
 from .numerics import (
     ConvergenceError,
     DomainError,
+    _positive,
     _tol,
     catalan,
     euler_gamma,
@@ -811,17 +812,10 @@ def _limit_exponent(rec: LimitTarget, j: int, abs_tol):
     return rec.sign * scale * s.value
 
 
-def _check_limit_tol(limit_tol):
-    limit_tol = mpf(limit_tol)
-    if not 0 < limit_tol < mp.inf:
-        raise DomainError("limit_tol must be a positive finite number")
-    return limit_tol
-
-
 def limit_check(id: str, limit_tol=mpf("1e-3")) -> LimitReport:
     """Extrapolate the q->1 limit (or confirm a divergence verdict)."""
     rec = limit_lookup(id)
-    limit_tol = _check_limit_tol(limit_tol)
+    limit_tol = _positive(limit_tol, "limit_tol")
     if rec.verdict:
         return _divergence_check(rec)
 
@@ -888,7 +882,7 @@ def _divergence_check(rec: LimitTarget) -> LimitReport:
 
 
 def limit_check_all(limit_tol=mpf("1e-3")):
-    limit_tol = _check_limit_tol(limit_tol)
+    limit_tol = _positive(limit_tol, "limit_tol")
     reports = []
     for rec in limit_targets():
         try:

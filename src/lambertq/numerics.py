@@ -7,7 +7,6 @@ pure, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import mpmath
@@ -30,8 +29,6 @@ __all__ = [
 
 DEFAULT_PRECISION_BITS = 128
 
-_ENV_BITS = "LAMBERTQ_PRECISION_BITS"
-
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -45,16 +42,6 @@ class ConvergenceError(RuntimeError):
         self.side = side
 
 
-def _initial_bits() -> int:
-    raw = os.environ.get(_ENV_BITS)
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    bits = int(raw)
-    if bits < 53:
-        raise DomainError(f"{_ENV_BITS} must be >= 53, got {bits}")
-    return bits
-
-
 def set_precision(bits: int) -> None:
     """Set the working binary precision (significand bits, >= 53)."""
     if bits < 53:
@@ -62,16 +49,19 @@ def set_precision(bits: int) -> None:
     mp.prec = bits
 
 
+def _positive(x, name):
+    """x as an mpf at the working precision; it must be positive and finite.
+    The one rule of every tolerance: tol and the limit checks' limit_tol."""
+    x = mpf(x)
+    if not 0 < x < mp.inf:
+        raise DomainError(f"{name} must be positive and finite, got {x}")
+    return x
+
+
 def _tol(tol, shift=0):
-    """A tolerance as an mpf at the working precision, 2^(shift - prec) for
-    None; it must be positive and finite.  The one tol rule of qseries'
-    evaluators, of verify and verify_all, and of the CLI's --tol."""
-    if tol is None:
-        return mp.ldexp(1, shift - mp.prec)
-    tol = mpf(tol)
-    if not 0 < tol < mp.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-    return tol
+    """A tolerance through _positive, 2^(shift - prec) for None: the tol of
+    qseries' evaluators, of verify and verify_all, and of the CLI's --tol."""
+    return mp.ldexp(1, shift - mp.prec) if tol is None else _positive(tol, "tol")
 
 
 @contextmanager
@@ -85,7 +75,7 @@ def precision(bits: int):
         mp.prec = old
 
 
-set_precision(_initial_bits())
+set_precision(DEFAULT_PRECISION_BITS)
 
 
 def zeta(s) -> mpf:
@@ -123,6 +113,23 @@ def catalan() -> mpf:
     return +mp.catalan
 
 
+def _nodes(xs, ys, least):
+    """xs as mpf and ys as mpf or mpc, at least ``least`` of each, with xs
+    strictly decreasing and positive: the nodes of both extrapolators, whose
+    target is x = 0."""
+    xs = [mpf(x) for x in xs]
+    ys = [y if isinstance(y, mpc) else mpf(y) for y in ys]
+    if len(xs) != len(ys):
+        raise ValueError("xs and ys must have equal length")
+    if len(xs) < least:
+        raise ValueError(f"need at least {least} nodes, got {len(xs)}")
+    if not all(b < a for a, b in zip(xs, xs[1:])):
+        raise ValueError("xs must be strictly decreasing")
+    if xs[-1] <= 0:
+        raise ValueError("xs must stay positive (extrapolation target is 0)")
+    return xs, ys
+
+
 def richardson_extrapolate(xs, ys):
     """Polynomial (Neville) extrapolation of y(x) to x = 0.
 
@@ -130,18 +137,8 @@ def richardson_extrapolate(xs, ys):
     Returns ``(limit, err_estimate)`` where the error estimate is the
     magnitude of the last tableau correction.  ``ys`` may be complex.
     """
-    xs = [mpf(x) for x in xs]
-    ys = [y if isinstance(y, mpc) else mpf(y) for y in ys]
+    xs, ys = _nodes(xs, ys, 3)
     m = len(xs)
-    if m != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    if m < 3:
-        raise ValueError("need at least 3 nodes")
-    for a, b in zip(xs, xs[1:]):
-        if not b < a:
-            raise ValueError("xs must be strictly decreasing")
-    if xs[-1] <= 0:
-        raise ValueError("xs must stay positive (extrapolation target is 0)")
 
     # tab[i] holds the Neville value of degree j interpolant ending at node i
     tab = list(ys)
@@ -149,8 +146,6 @@ def richardson_extrapolate(xs, ys):
     for j in range(1, m):
         for i in range(m - 1, j - 1, -1):
             denom = xs[i] - xs[i - j]
-            if denom == 0:
-                raise ValueError("duplicate xs")
             tab[i] = ((0 - xs[i - j]) * tab[i] - (0 - xs[i]) * tab[i - 1]) / denom
         if j == m - 1:
             correction = abs(tab[-1] - prev_diag)
@@ -168,18 +163,8 @@ def basis_extrapolate(xs, ys, basis):
     when the fit window slides one node toward larger x.  ``ys`` may be
     complex.  Returns ``(limit, err_estimate)``.
     """
-    xs = [mpf(x) for x in xs]
-    ys = [y if isinstance(y, mpc) else mpf(y) for y in ys]
     m = len(basis) + 1
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    if len(xs) < m + 1:
-        raise ValueError(f"need at least {m + 1} nodes for {m - 1} basis terms")
-    for a, b in zip(xs, xs[1:]):
-        if not b < a:
-            raise ValueError("xs must be strictly decreasing")
-    if xs[-1] <= 0:
-        raise ValueError("xs must stay positive (extrapolation target is 0)")
+    xs, ys = _nodes(xs, ys, m + 1)
 
     def solve(idx):
         A = mp.matrix(m, m)

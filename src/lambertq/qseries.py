@@ -84,9 +84,10 @@ _DISC = "|q| < 1"  # an mpf or mpc: log_qpoch_inf, _direct, e_q
 
 
 def _arg(x, name, disc=False):
-    """x as it is if an mpf or mpc, else through mpf; finite, and with
-    ``disc`` of modulus below 1."""
-    x = x if isinstance(x, (mpf, mpc)) else mpf(x)
+    """x as it is if an mpf or mpc, a Python complex through mpc, else
+    through mpf; finite, and with ``disc`` of modulus below 1."""
+    if not isinstance(x, (mpf, mpc)):
+        x = mpc(x) if isinstance(x, complex) else mpf(x)
     if disc:
         if not abs(x) < 1:
             raise DomainError(f"|{name}| must be < 1, got {name}={x}")
@@ -100,7 +101,7 @@ def _base(q, domain):
     mpf, which rounds it to the working precision."""
     if domain is _DISC:
         return _arg(q, "q", disc=True)
-    if isinstance(q, mpc):
+    if isinstance(q, (mpc, complex)):
         raise DomainError(f"q must be real, got {q}")
     q = mpf(q)
     if not (0 if domain is _UNIT else -1) < q < 1:
@@ -873,11 +874,6 @@ def weierstrass_delta(tau) -> SeriesValue:
 # ---------------------------------------------------------------------------
 # the two workhorse evaluators
 
-def _growth(f: ArithTable):
-    C, beta = f.growth
-    return mpf(C), mpf(beta)
-
-
 def _truncation(pref, p, r, tol):
     """N*, the smallest N >= 1 with pref * _poly_geom_tail(p, r, N) <= tol (inf
     if r rounds to 1)."""
@@ -921,7 +917,7 @@ def _lambert_plan(growth, kernel, q, z, tol):
     the bound tail + _MARGIN units u of a real sum (bounds[0]) and of a
     complex one (bounds[1]), to which a call adds the _roundoff cover of its
     value.  Only N is set where N* = inf."""
-    C, beta = mpf(growth[0]), mpf(growth[1])
+    C, beta = map(mpf, growth)
     complex_z = isinstance(z, mpc)
     w = 1 if kernel.weight == "over_n" else 0
     p = beta - w
@@ -1098,7 +1094,7 @@ def weighted_product_log(
         raise DomainError(f"weight must be 'over_n' or 'plain', got {weight!r}")
     q, z = pt.q, pt.z
     tol = _tol(tol)
-    C, beta = _growth(g)
+    C, beta = map(mpf, g.growth)
     complex_z = isinstance(z, mpc)
     if C == 0:
         return SeriesValue(mpc(0) if complex_z else mpf(0), mpf(0), 0)

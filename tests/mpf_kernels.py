@@ -18,7 +18,6 @@ from lambertq.qseries import (
     QPoint,
     SeriesValue,
     _check_terms,
-    _growth,
     _poly_geom_tail,
     _roundoff,
     _truncation,
@@ -122,7 +121,7 @@ def oracle_weighted_product_log(
         raise DomainError(f"weight must be 'over_n' or 'plain', got {weight!r}")
     q, z = pt.q, pt.z
     tol = mpf(tol)
-    C, beta = _growth(g)
+    C, beta = map(mpf, g.growth)
     complex_z = isinstance(z, mpc)
     if C == 0:
         return SeriesValue(mpc(0) if complex_z else mpf(0), mpf(0), 0)
@@ -179,7 +178,7 @@ def oracle_lambert_sum(
     _truncation, then an mpf loop and the _roundoff cover alone."""
     q, z = pt.q, pt.z
     tol = mpf(tol)
-    C, beta = _growth(f)
+    C, beta = map(mpf, f.growth)
     complex_z = isinstance(z, mpc)
     if C == 0:
         return SeriesValue(mpc(0) if complex_z else mpf(0), mpf(0), 0)

@@ -51,7 +51,7 @@ def test_spec_grammar(spec, tag, params):
 
 @pytest.mark.parametrize("spec", ["bogus", "mobius:3", "jordan", "jordan:x",
                                   "ramanujan:0", "custom", "sigma:nan", "sigma:inf",
-                                  "jordan:1e400"])
+                                  "jordan:1e400", "jordan:-1"])
 def test_spec_rejects(spec):
     with pytest.raises(DomainError):
         FunctionId.parse(spec)

@@ -64,6 +64,7 @@ def test_sieve_unknown_spec_exits_2(capsys):
 @pytest.mark.parametrize("argv", [("sieve", "sigma:nan", "3"),
                                   ("sieve", "sigma:inf", "3"),
                                   ("sieve", "jordan:1e400", "3"),
+                                  ("sieve", "jordan:-1", "3"),
                                   ("eval", "lambert", "--f", "sigma:nan")])
 def test_non_finite_spec_parameter_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -220,6 +221,8 @@ def test_unparseable_number_exits_2(capsys, argv):
     ("eval", "qpoch", "--tau", "1j"),
     ("eval", "eta", "--q", "0.9"),
     ("eval", "eta", "--z", "5"),
+    ("eval", "qpoch", "--f", "csv"),
+    ("eval", "lambert", "--form", "csv"),
 ])
 def test_eval_option_of_another_target_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -328,7 +331,7 @@ def test_verify_exact_record_at_a_point_exits_4(capsys, id, point):
 @pytest.mark.parametrize("id", ["EQ3.1a", "EQ3.13-1", "all"])
 def test_limit_tol_not_positive_finite_exits_4(capsys, id, limit_tol):
     code, out, err = run(capsys, "limit", id, f"--limit-tol={limit_tol}")
-    assert code == 4 and "limit_tol must be a positive finite number" in err and out == ""
+    assert code == 4 and "limit_tol must be positive and finite" in err and out == ""
 
 
 def test_limit_single_record(capsys):
@@ -440,6 +443,28 @@ def test_process_entry_matches_in_process_main(capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
         codes.append(proc.returncode)
     assert codes == [0, 1, 2, 4, 5]
+
+
+@pytest.mark.parametrize("bits, code", [("abc", 2), ("20", 4), ("64", 0)])
+def test_precision_env_is_the_cli_default(capsys, bits, code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = ["eval", "qpoch", "--q", "0.5", "--z", "0.5"]
+    env = dict(os.environ, PYTHONPATH=src, LAMBERTQ_PRECISION_BITS=bits)
+    proc = subprocess.run([sys.executable, "-m", "lambertq.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    if code:
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+    else:
+        assert (0, proc.stdout, "") == run(capsys, "--precision", bits, *argv)
+
+
+def test_precision_env_leaves_the_library_at_128_bits():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, LAMBERTQ_PRECISION_BITS="20")
+    out = subprocess.run([sys.executable, "-c", "import lambertq, mpmath; print(mpmath.mp.prec)"],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out == "128\n"
 
 
 def test_only_the_process_entry_freezes_the_collector(capsys):

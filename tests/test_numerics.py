@@ -105,6 +105,12 @@ def test_precision_context_restores():
         set_precision(20)
 
 
+# both extrapolators take their nodes through the same check; a basis of one
+# term needs 3 nodes, as Neville does
+_EXTRAPOLATORS = (richardson_extrapolate,
+                  lambda xs, ys: basis_extrapolate(xs, ys, [lambda x: x]))
+
+
 class TestRichardson:
     def test_polynomial_is_exact(self):
         xs = [mpf(2) ** (-j) for j in range(3, 9)]
@@ -130,8 +136,16 @@ class TestRichardson:
         [mpf("0.1"), mpf("0.05"), mpf(0)],           # hits the target
     ])
     def test_bad_grids_rejected(self, xs):
-        with pytest.raises(ValueError):
-            richardson_extrapolate(xs, [mpf(1)] * len(xs))
+        for extrapolate in _EXTRAPOLATORS:
+            with pytest.raises(ValueError):
+                extrapolate(xs, [mpf(1)] * len(xs))
+
+
+@pytest.mark.parametrize("extrapolate", _EXTRAPOLATORS, ids=["richardson", "basis"])
+def test_unequal_lengths_rejected(extrapolate):
+    xs = [mpf("0.1"), mpf("0.05"), mpf("0.025")]
+    with pytest.raises(ValueError, match="equal length"):
+        extrapolate(xs, [mpf(1)] * 4)
 
 
 class TestBasisExtrapolate:

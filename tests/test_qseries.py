@@ -1148,6 +1148,30 @@ def test_primitive_values_match_digest():
     assert h.hexdigest() == _PRIMITIVE_DIGEST
 
 
+@pytest.mark.parametrize("fn, args", [
+    (log_qpoch_inf, (0.2 + 0.1j, 0.5)),
+    (log_qpoch_inf, (0.3, 0.2 + 0.1j)),
+    (qpoch_inf_direct, (1.5 - 0.7j, 0.5)),
+    (qpoch_inf_direct, (0.3, 0.2 + 0.1j)),
+    (qpoch_n, (0.2 + 0.1j, 0.5, 3)),
+    (qpoch_n, (0.3, 0.5, 2.5 + 0.5j)),
+    (e_q, (0.2 + 0.1j, 0.5)),
+    (e_q, (0.3, 0.2 + 0.1j)),
+    (e_q_series, (0.2 + 0.1j, 0.5)),
+    (E_q, (1.5 - 0.7j, 0.5)),
+    (E_q_series, (0.2 + 0.45j, 0.5)),
+    (q_binomial_check, (1.5 - 0.7j, 0.2 + 0.1j, 0.5)),
+    (q_gamma, (0.5 + 0.3j, 0.5)),
+    (theta_sum, (0.2 + 0.45j, 0.5)),
+    (triple_product, (0.2 + 0.45j, 0.5)),
+    (dedekind_eta, (0.3 + 0.8j,)),
+    (weierstrass_delta, (0.3 + 0.8j,)),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_python_complex_argument_is_the_equal_mpc(fn, args):
+    as_mpc = [mpc(a) if isinstance(a, complex) else a for a in args]
+    assert fn(*args) == fn(*as_mpc)
+
+
 # one valid call of each public entry point, by keyword; each contract case
 # puts one bad value in place of one argument
 def _valid_calls():
@@ -1191,7 +1215,7 @@ def _contract_cases():
             elif arg in ("z", "q", "a", "n", "w"):
                 bad = [mp.nan, mp.inf, -mp.inf]
                 if arg == "q" and name not in _COMPLEX_Q_OK:
-                    bad.append(mpc("0.3", "0.1"))
+                    bad += [mpc("0.3", "0.1"), 0.3 + 0.1j]
             else:
                 continue
             for v in bad:
