@@ -11,6 +11,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from mpmath import mp, mpf, mpc
 
 from . import identities
 from .arith import FunctionId, build_table
-from .numerics import ConvergenceError, DomainError, _tol, set_precision
+from .numerics import ConvergenceError, DomainError, _max_terms, _tol, set_precision
 from .qseries import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", **each, help="limit-check one record or 'all'")
     p.add_argument("id")
-    p.add_argument("--limit-tol", default="1e-3")
+    p.add_argument("--limit-tol", default=identities.DEFAULT_LIMIT_TOL)
     return top
 
 
@@ -188,8 +189,6 @@ def _series_value_out(fields: dict, fmt: str) -> str:
 
 
 # report fields in column order; the "passed" field is headed "pass"
-_VERIFY_COLS = ("id", "q", "z", "lhs_value", "rhs_value", "abs_diff",
-                "error_budget", "passed", "terms_used", "note")
 _LIMIT_COLS = ("id", "estimate", "target_value", "rel_err", "err_estimate",
                "passed", "mode", "note")
 
@@ -257,7 +256,7 @@ def cmd_verify(args) -> int:
         z = _parse_number(args.z, real=False) if args.z is not None else None
         reports = [identities.verify(args.id, q, z, tol=args.tol,
                                      max_terms=args.max_terms)]
-    _emit(_reports_out(reports, _VERIFY_COLS, args.format))
+    _emit(_reports_out(reports, identities.IdentityReport._fields, args.format))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
@@ -271,16 +270,29 @@ def cmd_limit(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
+def _join_negative_values(argv):
+    """argv with each token that starts with "-" and a digit or "." (no option
+    does) joined to the option before it: argparse reads --z -1e-3 as two
+    options, and --z=-1e-3 as one option and its value."""
+    out = []
+    for tok in argv:
+        if out and re.match(r"-[\d.]", tok) and re.fullmatch(r"--(?!help$)[\w-]+", out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         precision = args.precision
         if precision is None:
             env = os.environ.get(PRECISION_ENV)
             precision = mp.prec if env is None else _parse_bits(env)
         args.tol = _tol(_parse_number(args.tol)) if args.tol is not None else DEFAULT_TOL
-        if args.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
+        _max_terms(args.max_terms)
         set_precision(precision)
         handler = {"sieve": cmd_sieve, "eval": cmd_eval,
                    "verify": cmd_verify, "limit": cmd_limit}[args.command]

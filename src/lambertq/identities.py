@@ -24,6 +24,7 @@ from .arith import ArithTable, build_table, custom_table
 from .numerics import (
     ConvergenceError,
     DomainError,
+    _max_terms,
     _positive,
     _tol,
     catalan,
@@ -61,11 +62,13 @@ __all__ = [
     "hypothesis_check",
     "DEFAULT_GRID_Q",
     "DEFAULT_GRID_Z",
+    "DEFAULT_LIMIT_TOL",
     "UnknownIdError",
 ]
 
 DEFAULT_GRID_Q = ("0.1", "0.3", "0.5", "0.7")
 DEFAULT_GRID_Z = ("1", "2", "0.5", "1+0.5j")
+DEFAULT_LIMIT_TOL = mpf("1e-3")
 
 _TABLE_START_N = 512
 _TABLE_CAP_N = 1 << 18
@@ -256,8 +259,6 @@ def _json_dict(report):
     for k, v in zip(report._fields, report):
         if isinstance(v, list):
             v = [_dec(x) for x in v]
-        elif isinstance(v, dict):
-            v = {p: str(x) for p, x in sorted(v.items())}
         elif not isinstance(v, (str, int)):
             v = _dec(v)
         d["pass" if k == "passed" else k] = v
@@ -266,7 +267,7 @@ def _json_dict(report):
 
 class IdentityReport(namedtuple(
         "IdentityReport",
-        "id q z params lhs_value rhs_value abs_diff error_budget passed "
+        "id q z lhs_value rhs_value abs_diff error_budget passed "
         "terms_used note", defaults=("",))):
     __slots__ = ()
 
@@ -277,7 +278,7 @@ class LimitReport(namedtuple(
         "LimitReport",
         "id q_grid raw_values estimate target_value rel_err err_estimate "
         "passed mode note", defaults=("",))):
-    """``mode`` is "extrapolation", "bracket", "escape", "trend" or "error"."""
+    """``mode`` is "extrapolation", "escape", "trend" or "error"."""
 
     __slots__ = ()
 
@@ -323,15 +324,14 @@ def _record_sides(rec: IdentityRecord, pt: QPoint, tol, max_terms):
 
 def verify(id: str, q=None, z=None, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS):
     """Evaluate both sides of one identity and compare against the budget."""
-    tol = _tol(tol)
+    tol, max_terms = _tol(tol), _max_terms(max_terms)
     rec = lookup(id)
     if rec.kind == "exact":
         if q is not None or z is not None:
             raise DomainError(f"{rec.id} is an exact statement and takes no q or z")
         max_diff, budget, detail = rec.exact_check()
         return IdentityReport(
-            id=rec.id, q=None, z=None, params={},
-            lhs_value=None, rhs_value=None,
+            id=rec.id, q=None, z=None, lhs_value=None, rhs_value=None,
             abs_diff=max_diff, error_budget=budget,
             passed=bool(max_diff <= budget), terms_used=0, note=detail,
         )
@@ -346,8 +346,7 @@ def verify(id: str, q=None, z=None, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS
     diff = abs(lhs.value - rhs.value)
     budget = lhs.err_bound + rhs.err_bound
     return IdentityReport(
-        id=rec.id, q=pt.q, z=pt.z, params={},
-        lhs_value=lhs.value, rhs_value=rhs.value,
+        id=rec.id, q=pt.q, z=pt.z, lhs_value=lhs.value, rhs_value=rhs.value,
         abs_diff=diff, error_budget=budget, passed=bool(diff <= budget),
         terms_used=lhs.terms_used + rhs.terms_used,
     )
@@ -356,7 +355,7 @@ def verify(id: str, q=None, z=None, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS
 def verify_all(grid_q=DEFAULT_GRID_Q, grid_z=DEFAULT_GRID_Z,
                tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS):
     """Verify every catalog record over the grid; failures are recorded."""
-    tol = _tol(tol)
+    tol, max_terms = _tol(tol), _max_terms(max_terms)
     reports = []
     qs = [mpf(q) for q in grid_q]
     zs = [z if z.imag else z.real for z in map(mp.mpmathify, grid_z)]
@@ -372,9 +371,8 @@ def verify_all(grid_q=DEFAULT_GRID_Q, grid_z=DEFAULT_GRID_Z,
                     reports.append(verify(rec.id, q, z, tol, max_terms))
                 except (ConvergenceError, DomainError) as exc:
                     reports.append(IdentityReport(
-                        id=rec.id, q=q, z=z, params={},
-                        lhs_value=None, rhs_value=None, abs_diff=None,
-                        error_budget=None, passed=False,
+                        id=rec.id, q=q, z=z, lhs_value=None, rhs_value=None,
+                        abs_diff=None, error_budget=None, passed=False,
                         terms_used=0, note=f"{type(exc).__name__}: {exc}",
                     ))
     reports.sort(key=lambda r: (r.id, str(_dec(r.q)), str(_dec(r.z))))
@@ -593,21 +591,28 @@ def _qz(pt):
     return pt.q**z
 
 
+def _registry(cache, index, build, what, *id):
+    """A copy of a registry's records sorted by id, or given an ``id`` the
+    record of that id; built on first use into ``cache`` and its id
+    ``index``, both filled in place."""
+    if not cache:
+        cache.extend(sorted(build(), key=lambda r: r.id))
+        index.update((r.id, r) for r in cache)
+    if not id:
+        return list(cache)
+    try:
+        return index[id[0]]
+    except KeyError:
+        raise UnknownIdError(f"unknown {what} id {id[0]!r}") from None
+
+
 def catalog():
     """All identity records, sorted by id."""
-    if not _catalog_cache:
-        recs = sorted(_build_catalog(), key=lambda r: r.id)
-        _catalog_cache.extend(recs)
-        _catalog_index.update({r.id: r for r in recs})
-    return list(_catalog_cache)
+    return _registry(_catalog_cache, _catalog_index, _build_catalog, "identity")
 
 
 def lookup(id: str) -> IdentityRecord:
-    catalog()
-    try:
-        return _catalog_index[id]
-    except KeyError:
-        raise UnknownIdError(f"unknown identity id {id!r}") from None
+    return _registry(_catalog_cache, _catalog_index, _build_catalog, "identity", id)
 
 
 # ---------------------------------------------------------------------------
@@ -768,19 +773,11 @@ def _build_limits():
 
 def limit_targets():
     """All limit records, sorted by id."""
-    if not _limit_cache:
-        recs = sorted(_build_limits(), key=lambda r: r.id)
-        _limit_cache.extend(recs)
-        _limit_index.update({r.id: r for r in recs})
-    return list(_limit_cache)
+    return _registry(_limit_cache, _limit_index, _build_limits, "limit")
 
 
 def limit_lookup(id: str) -> LimitTarget:
-    limit_targets()
-    try:
-        return _limit_index[id]
-    except KeyError:
-        raise UnknownIdError(f"unknown limit id {id!r}") from None
+    return _registry(_limit_cache, _limit_index, _build_limits, "limit", id)
 
 
 # ---------------------------------------------------------------------------
@@ -812,8 +809,11 @@ def _limit_exponent(rec: LimitTarget, j: int, abs_tol):
     return rec.sign * scale * s.value
 
 
-def limit_check(id: str, limit_tol=mpf("1e-3")) -> LimitReport:
-    """Extrapolate the q->1 limit (or confirm a divergence verdict)."""
+def limit_check(id: str, limit_tol=DEFAULT_LIMIT_TOL) -> LimitReport:
+    """Extrapolate the q->1 limit (or confirm a divergence verdict).
+
+    A convergent record passes iff rel_err <= limit_tol; its err_estimate,
+    an estimate and not a bound, is reported but decides nothing."""
     rec = limit_lookup(id)
     limit_tol = _positive(limit_tol, "limit_tol")
     if rec.verdict:
@@ -833,47 +833,31 @@ def limit_check(id: str, limit_tol=mpf("1e-3")) -> LimitReport:
     est_err = abs(estimate) * mp.expm1(err_L) if err_L < 50 else mp.inf
     target = rec.target_fn()
     rel = abs(estimate - target) / abs(target)
-    if rel <= limit_tol:
-        passed, mode = True, "extrapolation"
-    elif abs(estimate - target) <= est_err:
-        passed, mode = True, "bracket"
-    else:
-        passed, mode = False, "extrapolation"
     return LimitReport(
         id=rec.id, q_grid=qs, raw_values=[mp.exp(y) for y in ys],
         estimate=estimate, target_value=target, rel_err=rel,
-        err_estimate=est_err, passed=passed, mode=mode,
+        err_estimate=est_err, passed=rel <= limit_tol, mode="extrapolation",
     )
 
 
 def _divergence_check(rec: LimitTarget) -> LimitReport:
     """Threshold escape, or a monotone-trend certificate for log-divergence."""
+    want = 1 if rec.verdict == DIVERGES else -1
     qs, Ls = [], []
-    escaped = False
     for j in _LIMIT_J:
-        L = _limit_exponent(rec, j, mpf("1e-6"))
+        Ls.append(_limit_exponent(rec, j, mpf("1e-6")))
         qs.append(1 - mpf(2) ** (-j))
-        Ls.append(L)
-        v = mp.exp(L)
-        if rec.verdict == DIVERGES and v > _ESCAPE_HI:
-            escaped = True
+        v = mp.exp(Ls[-1])
+        if (v > _ESCAPE_HI if want > 0 else v < _ESCAPE_LO):
+            passed, mode, note = True, "escape", ""
             break
-        if rec.verdict == TO_ZERO and v < _ESCAPE_LO:
-            escaped = True
-            break
-    mode = "escape"
-    passed = escaped
-    note = ""
-    if not escaped:
-        diffs = [Ls[i + 1] - Ls[i] for i in range(len(Ls) - 1)]
-        want = 1 if rec.verdict == DIVERGES else -1
-        monotone = all(want * d > 0 for d in diffs)
+    else:
+        diffs = [b - a for a, b in zip(Ls, Ls[1:])]
         sustained = (abs(diffs[-1]) >= _TREND_MIN_STEP
                      and abs(diffs[-1]) >= mpf("0.8") * abs(diffs[-2]))
-        passed = monotone and sustained
-        mode = "trend"
-        note = ("threshold not reached on the scan grid; "
-                "monotone-trend certificate applied")
+        passed = all(want * d > 0 for d in diffs) and sustained
+        mode, note = "trend", ("threshold not reached on the scan grid; "
+                               "monotone-trend certificate applied")
     return LimitReport(
         id=rec.id, q_grid=qs, raw_values=[mp.exp(L) for L in Ls],
         estimate=mp.exp(Ls[-1]), target_value=None, rel_err=None,
@@ -881,7 +865,7 @@ def _divergence_check(rec: LimitTarget) -> LimitReport:
     )
 
 
-def limit_check_all(limit_tol=mpf("1e-3")):
+def limit_check_all(limit_tol=DEFAULT_LIMIT_TOL):
     limit_tol = _positive(limit_tol, "limit_tol")
     reports = []
     for rec in limit_targets():

@@ -37,10 +37,6 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """A certified tolerance could not be reached within the term budget."""
 
-    def __init__(self, message, side=None):
-        super().__init__(message)
-        self.side = side
-
 
 def set_precision(bits: int) -> None:
     """Set the working binary precision (significand bits, >= 53)."""
@@ -62,6 +58,13 @@ def _tol(tol, shift=0):
     """A tolerance through _positive, 2^(shift - prec) for None: the tol of
     qseries' evaluators, of verify and verify_all, and of the CLI's --tol."""
     return mp.ldexp(1, shift - mp.prec) if tol is None else _positive(tol, "tol")
+
+
+def _max_terms(m):
+    """m, an int >= 1: the one rule of every term cap (max_terms, --max-terms)."""
+    if not isinstance(m, int) or m < 1:
+        raise DomainError(f"max_terms must be >= 1 and an integer, got {m!r}")
+    return m
 
 
 @contextmanager

@@ -35,7 +35,7 @@ from mpmath.libmp import (
 )
 
 from .arith import ArithTable
-from .numerics import ConvergenceError, DomainError, _tol
+from .numerics import ConvergenceError, DomainError, _max_terms, _tol
 
 __all__ = [
     "QPoint",
@@ -68,14 +68,15 @@ _MARGIN = mpf("1.01")
 class TableTooShortError(ConvergenceError):
     """The certified truncation point ``needed`` exceeds the tabulated range."""
 
-    def __init__(self, message, side=None, needed=None):
-        super().__init__(message, side)
+    def __init__(self, message, needed=None):
+        super().__init__(message)
         self.needed = needed
 
 
 # ---------------------------------------------------------------------------
 # the input contract: every public entry point takes its base q through
-# _base, its other numbers through _arg and its tol through numerics._tol
+# _base, its other numbers through _arg, and its tol and max_terms through
+# numerics._tol and numerics._max_terms
 
 # the three domains of a base q
 _UNIT = "0 < q < 1"  # the series, q_gamma, theta_sum, triple_product, QPoint
@@ -893,14 +894,13 @@ def _truncation(pref, p, r, tol):
     return N
 
 
-def _check_terms(N, f, max_terms, name, side):
+def _check_terms(N, f, max_terms, name):
     """Raise unless N* = N is within max_terms and the table f's length."""
     if N > max_terms:
-        raise ConvergenceError(
-            f"{name} needs N*={N:.6g} terms, more than max_terms={max_terms}", side=side)
+        raise ConvergenceError(f"{name} needs N*={N:.6g} terms, more than max_terms={max_terms}")
     if N > f.N:
         raise TableTooShortError(
-            f"{name} needs N*={N:.6g} tabulated values, more than {f.N}", side=side, needed=N)
+            f"{name} needs N*={N:.6g} tabulated values, more than {f.N}", needed=N)
 
 
 # Lambert plans: what lambert_sum works out without reading a table value,
@@ -991,7 +991,7 @@ def lambert_sum(
     warm call returns the bits of a cold one.
     """
     q, z = pt.q, pt.z
-    tol = _tol(tol)
+    tol, max_terms = _tol(tol), _max_terms(max_terms)
     complex_z = isinstance(z, mpc)
     growth = f.growth
     if growth[0] == 0:
@@ -1004,7 +1004,7 @@ def lambert_sum(
             del _LAMBERT_PLANS[next(iter(_LAMBERT_PLANS))]
         _LAMBERT_PLANS[key] = plan
     N, F, Q, br, bi, bounds = plan
-    _check_terms(N, f, max_terms, "lambert_sum", "lambert")
+    _check_terms(N, f, max_terms, "lambert_sum")
 
     w = 1 if kernel.weight == "over_n" else 0
     one = 1 << F
@@ -1093,7 +1093,7 @@ def weighted_product_log(
     if weight not in ("over_n", "plain"):
         raise DomainError(f"weight must be 'over_n' or 'plain', got {weight!r}")
     q, z = pt.q, pt.z
-    tol = _tol(tol)
+    tol, max_terms = _tol(tol), _max_terms(max_terms)
     C, beta = map(mpf, g.growth)
     complex_z = isinstance(z, mpc)
     if C == 0:
@@ -1104,7 +1104,7 @@ def weighted_product_log(
     # r rounds to 1 once Re z is below about 2^-prec; no N certifies then
     pref = (2 if form == "B" else 1) * C / ((1 - q) * (1 - r)) if r < 1 else mp.inf
     N = _truncation(pref, p, r, tol)
-    _check_terms(N, g, max_terms, "weighted_product_log", "product")
+    _check_terms(N, g, max_terms, "weighted_product_log")
 
     prec, F = mp.prec, mp.prec + _GUARD
     inner_tol, lt, u3, lprec = mp.ldexp(1, -prec), -prec * _LN2, math.ldexp(3, -F), prec * _LN2
@@ -1190,10 +1190,10 @@ def intro_product_log(tot, q, tol, max_terms, odd_ratio: bool):
     k = 1 (2 for the quotient).  The one log (_log_quot) is within its count,
     phi(n) v_n // n is one floor, and the final rounding is 2^-prec of the sum.
     """
-    q, tol = _base(q, _UNIT), _tol(tol)
+    q, tol, max_terms = _base(q, _UNIT), _tol(tol), _max_terms(max_terms)
     pref = 2 * (1 - mp.sqrt(q)) / (1 - q) ** 2
     N = _truncation(pref, 0, q, tol)
-    _check_terms(N, tot, max_terms, "intro product", "product")
+    _check_terms(N, tot, max_terms, "intro product")
     F = mp.prec + _GUARD
     one, Q, qn, acc, units = 1 << F, to_fixed(q._mpf_, F), 1 << F, 0, 0.0
     d, u = float(1 - q), math.ldexp(1, -F)

@@ -130,7 +130,7 @@ def oracle_weighted_product_log(
     r = q ** (z.real if complex_z else z)
     pref = (2 if form == "B" else 1) * C / ((1 - q) * (1 - r))
     N = _truncation(pref, p, r, tol)
-    _check_terms(N, g, max_terms, "weighted_product_log", "product")
+    _check_terms(N, g, max_terms, "weighted_product_log")
 
     logq = mp.log(q)
     qz = mp.exp(z * logq) if complex_z else q**z
@@ -187,7 +187,7 @@ def oracle_lambert_sum(
     r = q ** (z.real if complex_z else z)
     pref = C / (1 - q)
     N = _truncation(pref, p, r, tol)
-    _check_terms(N, f, max_terms, "lambert_sum", "lambert")
+    _check_terms(N, f, max_terms, "lambert_sum")
 
     sign = -1 if kernel.kernel == "plus" else 1
     qz = mp.exp(z * mp.log(q)) if complex_z else q**z

@@ -90,3 +90,24 @@ def test_table_hooks_behave_as_the_wrappers_expect():
     rec = next(r for r in identities.limit_targets() if r.target_fn is not None)
     assert dataclasses.replace(rec, target_fn=rec.target_fn) == rec
 
+
+def test_limit_registry_reads_the_cache_rewritten_in_place():
+    # spans.py swaps the records by rewriting _limit_cache and _limit_index
+    cache, index = identities._limit_cache, identities._limit_index
+    originals = identities.limit_targets()
+    swapped = [dataclasses.replace(r, description="swapped") for r in originals]
+
+    def put(recs):
+        cache[:] = recs
+        index.clear()
+        index.update({r.id: r for r in recs})
+
+    put(swapped)
+    try:
+        assert identities.limit_targets() == swapped
+        assert identities.limit_lookup(swapped[0].id) is swapped[0]
+    finally:
+        put(originals)
+    assert identities._limit_cache is cache and identities._limit_index is index
+    assert identities.limit_targets() == originals
+

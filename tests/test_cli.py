@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import inspect
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import time
 
 import pytest
 
-from lambertq import cli
+from lambertq import cli, identities
 from lambertq.cli import SIEVE_MAX_N, main
 from lambertq.numerics import set_precision
 
@@ -125,6 +126,32 @@ def test_non_finite_point_exits_4(capsys, cmd, point):
     argv = cmd + ("--q", "0.5", "--z", "1")
     code, out, err = run(capsys, *argv, *point)
     assert code == 4 and "domain" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "qpoch", "--q", "0.5", "--z", "-0.5+0.2j"),
+    ("eval", "qpoch", "--q", "0.5", "--z", "-1e-3"),
+    ("eval", "eta", "--tau", "-0.5+1j"),
+    ("eval", "eta", "--tau", "-.5+1j"),
+])
+def test_negative_value_after_its_option_reads_as_the_equals_form(capsys, argv):
+    *head, opt, value = argv
+    joined = run(capsys, *head, f"{opt}={value}", "--format", "json")
+    assert joined[0] == 0 and joined[2] == ""
+    assert run(capsys, *argv, "--format", "json") == joined
+
+
+def test_negative_z_to_lambert_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "eval", "lambert", "--q", "0.5", "--z", "-1e-3")
+    assert code == 4 and "Re(z) must be positive" in err and out == ""
+
+
+def test_only_a_token_after_an_option_is_joined():
+    argv = ["verify", "-1e-3", "--z", "-1e-3", "--tol=-1", "-2", "--help", "-3", "--", "-4",
+            "--q", "0.5", "sigma:-1"]
+    assert cli._join_negative_values(argv) == [
+        "verify", "-1e-3", "--z=-1e-3", "--tol=-1", "-2", "--help", "-3", "--", "-4",
+        "--q", "0.5", "sigma:-1"]
 
 
 @pytest.mark.parametrize("max_terms", ["0", "-5"])
@@ -278,7 +305,7 @@ def test_verify_json_schema(capsys):
     for key in ("id", "q", "z", "lhs_value", "rhs_value", "abs_diff",
                 "error_budget", "pass", "terms_used", "note"):
         assert key in recs[0]
-    assert "tol_slack" not in recs[0]
+    assert "tol_slack" not in recs[0] and "params" not in recs[0]
 
 
 def test_verify_csv_header(capsys):
@@ -347,6 +374,22 @@ def test_limit_failure_exits_1(capsys):
                        "--format", "json")
     assert code == 1
     assert json.loads(out)[0]["pass"] is False
+
+
+def test_limit_passes_only_within_its_tolerance(capsys):
+    # rel_err 7.7e-8: the extrapolation's error estimate covers it, but an
+    # estimate is not a bound and passes nothing past --limit-tol
+    code, out, _ = run(capsys, "limit", "EQ3.30-1", "--limit-tol", "1e-9", "--format", "json")
+    (rec,) = json.loads(out)
+    assert code == 1 and rec["pass"] is False and rec["mode"] == "extrapolation"
+    assert 1e-9 < float(rec["rel_err"]) <= float(rec["err_estimate"])
+
+
+def test_limit_tol_default_has_one_home():
+    default = identities.DEFAULT_LIMIT_TOL
+    assert cli.build_parser().parse_args(["limit", "all"]).limit_tol is default
+    for fn in (identities.limit_check, identities.limit_check_all):
+        assert inspect.signature(fn).parameters["limit_tol"].default is default
 
 
 def test_limit_divergent_verdict(capsys):

@@ -61,10 +61,13 @@ def test_catalog_matches_digest():
 
 
 def test_lookup_errors():
-    with pytest.raises(UnknownIdError):
+    with pytest.raises(UnknownIdError, match="unknown identity id 'EQ99.1'"):
         lookup("EQ99.1")
-    with pytest.raises(UnknownIdError):
+    with pytest.raises(UnknownIdError, match="unknown limit id 'EQ99.1a'"):
         limit_lookup("EQ99.1a")
+    for find in (lookup, limit_lookup):
+        with pytest.raises(UnknownIdError, match="id None"):
+            find(None)
 
 
 def test_limit_targets_cover_both_kinds():
@@ -231,6 +234,21 @@ def test_limit_divergence_escape():
 def test_limit_failure_when_tolerance_is_unreachable():
     rep = limit_check("EQ3.13-1", limit_tol=mpf("1e-9"))
     assert not rep.passed
+
+
+# records whose extrapolation error estimate covers |estimate - target|
+# although rel_err is past 1e-9 (EQ3.23a by 3.0e-4): an error estimate is not
+# a bound, so each passes at the default tolerance and fails at 1e-9
+_COVERED_PAST_1E9 = ("EQ3.5a", "EQ3.7a", "EQ3.17a-k0.5", "EQ3.18a-k-0.5", "EQ3.23a",
+                     "EQ3.30-1", "EQ3.43a-k2", "EQ3.43a-k3")
+
+
+@pytest.mark.parametrize("id", _COVERED_PAST_1E9)
+def test_limit_error_estimate_never_passes_a_missed_tolerance(id):
+    rep = limit_check(id, limit_tol=mpf("1e-9"))
+    assert abs(rep.estimate - rep.target_value) <= rep.err_estimate
+    assert mpf("1e-9") < rep.rel_err <= idmod.DEFAULT_LIMIT_TOL
+    assert not rep.passed and rep.mode == "extrapolation"
 
 
 @pytest.mark.parametrize("limit_tol", ["-1", "0", "nan", "inf"])

@@ -34,15 +34,14 @@ RECORDS = [
       "exact_check": None},
      {"form": "B"}),
     (IdentityReport,
-     {"id": "X", "q": mpf("0.5"), "z": mpf(1), "params": {}, "lhs_value": mpf(1),
-      "rhs_value": mpf(1), "abs_diff": mpf(0), "error_budget": mpf("1e-30"),
+     {"id": "X", "q": mpf("0.5"), "z": mpf(1), "lhs_value": mpf(1), "rhs_value": mpf(1), "abs_diff": mpf(0), "error_budget": mpf("1e-30"),
       "passed": True, "terms_used": 9},
      {"note": ""}, {"passed": False}),
     (LimitReport,
      {"id": "X", "q_grid": [mpf("0.5")], "raw_values": [mpf(2)], "estimate": mpf(2),
       "target_value": mpf(2), "rel_err": mpf(0), "err_estimate": mpf("1e-9"),
       "passed": True, "mode": "extrapolation"},
-     {"note": ""}, {"mode": "bracket"}),
+     {"note": ""}, {"mode": "escape"}),
     (identities.LimitTarget, {"id": "X", "description": "d"},
      {"f_key": "", "form": "A", "sign": -1, "verdict": "", "target_fn": None,
       "sing": ()},
