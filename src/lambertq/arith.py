@@ -62,12 +62,11 @@ def primes(N: int) -> list:
     return [n for n in range(2, N + 1) if spf[n] == n]
 
 
-def factorize(n: int, spf=None) -> list:
+def factorize(n: int) -> list:
     """Prime factorization [(p, a), ...] via the SPF sieve."""
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
-    if spf is None:
-        spf = smallest_prime_factors(n)
+    spf = smallest_prime_factors(n)
     out = []
     while n > 1:
         p = spf[n]
@@ -79,10 +78,10 @@ def factorize(n: int, spf=None) -> list:
     return out
 
 
-def divisors(n: int, spf=None) -> list:
+def divisors(n: int) -> list:
     """All divisors of n, ascending."""
     divs = [1]
-    for p, a in factorize(n, spf):
+    for p, a in factorize(n):
         divs = [d * p**k for d in divs for k in range(a + 1)]
     return sorted(divs)
 
@@ -115,34 +114,29 @@ class FunctionId(namedtuple("FunctionId", "tag params")):
 
     @classmethod
     def parse(cls, spec: str) -> "FunctionId":
-        """Parse the CLI grammar ``name[:param[,param]]``."""
-        name, _, rest = spec.partition(":")
+        """Parse the CLI grammar ``name[:param]``."""
+        name, _, tok = spec.partition(":")
         name = name.strip()
         if name not in _BUILDERS:
             raise DomainError(f"unknown function spec {spec!r}")
-        if not rest:
+        if not tok:
             return cls(name)
         conv = _PARAM_TAGS.get(name)
         if conv is None:
             raise DomainError(f"{name} takes no parameters")
-        params = []
-        for tok in rest.split(","):
-            try:
-                val = conv(tok)
-            except ValueError:
-                raise DomainError(f"bad parameter {tok!r} in {spec!r}") from None
-            if conv is float:
-                if not math.isfinite(val):
-                    raise DomainError(f"non-finite parameter {tok!r} in {spec!r}")
-                if val == int(val):
-                    val = int(val)
-            params.append(val)
-        return cls(name, tuple(params))
+        try:
+            val = conv(tok)
+        except ValueError:
+            raise DomainError(f"bad parameter {tok!r} in {spec!r}") from None
+        if conv is float:
+            if not math.isfinite(val):
+                raise DomainError(f"non-finite parameter {tok!r} in {spec!r}")
+            if val == int(val):
+                val = int(val)
+        return cls(name, (val,))
 
     def __str__(self):
-        if self.params:
-            return f"{self.tag}:{','.join(str(p) for p in self.params)}"
-        return self.tag
+        return ":".join((self.tag, *map(str, self.params)))
 
 
 class ArithTable:
@@ -180,8 +174,27 @@ class ArithTable:
         C, beta = self.growth
         v = self.values[n]
         if isinstance(v, Fraction):  # mpf does not compare with Fraction
-            v = mpf(v.numerator) / v.denominator
+            v = as_mpf(v)
         return abs(v) <= C * mpf(n) ** beta + mpf(2) ** (-mp.prec + 8)
+
+
+def as_mpf(v) -> mpf:
+    """An int or Fraction as one rounding of its numerator over its denominator."""
+    return mpf(v.numerator) / v.denominator
+
+
+def _table(fid, values: list, growth: tuple) -> ArithTable:
+    """The table of values[1:], exact unless its entry 1 is an mpf or mpc."""
+    return ArithTable(fid, len(values) - 1, values, growth, not isinstance(values[1], (mpf, mpc)))
+
+
+def power_type(s):
+    """(P, x) with P(n) ** x = n^s in the number type s picks: int for an
+    integer s >= 0, Fraction for a negative integer, mpf else.  An int
+    n < 2^53 converts exactly, so n ** x has the bits of P(n) ** x."""
+    if s != int(s):
+        return mpf, mpf(s)
+    return (int if s >= 0 else Fraction), int(s)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +248,6 @@ def _mult(rule, growth):
     return lambda N: (multiplicative(N, rule), growth)
 
 
-def _mobius_rule(p, a):
-    return -1 if a == 1 else 0
-
-
 def _chi1(n):
     return (0, 1, 0, -1)[n % 4]
 
@@ -254,31 +263,20 @@ def _omega(N):
 
 
 def _jordan(N, alpha):
-    if alpha == int(alpha):
-        k = int(alpha)
-        return multiplicative(N, lambda p, a: p ** (k * a) - p ** (k * a - k)), (1, k)
-    x = mpf(alpha)
-
-    def rule(p, a):  # J_alpha(p^a) = p^(a alpha) - p^((a-1) alpha)
-        return mpf(p) ** (x * a) - mpf(p) ** (x * (a - 1))
-
-    return multiplicative(N, rule, mpf(1)), (1, alpha)
+    # J_alpha(p^a) = p^(a alpha) - p^((a-1) alpha), in ints or mpf (alpha >= 0)
+    P, x = power_type(alpha)
+    vals = multiplicative(N, lambda p, a: p ** (x * a) - p ** (x * (a - 1)), P(1))
+    return vals, (1, alpha)
 
 
 def _sigma(N, s):
-    growth = (2, max(float(s), 0.0) + 1)
-    if s == int(s):
-        k = abs(int(s))
-        vals = divisor_sum(N, lambda d: d**k)
-        if s < 0:  # sigma_{-k}(n) = sigma_k(n) / n^k
-            vals = [0] + [Fraction(vals[n], n**k) for n in range(1, N + 1)]
-        return vals, growth
-    x = mpf(s)
-
-    def rule(p, a):  # sigma_s(p^a) = sum of p^(j s), j = 0..a
-        return sum(mpf(p) ** (x * j) for j in range(a + 1))
-
-    return multiplicative(N, rule, mpf(1)), growth
+    # sigma_s(p^a) = sum of p^(j s), j = 0..a; an integer s < 0 sums in ints,
+    # then sigma_{-k}(n) = sigma_k(n) / n^k
+    P, x = power_type(abs(s) if s == int(s) else s)
+    vals = multiplicative(N, lambda p, a: sum(p ** (x * j) for j in range(a + 1)), P(1))
+    if s < 0 and P is int:
+        vals = [0] + [Fraction(vals[n], n**x) for n in range(1, N + 1)]
+    return vals, (2, max(float(s), 0.0) + 1)
 
 
 def _mangoldt(N):
@@ -294,7 +292,7 @@ def _mangoldt(N):
 def _ramanujan(N, v):
     # c_n(v) = sum over d | gcd(n, v) of d mu(n/d)
     v = int(v)
-    mob = multiplicative(N, _mobius_rule)
+    mob = _mu_k(N, 1)[0]
     return divisor_sum(N, lambda d: d if v % d == 0 else 0, mob), (sum(divisors(v)), 0)
 
 
@@ -306,19 +304,24 @@ def _r8(N):
 
 
 def _mu_k(N, k):
-    mob = multiplicative(N, _mobius_rule)
-    if k == 1:  # exp(pi*i*omega) = (-1)^omega: stays exact
-        return mob, (1, 0)
-    root = mp.expjpi(mpf(1) / int(k))
-    omega = _omega(N)
-    pw = [root**j for j in range(max(omega) + 1)]
-    return [pw[j] if m else mpc(0) for j, m in zip(omega, mob)], (1, 0)
+    # mu_k(n) = e^(i pi/k)^omega(n) on squarefree n, else 0; mu_1 is the
+    # Mobius function, in exact ints.  One pass: n = p m with p = spf(n) is
+    # squarefree iff m is and p does not divide m; ex[n] = omega(n) there and
+    # -1 elsewhere.
+    root, zero = (-1, 0) if k == 1 else (mp.expjpi(mpf(1) / int(k)), mpc(0))
+    spf = smallest_prime_factors(max(N, 4))
+    ex = [-1, 0] + [0] * (N - 1)
+    for n in range(2, N + 1):
+        m = n // spf[n]
+        ex[n] = ex[m] + 1 if ex[m] >= 0 and m % spf[n] else -1
+    pw = [root**j for j in range(max(ex) + 1)] + [zero]  # pw[-1] = zero
+    return [pw[j] for j in ex], (1, 0)
 
 
 # tag -> builder(N, *params) returning (values, growth)
 _BUILDERS = {
     "one": lambda N: ([1] * (N + 1), (1, 0)),
-    "mobius": _mult(_mobius_rule, (1, 0)),
+    "mobius": lambda N: _mu_k(N, 1),
     "mobius_abs": _mult(lambda p, a: int(a == 1), (1, 0)),
     "totient": _mult(lambda p, a: p ** (a - 1) * (p - 1), (1, 1)),
     "jordan": _jordan,
@@ -352,14 +355,12 @@ def build_table(fid: FunctionId, N: int) -> ArithTable:
         raise DomainError(f"N must be >= 1, got {N}")
     if fid.tag == "custom":
         raise DomainError("custom tables are built directly, not sieved")
-    vals, growth = _BUILDERS[fid.tag](N, *fid.params)
-    return ArithTable(fid, N, vals, growth, not isinstance(vals[1], (mpf, mpc)))
+    return _table(fid, *_BUILDERS[fid.tag](N, *fid.params))
 
 
-def custom_table(label: str, values: list, growth: tuple, exact: bool = True) -> ArithTable:
+def custom_table(label: str, values: list, growth: tuple) -> ArithTable:
     """Wrap precomputed values (index 1..N; values[0] ignored) as a table."""
-    fid = FunctionId("custom", (label,))
-    return ArithTable(fid, len(values) - 1, values, growth, exact)
+    return _table(FunctionId("custom", (label,)), values, growth)
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +370,12 @@ def dirichlet_convolve(a: ArithTable, b: ArithTable) -> ArithTable:
     """(a*b)(n) = sum over d|n of a(d) b(n/d), O(N log N)."""
     if a.N != b.N:
         raise DomainError("tables must share the same N")
-    exact = a.exact and b.exact
-    out = divisor_sum(a.N, a.values.__getitem__, b.values, 0 if exact else mpf(0))
+    zero = 0 if a.exact and b.exact else mpf(0)
+    out = divisor_sum(a.N, a.values.__getitem__, b.values, zero)
     Ca, ba = a.growth
     Cb, bb = b.growth
     growth = (2 * Ca * Cb, max(ba, bb) + 0.5)  # d(n) <= 2 sqrt(n) absorbs the divisor count
-    fid = FunctionId("custom", (f"({a.fid}*{b.fid})",))
-    return ArithTable(fid, a.N, out, growth, exact)
+    return _table(FunctionId("custom", (f"({a.fid}*{b.fid})",)), out, growth)
 
 
 def mobius_invert(f: ArithTable) -> ArithTable:
@@ -393,15 +393,12 @@ def h_transform(f: ArithTable) -> ArithTable:
     """
     N = f.N
     mob = build_table(FunctionId("mobius"), N).values
-    if f.exact:
-        out = divisor_sum(N, lambda d: Fraction(mob[d], d), f.values, Fraction(0))
-    else:
-        out = divisor_sum(N, lambda d: mpf(mob[d]) / d, f.values, mpf(0))
+    div = Fraction if f.exact else mp.fdiv  # m/d exactly, or in one rounding
+    out = divisor_sum(N, lambda d: mob[d] and div(mob[d], d), f.values, div(0, 1))
     Cf, bf = f.growth
     # |h(n)| <= sum_{d|n} |f(n/d)| <= Cf n^bf d(n) <= 2 Cf n^(bf+1/2)
     growth = (2 * Cf, bf + 0.5)
-    fid = FunctionId("custom", (f"h_transform({f.fid})",))
-    return ArithTable(fid, N, out, growth, f.exact)
+    return _table(FunctionId("custom", (f"h_transform({f.fid})",)), out, growth)
 
 
 def gcd_sum_transform(g: ArithTable, n: int):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from mpmath import mp, mpf, mpc
 
 from . import identities
-from .arith import FunctionId, build_table
+from .arith import FunctionId, as_mpf, build_table
 from .numerics import ConvergenceError, DomainError, _max_terms, _tol, set_precision
 from .qseries import (
     DEFAULT_MAX_TERMS,
@@ -54,7 +54,7 @@ def _scalar_str(v) -> str:
     if isinstance(v, (int, str)):
         return str(v)
     if isinstance(v, Fraction):
-        return mp.nstr(mpf(v.numerator) / v.denominator, mp.dps)
+        return mp.nstr(as_mpf(v), mp.dps)
     if isinstance(v, mpc):
         re, im = mp.nstr(v.real, mp.dps), mp.nstr(v.imag, mp.dps)
         return f"{re}{'+' if not im.startswith('-') else ''}{im}j"
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", **each, help="tabulate an arithmetic function as CSV")
-    p.add_argument("spec", help="function spec, grammar name[:param[,param]]")
+    p.add_argument("spec", help="function spec, grammar name[:param]")
     p.add_argument("N", type=int)
     p.add_argument("--out", default="-", help="output path (default stdout)")
 

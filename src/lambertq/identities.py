@@ -13,6 +13,7 @@ grid point can cross a fixed threshold.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
@@ -102,24 +103,25 @@ def _over_pow(N, spec, k):
 
 
 def _pow(N, arg):
+    # n^a = P(n) ** x; a negative integer a = -k takes one exact division per
+    # n, 1/n^k, as a Fraction power is twice as slow
     a = float(arg)
-    if a != int(a):
-        return _pointwise(N, lambda n: mpf(n) ** a), (1, max(a, 0.0))
-    k = int(a)
-    if k >= 0:
-        return [n**k for n in range(N + 1)], (1, k)
-    return _pointwise(N, lambda n: Fraction(1, n ** (-k))), (1, 0)
+    P, x = arith.power_type(a)
+    if P is Fraction:
+        return _pointwise(N, lambda n: Fraction(1, n**-x)), (1, 0)
+    vals = [n**x for n in range(1, N + 1)]
+    vals.insert(0, 0)  # cheaper than a copy behind [0]; 0 ** x fails at x < 0
+    return vals, (1, x if P is int else max(a, 0.0))
 
 
 def _f_muk(N, arg):
-    k = int(arg)
-    if k == 1:  # (1 + e^(i pi))^omega(n) = [n = 1], kept exact
-        return _pointwise(N, lambda n: int(n == 1)), (1, 0)
+    # f(n) = w^omega(n), w = 1 + e^(i pi/k); k = 1 gives w = 0 and stays exact.
     # |w| = 2 cos(pi/2k) <= 2, so |w^omega(n)| <= 2^omega(n) <= d(n) <= 2 sqrt(n)
-    w = 1 + mp.expjpi(mpf(1) / k)
+    k = int(arg)
+    w = 0 if k == 1 else 1 + mp.expjpi(mpf(1) / k)
     omega = build_table("omega", N).values
-    pw = list(accumulate(repeat(w, max(omega)), mpc.__mul__, initial=mpc(1)))
-    return [0] + [pw[j] for j in omega[1:]], (2, 0.5)
+    pw = list(accumulate(repeat(w, max(omega)), operator.mul, initial=w**0))  # 1 in w's type
+    return [0] + [pw[j] for j in omega[1:]], ((1, 0) if k == 1 else (2, 0.5))
 
 
 def _j2k_ratio(N, arg):
@@ -189,7 +191,7 @@ def _build_named(key: str, N: int) -> ArithTable:
     if name not in _NAMED:
         raise DomainError(f"unknown table key {key!r}")
     vals, growth = _NAMED[name](N, arg)
-    return custom_table(key, vals, growth, exact=not isinstance(vals[1], (mpf, mpc)))
+    return custom_table(key, vals, growth)
 
 
 def _get_table(key: str, N: int) -> ArithTable:
@@ -894,10 +896,8 @@ def hypothesis_check(id: str, N=2000):
     sup = mpf(0)
     for n in range(1, N + 1):
         v = tab.values[n]
-        if isinstance(v, Fraction):
-            v = mpf(v.numerator) / v.denominator
-        elif isinstance(v, int):
-            v = mpf(v)
+        if isinstance(v, (int, Fraction)):
+            v = arith.as_mpf(v)
         if isinstance(v, mpc) or v < 0:
             nonneg = False
         ratio = abs(v) * mp.log(n + 1) ** 2 / n

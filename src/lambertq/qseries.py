@@ -117,9 +117,10 @@ class QPoint(namedtuple("QPoint", "q z")):
 
     def __new__(cls, q, z):
         q, z = _base(q, _UNIT), _arg(mpc(z), "z")
+        z = z if z.imag else z.real  # a real z is checked and kept as an mpf
         if not z.real > 0:
             raise DomainError(f"Re(z) must be positive, got {z}")
-        return super().__new__(cls, q, z if z.imag != 0 else mpf(z.real))
+        return super().__new__(cls, q, z)
 
 
 class KernelForm(namedtuple("KernelForm", "kernel weight")):

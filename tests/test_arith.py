@@ -49,12 +49,19 @@ def test_spec_grammar(spec, tag, params):
     assert fid.tag == tag and tuple(fid.params) == params
 
 
+# no tag takes two parameters: the grammar is name[:param]
 @pytest.mark.parametrize("spec", ["bogus", "mobius:3", "jordan", "jordan:x",
                                   "ramanujan:0", "custom", "sigma:nan", "sigma:inf",
-                                  "jordan:1e400", "jordan:-1"])
+                                  "jordan:1e400", "jordan:-1", "jordan:1,2",
+                                  "ramanujan:6,4", "mu_k:1,2"])
 def test_spec_rejects(spec):
     with pytest.raises(DomainError):
         FunctionId.parse(spec)
+
+
+def test_direct_construction_counts_the_parameters():
+    with pytest.raises(DomainError, match="exactly one parameter"):
+        FunctionId("jordan", (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +76,12 @@ def brute_mobius(n):
 
 def brute_totient(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(n, k) == 1)
+
+
+def test_factorize_and_divisors_of_360():
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert divisors(360) == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 24, 30, 36,
+                             40, 45, 60, 72, 90, 120, 180, 360]
 
 
 def test_mobius_totient_oracles(tables):

@@ -143,7 +143,8 @@ def test_negative_value_after_its_option_reads_as_the_equals_form(capsys, argv):
 
 def test_negative_z_to_lambert_is_a_domain_error(capsys):
     code, out, err = run(capsys, "eval", "lambert", "--q", "0.5", "--z", "-1e-3")
-    assert code == 4 and "Re(z) must be positive" in err and out == ""
+    assert code == 4 and "Re(z) must be positive, got -0.001" in err and out == ""
+    assert "j" not in err
 
 
 def test_only_a_token_after_an_option_is_joined():
@@ -281,6 +282,13 @@ def test_eval_bad_function_exits_2(capsys):
 def test_verify_single_record(capsys):
     code, out, _ = run(capsys, "verify", "EQ3.29", "--q", "0.5", "--z", "1")
     assert code == 0 and "[PASS] EQ3.29" in out
+
+
+def test_verify_defaults_to_the_second_grid_q(capsys):
+    # verify ID with no --q runs at DEFAULT_GRID_Q[1] = 0.3
+    code, out, _ = run(capsys, "verify", "EQ3.11", "--format", "json")
+    rep = json.loads(out)[0]
+    assert code == 0 and rep["q"] == "0.3" and rep["z"] == "1.0"
 
 
 def test_verify_unknown_id_exits_2(capsys):

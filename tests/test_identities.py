@@ -418,6 +418,50 @@ def test_exact_record_tables_match_digest():
     assert h.hexdigest() == _EXACT_TABLES_DIGEST
 
 
+# every table a sigma, jordan, mu_k, pow or f_muk rule or h_transform builds:
+# the record and limit keys, README's spec examples, the sieve specs of the
+# CLI benchmark and each rule over integer, negative and fractional
+# parameters
+_RULE_TABLE_KEYS = sorted(set(_record_table_keys()) | {
+    f"std:{spec}" for spec in (
+        "mobius", "totient", "divisor_d", "liouville", "mangoldt", "r2", "r4",
+        "ramanujan:6", "sigma:-1", "mu_k:2",
+        *(f"sigma:{s}" for s in (0, 1, 2, 3, -1, -2, 0.5, -0.5, 1.5)),
+        *(f"jordan:{k}" for k in (0, 1, 2, 3, 0.5, 1.5, 2.5)),
+        *(f"mu_k:{k}" for k in (1, 2, 3, 6)))
+} | {f"f_muk:{k}" for k in (1, 2, 3, 6)}
+  | {f"pow:{a}" for a in (1, 2, 3, -1, -2, 0.5, -0.5)})
+_H_TRANSFORM_SPECS = ("divisor_d", "jordan:0.5", "sigma:-1", "mangoldt")
+
+# sha256 over (key, type name, exact bits) of entries 1..2^12 of each table
+# above, per precision, taken from the exact/inexact builders that the one
+# rule per table replaced
+_RULE_TABLES_DIGESTS = {
+    64: "37c30a07a21e977e86a2287cd435db29f6d3142f4297f19ae801e3a9fa768b1c",
+    128: "e14ab1768e9b5aacf6a1ba91a901c450bae9b0afab7273a3b2309b438a2ea2b6",
+    256: "aa6243ac109440b54069e9ee81380d5d698cf806b656891d630c8156663f9f23",
+}
+
+
+def _exact_bits(v):
+    return getattr(v, "_mpc_", None) or getattr(v, "_mpf_", None) or v
+
+
+@pytest.mark.parametrize("bits", sorted(_RULE_TABLES_DIGESTS))
+def test_rule_tables_keep_their_bits(bits):
+    N = 1 << 12
+    set_precision(bits)
+    tables = [(key, idmod._build_named(key, N)) for key in _RULE_TABLE_KEYS]
+    tables += [(f"h_transform({spec})", arith.h_transform(build_table(spec, N)))
+               for spec in _H_TRANSFORM_SPECS]
+    h = hashlib.sha256()
+    for key, tab in tables:
+        h.update(f"{key}\n".encode())
+        for v in tab.values[1:N + 1]:
+            h.update(f"{type(v).__name__} {_exact_bits(v)}\n".encode())
+    assert h.hexdigest() == _RULE_TABLES_DIGESTS[bits]
+
+
 def test_gcdsum_mu_matches_literal_gcd_sum():
     N = 300
     mob = build_table("mobius", N)

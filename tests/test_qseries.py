@@ -70,6 +70,9 @@ def test_qpoint_validation():
             QPoint(bad_q, 1)
     with pytest.raises(DomainError):
         QPoint("0.5", mpc(-1, 2))
+    # a real z is checked in its real form, so the message shows no 0.0j
+    with pytest.raises(DomainError, match=r"got -1\.0$"):
+        QPoint(mpf("0.5"), -1)
     for bad_z in (mp.inf, mpc(1, mp.inf), mpc(mp.inf, 1), mp.nan):
         with pytest.raises(DomainError, match="finite"):
             QPoint("0.5", bad_z)
