@@ -6,13 +6,17 @@ exact range can never silently wrap); rational transforms use ``Fraction``;
 real/complex-parameter functions store mpmath values at the working
 precision.  Every table carries a crude but certified growth bound
 ``|f(n)| <= C * n**beta`` used by the series evaluators for tail estimates.
+One registry, ``_BUILDERS``, holds every table, the standard ones and the
+identity catalog's, under one spec grammar ``name[:param]``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from typing import Callable
 
 from mpmath import mp, mpf, mpc
@@ -89,7 +93,10 @@ def divisors(n: int) -> list:
 # ---------------------------------------------------------------------------
 # function identifiers
 
-_PARAM_TAGS = {"jordan": float, "sigma": float, "ramanujan": int, "mu_k": int}
+# tags taking one parameter, by the type its spec converts to
+_PARAM_TAGS = {"jordan": float, "sigma": float, "pow": float, "ramanujan": int,
+               "mu_k": int, "mu_over_pow": int, "absmu_over_pow": int,
+               "jk_over_pow": int, "j2k_ratio": int, "divides": int, "f_muk": int}
 
 
 class FunctionId(namedtuple("FunctionId", "tag params")):
@@ -98,41 +105,41 @@ class FunctionId(namedtuple("FunctionId", "tag params")):
     __slots__ = ()
 
     def __new__(cls, tag, params=()):
-        if tag not in _BUILDERS and tag != "custom":
+        if tag == "custom":  # a label for a table built outside the registry
+            return super().__new__(cls, tag, params)
+        if tag not in _BUILDERS:
             raise DomainError(f"unknown function tag {tag!r}")
-        if tag in _PARAM_TAGS:
-            if len(params) != 1:
-                raise DomainError(f"{tag} takes exactly one parameter")
-            p = params[0]
-            if _PARAM_TAGS[tag] is int and (int(p) != p or p < 1):
+        kind = _PARAM_TAGS.get(tag)
+        if kind is None:
+            if params:
+                raise DomainError(f"{tag} takes no parameters")
+        elif len(params) != 1:
+            raise DomainError(f"{tag} takes exactly one parameter")
+        for p in params:
+            if (isinstance(p, bool) or not isinstance(p, (int, float))
+                    or isinstance(p, float) and not math.isfinite(p)):
+                raise DomainError(f"{tag} parameter must be a finite real number, got {p!r}")
+            if kind is int and (not isinstance(p, int) or p < 1):
                 raise DomainError(f"{tag} parameter must be a positive integer, got {p}")
             if tag == "jordan" and p < 0:
                 raise DomainError(f"jordan exponent must be >= 0, got {p}")
-        elif tag != "custom" and params:
-            raise DomainError(f"{tag} takes no parameters")
         return super().__new__(cls, tag, params)
 
     @classmethod
     def parse(cls, spec: str) -> "FunctionId":
-        """Parse the CLI grammar ``name[:param]``."""
+        """Parse the CLI grammar ``name[:param]``; ``__new__`` checks the result."""
         name, _, tok = spec.partition(":")
         name = name.strip()
         if name not in _BUILDERS:
             raise DomainError(f"unknown function spec {spec!r}")
         if not tok:
             return cls(name)
-        conv = _PARAM_TAGS.get(name)
-        if conv is None:
-            raise DomainError(f"{name} takes no parameters")
         try:
-            val = conv(tok)
+            val = _PARAM_TAGS.get(name, float)(tok)
         except ValueError:
             raise DomainError(f"bad parameter {tok!r} in {spec!r}") from None
-        if conv is float:
-            if not math.isfinite(val):
-                raise DomainError(f"non-finite parameter {tok!r} in {spec!r}")
-            if val == int(val):
-                val = int(val)
+        if isinstance(val, float) and val.is_integer():
+            val = int(val)
         return cls(name, (val,))
 
     def __str__(self):
@@ -276,7 +283,7 @@ def _sigma(N, s):
     vals = multiplicative(N, lambda p, a: sum(p ** (x * j) for j in range(a + 1)), P(1))
     if s < 0 and P is int:
         vals = [0] + [Fraction(vals[n], n**x) for n in range(1, N + 1)]
-    return vals, (2, max(float(s), 0.0) + 1)
+    return vals, (2, max(s, 0) + 1.0)
 
 
 def _mangoldt(N):
@@ -291,7 +298,6 @@ def _mangoldt(N):
 
 def _ramanujan(N, v):
     # c_n(v) = sum over d | gcd(n, v) of d mu(n/d)
-    v = int(v)
     mob = _mu_k(N, 1)[0]
     return divisor_sum(N, lambda d: d if v % d == 0 else 0, mob), (sum(divisors(v)), 0)
 
@@ -308,7 +314,7 @@ def _mu_k(N, k):
     # Mobius function, in exact ints.  One pass: n = p m with p = spf(n) is
     # squarefree iff m is and p does not divide m; ex[n] = omega(n) there and
     # -1 elsewhere.
-    root, zero = (-1, 0) if k == 1 else (mp.expjpi(mpf(1) / int(k)), mpc(0))
+    root, zero = (-1, 0) if k == 1 else (mp.expjpi(mpf(1) / k), mpc(0))
     spf = smallest_prime_factors(max(N, 4))
     ex = [-1, 0] + [0] * (N - 1)
     for n in range(2, N + 1):
@@ -316,6 +322,47 @@ def _mu_k(N, k):
         ex[n] = ex[m] + 1 if ex[m] >= 0 and m % spf[n] else -1
     pw = [root**j for j in range(max(ex) + 1)] + [zero]  # pw[-1] = zero
     return [pw[j] for j in ex], (1, 0)
+
+
+def _pointwise(N, fn, *specs):
+    """[fn(n, f1(n), f2(n), ...)] for n = 1..N over the tables of specs f1, f2, ...
+
+    Slot 0 holds 0.
+    """
+    cols = [islice(build_table(spec, N).values, 1, None) for spec in specs]
+    return [0] + list(map(fn, range(1, N + 1), *cols))
+
+
+def _over_pow(N, spec, k):
+    """f(n) / n^k in exact rationals."""
+    return _pointwise(N, lambda n, v: Fraction(v, n**k), spec)
+
+
+def _pow(N, a):
+    # n^a = P(n) ** x; a negative integer a = -k takes one exact division per
+    # n, 1/n^k, as a Fraction power is twice as slow
+    P, x = power_type(a)
+    if P is Fraction:
+        return _pointwise(N, lambda n: Fraction(1, n**-x)), (1, 0)
+    vals = [n**x for n in range(1, N + 1)]
+    vals.insert(0, 0)  # cheaper than a copy behind [0]; 0 ** x fails at x < 0
+    return vals, (1, x if P is int else max(a, 0.0))
+
+
+def _f_muk(N, k):
+    # f(n) = w^omega(n), w = 1 + e^(i pi/k); k = 1 gives w = 0 and stays exact.
+    # |w| = 2 cos(pi/2k) <= 2, so |w^omega(n)| <= 2^omega(n) <= d(n) <= 2 sqrt(n)
+    w = 0 if k == 1 else 1 + mp.expjpi(mpf(1) / k)
+    omega = _omega(N)
+    pw = list(accumulate(repeat(w, max(omega)), operator.mul, initial=w**0))  # 1 in w's type
+    return [0] + [pw[j] for j in omega[1:]], ((1, 0) if k == 1 else (2, 0.5))
+
+
+def _j2k_ratio(N, k):
+    vals = _pointwise(N, lambda n, jk, j2k: Fraction(j2k, n**k * jk),
+                      f"jordan:{k}", f"jordan:{2 * k}")
+    # J_2k/(n^k J_k) = prod (1 + p^-k) <= 2^omega(n) <= 2 sqrt(n)
+    return vals, (2, 0.5)
 
 
 # tag -> builder(N, *params) returning (values, growth)
@@ -344,6 +391,53 @@ _BUILDERS = {
     "core_gamma": _mult(lambda p, a: p, (1, 1)),
     "mu_k": _mu_k,
     "phi_abs_mu": _mult(lambda p, a: p - 1 if a == 1 else 0, (1, 1)),
+    # the catalog's tables: pointwise maps over the tables above, divisor
+    # sums and products over prime powers
+    "id": lambda N: (list(range(N + 1)), (1, 1)),
+    "unit_e": lambda N: (_pointwise(N, lambda n: int(n == 1)), (1, 0)),
+    "log_n": lambda N: (_pointwise(N, mp.log), (2, 0.5)),
+    "mu_log": lambda N: (_pointwise(N, lambda n, m: m * mp.log(n), "mobius"), (2, 0.5)),
+    "two_pow_omega_mu": lambda N: (
+        _pointwise(N, lambda n, m, w: m * w, "mobius", "two_pow_omega"), (2, 0.5)),
+    "mu_over_n": lambda N: (_over_pow(N, "mobius", 1), (1, 0)),
+    "phi_over_n": lambda N: (_over_pow(N, "totient", 1), (1, 0)),
+    "mu2_over_phi": lambda N: (
+        _pointwise(N, lambda n, m, t: Fraction(m, t), "mobius_abs", "totient"), (1, 0)),
+    # n/phi(n) = prod p/(p-1) <= 2^omega(n) <= d(n) <= 2 sqrt(n)
+    "n_over_phi": lambda N: (_pointwise(N, lambda n, t: Fraction(n, t), "totient"), (2, 0.5)),
+    "pow": _pow,
+    "mu_over_pow": lambda N, k: (_over_pow(N, "mobius", k), (1, 0)),
+    "absmu_over_pow": lambda N, k: (_over_pow(N, "mobius_abs", k), (1, 0)),
+    "jk_over_pow": lambda N, k: (_over_pow(N, f"jordan:{k}", k), (1, 0)),
+    "j2k_ratio": _j2k_ratio,
+    "d_squared": lambda N: (_pointwise(N, lambda n, d: d**2, "divisor_d"), (4, 1)),
+    "issquare": lambda N: (_pointwise(N, lambda n: int(math.isqrt(n) ** 2 == n)), (1, 0)),
+    "divides": lambda N, v: (_pointwise(N, lambda n: n if v % n == 0 else 0), (v, 0)),
+    "neg4chi1": lambda N: (_pointwise(N, lambda n, c: -4 * c, "chi1"), (4, 0)),
+    "neg_r2": lambda N: (_pointwise(N, lambda n, r: -r, "r2"), (8, 0.5)),
+    "not_div4": lambda N: (_pointwise(N, lambda n: int(n % 4 != 0)), (1, 0)),
+    "r4_over8": lambda N: (_pointwise(N, lambda n, r: r // 8, "r4"), (2, 1.5)),
+    "odd_ind": lambda N: (_pointwise(N, lambda n: n % 2), (1, 0)),
+    "odd_sigma": lambda N: (divisor_sum(N, lambda d: d % 2 * d), (2, 1.5)),
+    "signed_nsq": lambda N: (_pointwise(N, lambda n: (-1) ** (n + 1) * n * n), (1, 2)),
+    "neg_signed_nsq": lambda N: (_pointwise(N, lambda n: (-1) ** n * n * n), (1, 2)),
+    # sum_{d|n} (-1)^d d^3 = (-1)^n r8(n) / 16
+    "signed_cube": lambda N: (_pointwise(N, lambda n, r: (-1) ** n * r // 16, "r8"), (2, 3)),
+    "neg_signed_cube": lambda N: (
+        _pointwise(N, lambda n, r: (-1) ** (n + 1) * r // 16, "r8"), (2, 3)),
+    "mu_nsq": lambda N: (_pointwise(N, lambda n, m: m * n * n, "mobius"), (1, 2)),
+    "prod1mp2": lambda N: (multiplicative(N, lambda p, a: 1 - p * p), (1, 2)),
+    "f_muk": _f_muk,
+    # m(n) = n h(n) for h = (mu/id) * d is mu * (id d): m(p^a) = (a+1) p^a - a p^(a-1);
+    # |h(n)| <= sum_{d|n} d(n/d) <= 4n d(n) <= 8 n^1.5, h_transform's bound
+    "h_of_d": lambda N: ([0] + list(map(Fraction, multiplicative(
+        N, lambda p, a: (a + 1) * p**a - a * p ** (a - 1))[1:], range(1, N + 1))), (8, 1.5)),
+    "conv_one_d": lambda N: (
+        divisor_sum(N, build_table("divisor_d", N).values.__getitem__), (8, 1.5)),
+    # sum_k gcd(n,k) mu(gcd(n,k)) = sum_{d|n} d mu(d) phi(n/d) = mu(n): the
+    # first step is EQ2.6, the second the Dirichlet series 1/zeta(s-1) *
+    # zeta(s-1)/zeta(s).  The growth bound is the one of the literal gcd sum.
+    "gcdsum_mu": lambda N: (_over_pow(N, "mobius", 1), (2, 0.5)),
 }
 
 

@@ -122,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", **each, help="tabulate an arithmetic function as CSV")
-    p.add_argument("spec", help="function spec, grammar name[:param]")
+    p.add_argument("spec", help="function spec, grammar name[:param]: a standard "
+                                "table (mobius, sigma:S, ...) or a catalog table "
+                                "(phi_over_n, pow:A, f_muk:K, ...)")
     p.add_argument("N", type=int)
     p.add_argument("--out", default="-", help="output path (default stdout)")
 
@@ -130,12 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", **each, help="evaluate a series or product")
     what = p.add_subparsers(dest="what", required=True)
     lam = what.add_parser("lambert", **each, help="Lambert series of f")
-    lam.add_argument("--f", dest="spec", default="one", help="arithmetic function f")
+    lam.add_argument("--f", dest="spec", default="one", help="spec of f, as for sieve")
     lam.add_argument("--kernel", choices=("minus", "plus"), default="minus")
     prod = what.add_parser("product", **each,
                            help="log of the weighted q-Pochhammer product of g")
     prod.add_argument("--g", dest="spec", default="one",
-                      help="arithmetic function g of the exponents")
+                      help="spec of g, the exponents, as for sieve")
     prod.add_argument("--form", choices=("A", "B"), default="A")
     qp = what.add_parser("qpoch", **each, help="(z;q)_inf by direct product")
     for t in (lam, prod):
@@ -218,7 +220,12 @@ def cmd_sieve(args) -> int:
     vals = build_table(fid, args.N).values[1:]
     if not all(type(v) is int for v in vals):  # exact ints print verbatim
         vals = map(_scalar_str, vals)
-    _emit("n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(vals, 1)), args.out)
+    try:
+        text = "".join(f"{n},{v}\n" for n, v in enumerate(vals, 1))
+    except ValueError:  # an int past Python's integer-to-string digit limit
+        raise OverflowError(f"an entry has more than {sys.get_int_max_str_digits()} "
+                            "digits") from None
+    _emit("n,value\n" + text, args.out)
     return EXIT_OK
 
 

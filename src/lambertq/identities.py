@@ -12,16 +12,13 @@ grid point can cross a fixed threshold.
 
 from __future__ import annotations
 
-import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
 
 from mpmath import mp, mpf, mpc
 
 from . import arith
-from .arith import ArithTable, build_table, custom_table
+from .arith import ArithTable, build_table
 from .numerics import (
     ConvergenceError,
     DomainError,
@@ -83,115 +80,15 @@ class UnknownIdError(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# table registry (one cached table per key, sized on demand)
+# table cache (one cached table per key, sized on demand)
 
 _table_cache: dict = {}
 
 
-def _pointwise(N, fn, *specs):
-    """[fn(n, f1(n), f2(n), ...)] for n = 1..N over standard tables f1, f2, ...
-
-    Slot 0 holds 0.
-    """
-    cols = [islice(build_table(spec, N).values, 1, None) for spec in specs]
-    return [0] + list(map(fn, range(1, N + 1), *cols))
-
-
-def _over_pow(N, spec, k):
-    """f(n) / n^k in exact rationals."""
-    return _pointwise(N, lambda n, v: Fraction(v, n**k), spec)
-
-
-def _pow(N, arg):
-    # n^a = P(n) ** x; a negative integer a = -k takes one exact division per
-    # n, 1/n^k, as a Fraction power is twice as slow
-    a = float(arg)
-    P, x = arith.power_type(a)
-    if P is Fraction:
-        return _pointwise(N, lambda n: Fraction(1, n**-x)), (1, 0)
-    vals = [n**x for n in range(1, N + 1)]
-    vals.insert(0, 0)  # cheaper than a copy behind [0]; 0 ** x fails at x < 0
-    return vals, (1, x if P is int else max(a, 0.0))
-
-
-def _f_muk(N, arg):
-    # f(n) = w^omega(n), w = 1 + e^(i pi/k); k = 1 gives w = 0 and stays exact.
-    # |w| = 2 cos(pi/2k) <= 2, so |w^omega(n)| <= 2^omega(n) <= d(n) <= 2 sqrt(n)
-    k = int(arg)
-    w = 0 if k == 1 else 1 + mp.expjpi(mpf(1) / k)
-    omega = build_table("omega", N).values
-    pw = list(accumulate(repeat(w, max(omega)), operator.mul, initial=w**0))  # 1 in w's type
-    return [0] + [pw[j] for j in omega[1:]], ((1, 0) if k == 1 else (2, 0.5))
-
-
-def _j2k_ratio(N, arg):
-    k = int(arg)
-    vals = _pointwise(N, lambda n, jk, j2k: Fraction(j2k, n**k * jk),
-                      f"jordan:{k}", f"jordan:{2 * k}")
-    # J_2k/(n^k J_k) = prod (1 + p^-k) <= 2^omega(n) <= 2 sqrt(n)
-    return vals, (2, 0.5)
-
-
-# key name -> builder(N, arg) returning (values, growth); every table here
-# is a pointwise map over standard tables, a divisor sum or a product over
-# prime powers
-_NAMED = {
-    "id": lambda N, _: (list(range(N + 1)), (1, 1)),
-    "unit_e": lambda N, _: (_pointwise(N, lambda n: int(n == 1)), (1, 0)),
-    "log_n": lambda N, _: (_pointwise(N, mp.log), (2, 0.5)),
-    "mu_log": lambda N, _: (_pointwise(N, lambda n, m: m * mp.log(n), "mobius"), (2, 0.5)),
-    "two_pow_omega_mu": lambda N, _: (
-        _pointwise(N, lambda n, m, w: m * w, "mobius", "two_pow_omega"), (2, 0.5)),
-    "mu_over_n": lambda N, _: (_over_pow(N, "mobius", 1), (1, 0)),
-    "phi_over_n": lambda N, _: (_over_pow(N, "totient", 1), (1, 0)),
-    "mu2_over_phi": lambda N, _: (
-        _pointwise(N, lambda n, m, t: Fraction(m, t), "mobius_abs", "totient"), (1, 0)),
-    # n/phi(n) = prod p/(p-1) <= 2^omega(n) <= d(n) <= 2 sqrt(n)
-    "n_over_phi": lambda N, _: (_pointwise(N, lambda n, t: Fraction(n, t), "totient"), (2, 0.5)),
-    "pow": _pow,
-    "mu_over_pow": lambda N, k: (_over_pow(N, "mobius", int(k)), (1, 0)),
-    "absmu_over_pow": lambda N, k: (_over_pow(N, "mobius_abs", int(k)), (1, 0)),
-    "jk_over_pow": lambda N, k: (_over_pow(N, f"jordan:{k}", int(k)), (1, 0)),
-    "j2k_ratio": _j2k_ratio,
-    "d_squared": lambda N, _: (_pointwise(N, lambda n, d: d**2, "divisor_d"), (4, 1)),
-    "issquare": lambda N, _: (_pointwise(N, lambda n: int(math.isqrt(n) ** 2 == n)), (1, 0)),
-    "divides": lambda N, v: (_pointwise(N, lambda n: n if int(v) % n == 0 else 0), (int(v), 0)),
-    "neg4chi1": lambda N, _: (_pointwise(N, lambda n, c: -4 * c, "chi1"), (4, 0)),
-    "neg_r2": lambda N, _: (_pointwise(N, lambda n, r: -r, "r2"), (8, 0.5)),
-    "not_div4": lambda N, _: (_pointwise(N, lambda n: int(n % 4 != 0)), (1, 0)),
-    "r4_over8": lambda N, _: (_pointwise(N, lambda n, r: r // 8, "r4"), (2, 1.5)),
-    "odd_ind": lambda N, _: (_pointwise(N, lambda n: n % 2), (1, 0)),
-    "odd_sigma": lambda N, _: (arith.divisor_sum(N, lambda d: d % 2 * d), (2, 1.5)),
-    "signed_nsq": lambda N, _: (_pointwise(N, lambda n: (-1) ** (n + 1) * n * n), (1, 2)),
-    "neg_signed_nsq": lambda N, _: (_pointwise(N, lambda n: (-1) ** n * n * n), (1, 2)),
-    # sum_{d|n} (-1)^d d^3 = (-1)^n r8(n) / 16
-    "signed_cube": lambda N, _: (_pointwise(N, lambda n, r: (-1) ** n * r // 16, "r8"), (2, 3)),
-    "neg_signed_cube": lambda N, _: (
-        _pointwise(N, lambda n, r: (-1) ** (n + 1) * r // 16, "r8"), (2, 3)),
-    "mu_nsq": lambda N, _: (_pointwise(N, lambda n, m: m * n * n, "mobius"), (1, 2)),
-    "prod1mp2": lambda N, _: (arith.multiplicative(N, lambda p, a: 1 - p * p), (1, 2)),
-    "f_muk": _f_muk,
-    # m(n) = n h(n) for h = (mu/id) * d is mu * (id d): m(p^a) = (a+1) p^a - a p^(a-1);
-    # |h(n)| <= sum_{d|n} d(n/d) <= 4n d(n) <= 8 n^1.5, h_transform's bound
-    "h_of_d": lambda N, _: ([0] + list(map(Fraction, arith.multiplicative(
-        N, lambda p, a: (a + 1) * p**a - a * p ** (a - 1))[1:], range(1, N + 1))), (8, 1.5)),
-    "conv_one_d": lambda N, _: (
-        arith.divisor_sum(N, build_table("divisor_d", N).values.__getitem__), (8, 1.5)),
-    # sum_k gcd(n,k) mu(gcd(n,k)) = sum_{d|n} d mu(d) phi(n/d) = mu(n): the
-    # first step is EQ2.6, the second the Dirichlet series 1/zeta(s-1) *
-    # zeta(s-1)/zeta(s).  The growth bound is the one of the literal gcd sum.
-    "gcdsum_mu": lambda N, _: (_over_pow(N, "mobius", 1), (2, 0.5)),
-}
-
-
+# a record key is a spec of arith's one table registry; the standard tables'
+# keys carry a "std:" prefix
 def _build_named(key: str, N: int) -> ArithTable:
-    name, _, arg = key.partition(":")
-    if name == "std":
-        return build_table(arg, N)
-    if name not in _NAMED:
-        raise DomainError(f"unknown table key {key!r}")
-    vals, growth = _NAMED[name](N, arg)
-    return custom_table(key, vals, growth)
+    return build_table(key.removeprefix("std:"), N)
 
 
 def _get_table(key: str, N: int) -> ArithTable:

@@ -53,7 +53,8 @@ def test_spec_grammar(spec, tag, params):
 @pytest.mark.parametrize("spec", ["bogus", "mobius:3", "jordan", "jordan:x",
                                   "ramanujan:0", "custom", "sigma:nan", "sigma:inf",
                                   "jordan:1e400", "jordan:-1", "jordan:1,2",
-                                  "ramanujan:6,4", "mu_k:1,2"])
+                                  "ramanujan:6,4", "mu_k:1,2", "custom:x", "log_n:2",
+                                  "divides:0", "f_muk:0", "pow:nan", "jk_over_pow:1.5"])
 def test_spec_rejects(spec):
     with pytest.raises(DomainError):
         FunctionId.parse(spec)
@@ -62,6 +63,17 @@ def test_spec_rejects(spec):
 def test_direct_construction_counts_the_parameters():
     with pytest.raises(DomainError, match="exactly one parameter"):
         FunctionId("jordan", (1, 2))
+
+
+# FunctionId built directly meets the same parameter rule as a parsed spec
+@pytest.mark.parametrize("tag,params", [
+    ("sigma", (math.inf,)), ("jordan", (math.nan,)), ("sigma", ("2",)),
+    ("mu_k", (math.inf,)), ("ramanujan", (math.nan,)), ("pow", (True,)),
+    ("divides", (6.0,)), ("f_muk", (0,)), ("log_n", (2,)), ("pow", ()),
+])
+def test_direct_construction_meets_the_parameter_rule(tag, params):
+    with pytest.raises(DomainError):
+        FunctionId(tag, params)
 
 
 # ---------------------------------------------------------------------------

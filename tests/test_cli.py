@@ -11,6 +11,7 @@ import sys
 import time
 
 import pytest
+from mpmath import mp, mpf
 
 from lambertq import cli, identities
 from lambertq.cli import SIEVE_MAX_N, main
@@ -66,10 +67,45 @@ def test_sieve_unknown_spec_exits_2(capsys):
                                   ("sieve", "sigma:inf", "3"),
                                   ("sieve", "jordan:1e400", "3"),
                                   ("sieve", "jordan:-1", "3"),
-                                  ("eval", "lambert", "--f", "sigma:nan")])
+                                  ("eval", "lambert", "--f", "sigma:nan"),
+                                  *(("sieve", spec, "4") for spec in (
+                                      "divides:0", "f_muk:0", "pow:nan", "jk_over_pow:1.5",
+                                      "log_n:2", "custom:x"))])
 def test_non_finite_spec_parameter_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2 and "parse error" in err
+
+
+def test_sieve_of_catalog_tables(capsys):
+    code, out, _ = run(capsys, "sieve", "log_n", "4")
+    assert code == 0
+    rows = [l.split(",") for l in out.strip().splitlines()[1:]]
+    assert [n for n, _ in rows] == ["1", "2", "3", "4"]
+    assert rows[0][1] == "0.0" and rows[1][1].startswith("0.693147180559945309")
+    code, out, _ = run(capsys, "sieve", "pow:-1", "4")
+    assert code == 0
+    assert [l.split(",")[1] for l in out.strip().splitlines()[1:]] == \
+        ["1.0", "0.5", mp.nstr(mpf(1) / 3, mp.dps), "0.25"]
+
+
+def test_sieve_entry_past_the_digit_limit_exits_3(capsys):
+    # 2^20000 has 6021 digits, past Python's integer-to-string limit
+    code, out, err = run(capsys, "sieve", "sigma:20000", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("lambertq: overflow:") and err.count("\n") == 1
+
+
+def test_every_record_table_is_a_spec(capsys):
+    keys = {k for r in identities.catalog() for k in (r.g_key, r.f_key)}
+    keys |= {r.f_key for r in identities.limit_targets()}
+    specs = sorted(k.removeprefix("std:") for k in keys if k and not k.startswith("__"))
+    assert len(specs) == 75
+    for spec in specs:
+        for argv in (("sieve", spec, "4"),
+                     ("eval", "lambert", "--f", spec, "--q", "0.1"),
+                     ("eval", "product", "--g", spec, "--q", "0.1")):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
 
 
 def test_sieve_to_file(tmp_path, capsys):
@@ -269,6 +305,16 @@ def test_global_flags_accepted_around_the_eval_target(capsys):
     short = json.loads(runs[0][1])  # at 64 bits and tol 1e-15
     assert int(short["terms_used"]) < int(full["terms_used"])
     assert len(short["value"]) < len(full["value"])
+
+
+def test_eval_lambert_of_a_catalog_table_is_the_record_side(capsys):
+    # EQ3.13's series side is minus the Lambert series of phi(n)/n
+    code, out, _ = run(capsys, "eval", "lambert", "--f", "phi_over_n", "--q", "0.5",
+                       "--z", "1", "--format", "json")
+    assert code == 0
+    rep = identities.verify("EQ3.13", q=mpf("0.5"), z=mpf(1))
+    assert json.loads(out)["value"] == mp.nstr(-rep.rhs_value, mp.dps)
+    assert json.loads(out)["value"].startswith("1.13090903449945092896")
 
 
 def test_eval_bad_function_exits_2(capsys):

@@ -10,7 +10,7 @@ from mpmath import mp, mpf, mpc
 
 from lambertq import arith
 from lambertq import identities as idmod
-from lambertq.arith import build_table, gcd_sum_transform
+from lambertq.arith import FunctionId, build_table, gcd_sum_transform
 from lambertq.identities import (
     UnknownIdError,
     catalog,
@@ -369,6 +369,14 @@ def test_record_tables_satisfy_growth_certificates():
             assert tab.growth_holds(n), f"{key} growth fails at n={n}"
 
 
+# the catalog tables share arith's spec grammar: every record and limit key,
+# without the std: prefix of the standard tables, prints back as itself
+def test_record_keys_round_trip_through_the_spec_grammar():
+    for key in _record_table_keys():
+        spec = key.removeprefix("std:")
+        assert str(FunctionId.parse(spec)) == spec
+
+
 # growth certificates proved in a comment beside their rules, checked well
 # past the 2^10 of the test above
 @pytest.mark.parametrize("key", ["h_of_d", "f_muk:2", "f_muk:3"])
@@ -460,6 +468,30 @@ def test_rule_tables_keep_their_bits(bits):
         for v in tab.values[1:N + 1]:
             h.update(f"{type(v).__name__} {_exact_bits(v)}\n".encode())
     assert h.hexdigest() == _RULE_TABLES_DIGESTS[bits]
+
+
+# sha256 over each record and limit table's key, growth certificate and
+# exactness, then the type name and exact bits of its entries 1..2^10, per
+# precision, taken from the two registries that arith's one registry replaced;
+# the value digests above miss a certificate that moves no N*
+_RECORD_TABLE_CERTS_DIGESTS = {
+    64: "0e1402a434408520f0b22188c15769340a0b61696abfa8289a0337205329f467",
+    128: "294d7653fc11deb6875ff6f74e8b69eb77d169f779f423083fc84d6fe92832ca",
+    256: "1cffd6e503038f87f6284c8d591cdf7765aa86129d1f19852e1d8bedf1f3e171",
+}
+
+
+@pytest.mark.parametrize("bits", sorted(_RECORD_TABLE_CERTS_DIGESTS))
+def test_record_tables_keep_certificates_and_bits(bits):
+    N = 1 << 10
+    set_precision(bits)
+    h = hashlib.sha256()
+    for key in _record_table_keys():
+        tab = idmod._build_named(key, N)
+        h.update(f"{key} {tab.growth!r} {tab.exact}\n".encode())
+        for v in tab.values[1:N + 1]:
+            h.update(f"{type(v).__name__} {_exact_bits(v)}\n".encode())
+    assert h.hexdigest() == _RECORD_TABLE_CERTS_DIGESTS[bits]
 
 
 def test_gcdsum_mu_matches_literal_gcd_sum():
