@@ -460,8 +460,8 @@ def custom_table(label: str, values: list, growth: tuple) -> ArithTable:
 # ---------------------------------------------------------------------------
 # Dirichlet algebra
 
-def dirichlet_convolve(a: ArithTable, b: ArithTable) -> ArithTable:
-    """(a*b)(n) = sum over d|n of a(d) b(n/d), O(N log N)."""
+def _convolve(a: ArithTable, b: ArithTable, label: str) -> ArithTable:
+    """The table a*b, named custom:``label``."""
     if a.N != b.N:
         raise DomainError("tables must share the same N")
     zero = 0 if a.exact and b.exact else mpf(0)
@@ -469,15 +469,17 @@ def dirichlet_convolve(a: ArithTable, b: ArithTable) -> ArithTable:
     Ca, ba = a.growth
     Cb, bb = b.growth
     growth = (2 * Ca * Cb, max(ba, bb) + 0.5)  # d(n) <= 2 sqrt(n) absorbs the divisor count
-    return _table(FunctionId("custom", (f"({a.fid}*{b.fid})",)), out, growth)
+    return _table(FunctionId("custom", (label,)), out, growth)
+
+
+def dirichlet_convolve(a: ArithTable, b: ArithTable) -> ArithTable:
+    """(a*b)(n) = sum over d|n of a(d) b(n/d), O(N log N)."""
+    return _convolve(a, b, f"({a.fid}*{b.fid})")
 
 
 def mobius_invert(f: ArithTable) -> ArithTable:
     """Return g with f = 1*g (exact Mobius inversion)."""
-    mob = build_table(FunctionId("mobius"), f.N)
-    res = dirichlet_convolve(mob, f)
-    res.fid = FunctionId("custom", (f"mobius_invert({f.fid})",))
-    return res
+    return _convolve(build_table(FunctionId("mobius"), f.N), f, f"mobius_invert({f.fid})")
 
 
 def h_transform(f: ArithTable) -> ArithTable:

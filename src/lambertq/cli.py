@@ -1,8 +1,8 @@
 """Command-line surface: sieve tables, evaluate series, verify, limit-check.
 
 Exit codes: 0 success / all checks passed; 1 some check failed; 2 argument or
-spec parse error (including unknown catalog ids); 3 arithmetic overflow;
-4 domain error; 5 convergence failure.
+spec parse error (including unknown catalog ids and an --out path that cannot
+be written); 3 arithmetic overflow; 4 domain error; 5 convergence failure.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
 
 from . import identities
-from .arith import FunctionId, as_mpf, build_table
+from .arith import FunctionId, build_table
 from .numerics import ConvergenceError, DomainError, _max_terms, _tol, set_precision
 from .qseries import (
     DEFAULT_MAX_TERMS,
@@ -45,20 +44,17 @@ PRECISION_ENV = "LAMBERTQ_PRECISION_BITS"
 SIEVE_MAX_N = 1 << 20
 
 
-def _scalar_str(v) -> str:
-    """Flat decimal-string form (text and exact integers verbatim)."""
+def _cell(v) -> str:
+    """A value's text in CSV, human, eval and sieve output: identities._dec's,
+    with None as "", a bool as true/false and {"re", "im"} as re+imj."""
+    v = identities._dec(v)
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, str)):
-        return str(v)
-    if isinstance(v, Fraction):
-        return mp.nstr(as_mpf(v), mp.dps)
-    if isinstance(v, mpc):
-        re, im = mp.nstr(v.real, mp.dps), mp.nstr(v.imag, mp.dps)
-        return f"{re}{'+' if not im.startswith('-') else ''}{im}j"
-    return mp.nstr(mpf(v), mp.dps)
+    if isinstance(v, dict):
+        return f"{v['re']}{'' if v['im'].startswith('-') else '+'}{v['im']}j"
+    return str(v)
 
 
 class ParseError(ValueError):
@@ -165,9 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out_path: str = "-"):
     if out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"argument --out: can't write '{out_path}': {exc.strerror}") from None
 
 
 def _csv(cols, rows) -> str:
@@ -182,7 +181,7 @@ def _csv(cols, rows) -> str:
 
 
 def _series_value_out(fields: dict, fmt: str) -> str:
-    flat = {k: _scalar_str(v) for k, v in fields.items()}
+    flat = {k: _cell(v) for k, v in fields.items()}
     if fmt == "json":
         return json.dumps(flat, indent=2) + "\n"
     if fmt == "csv":
@@ -199,7 +198,7 @@ def _reports_out(reports, cols, fmt: str) -> str:
     if fmt == "json":
         return json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
     head = ["pass" if c == "passed" else c for c in cols]
-    rows = [[_scalar_str(getattr(r, c)) for c in cols] for r in reports]
+    rows = [[_cell(getattr(r, c)) for c in cols] for r in reports]
     if fmt == "csv":
         return _csv(head, rows)
     lines = []
@@ -215,11 +214,10 @@ def _reports_out(reports, cols, fmt: str) -> str:
 def cmd_sieve(args) -> int:
     fid = _parse_spec(args.spec)
     if not 1 <= args.N <= SIEVE_MAX_N:
-        print(f"lambertq: domain error: N must be in [1, {SIEVE_MAX_N}]", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise DomainError(f"N must be in [1, {SIEVE_MAX_N}]")
     vals = build_table(fid, args.N).values[1:]
     if not all(type(v) is int for v in vals):  # exact ints print verbatim
-        vals = map(_scalar_str, vals)
+        vals = map(_cell, vals)
     try:
         text = "".join(f"{n},{v}\n" for n, v in enumerate(vals, 1))
     except ValueError:  # an int past Python's integer-to-string digit limit
@@ -239,10 +237,10 @@ def cmd_eval(args) -> int:
         _parse_spec(args.spec)
         if args.what == "lambert":
             kern = KernelForm(args.kernel, args.weight)
-            sv = identities._with_table(f"std:{args.spec}", lambda f: lambert_sum(
+            sv = identities._with_table(args.spec, lambda f: lambert_sum(
                 f, kern, pt, tol=args.tol, max_terms=args.max_terms))
         else:
-            sv = identities._with_table(f"std:{args.spec}", lambda g: weighted_product_log(
+            sv = identities._with_table(args.spec, lambda g: weighted_product_log(
                 g, pt, form=args.form, weight=args.weight,
                 tol=args.tol, max_terms=args.max_terms))
     fields = sv._asdict()

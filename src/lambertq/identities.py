@@ -152,16 +152,8 @@ class IdentityRecord(namedtuple(
 
 
 def _json_dict(report):
-    """The report's fields in order, ``passed`` written as "pass": numbers
-    and lists of numbers as decimal strings, text and ints as they are."""
-    d = {}
-    for k, v in zip(report._fields, report):
-        if isinstance(v, list):
-            v = [_dec(x) for x in v]
-        elif not isinstance(v, (str, int)):
-            v = _dec(v)
-        d["pass" if k == "passed" else k] = v
-    return d
+    """The report's fields in order through _dec, ``passed`` written as "pass"."""
+    return {"pass" if k == "passed" else k: _dec(v) for k, v in zip(report._fields, report)}
 
 
 class IdentityReport(namedtuple(
@@ -185,16 +177,24 @@ class LimitReport(namedtuple(
 
 
 def _dec(x):
-    """Decimal-string serialization at full working precision."""
-    if x is None:
-        return None
+    """The text rule of every value: a number as a decimal string at the working
+    precision, an mpc as {"re", "im"}, a list by item, None, int or str as is."""
+    if x is None or isinstance(x, (int, str)):
+        return x
+    if isinstance(x, list):
+        return [_dec(v) for v in x]
     if isinstance(x, mpc):
         return {"re": mp.nstr(x.real, mp.dps), "im": mp.nstr(x.imag, mp.dps)}
-    return mp.nstr(mpf(x), mp.dps)
+    return mp.nstr(arith.as_mpf(x) if isinstance(x, Fraction) else mpf(x), mp.dps)
 
 
 # ---------------------------------------------------------------------------
 # record evaluation
+
+def _series_kernel(form, weight):
+    """The Lambert kernel of a product form: 1/(1-q^n) for A, 1/(1+q^n) for B."""
+    return KernelForm("minus" if form == "A" else "plus", weight)
+
 
 def _closed(value):
     """A closed-form side: exact up to the last few bits of the working precision."""
@@ -215,7 +215,7 @@ def _record_sides(rec: IdentityRecord, pt: QPoint, tol, max_terms):
             g, pt, form=rec.form, weight=rec.weight, tol=tol, max_terms=max_terms))
     if rec.closed_rhs is not None:
         return lhs, _closed(rec.closed_rhs(pt))
-    kern = KernelForm("minus" if rec.form == "A" else "plus", rec.f_weight or rec.weight)
+    kern = _series_kernel(rec.form, rec.f_weight or rec.weight)
     s = _with_table(rec.f_key, lambda f: lambert_sum(
         f, kern, pt, tol=tol, max_terms=max_terms))
     return lhs, SeriesValue(rec.rhs_sign * s.value, s.err_bound, s.terms_used)
@@ -406,12 +406,12 @@ def _build_catalog():
     recs.append(IdentityRecord(
         id="EQ3.1", description="g=mu product equals exp(-q^z/(1-q))", kind="qz",
         g_key="std:mobius",
-        closed_rhs=lambda pt: -_qz(pt) / (1 - pt.q),
+        closed_rhs=lambda pt: -pt.qz() / (1 - pt.q),
     ))
     recs.append(IdentityRecord(
         id="EQ3.2", description="g=mu alternating form equals exp(q^z/(1+q))", kind="qz",
         g_key="std:mobius", form="B",
-        closed_rhs=lambda pt: _qz(pt) / (1 + pt.q),
+        closed_rhs=lambda pt: pt.qz() / (1 + pt.q),
     ))
     recs += _pair("EQ3.3", "EQ3.4", "g=2^omega mu vs f=(-1)^omega",
                   "two_pow_omega_mu", "std:neg_one_pow_omega")
@@ -483,13 +483,6 @@ def _build_catalog():
     return recs
 
 
-def _qz(pt):
-    z = pt.z
-    if isinstance(z, mpc):
-        return mp.exp(z * mp.log(pt.q))
-    return pt.q**z
-
-
 def _registry(cache, index, build, what, *id):
     """A copy of a registry's records sorted by id, or given an ``id`` the
     record of that id; built on first use into ``cache`` and its id
@@ -526,12 +519,11 @@ def _euler_product(factor, P=200000):
     prod = mpf(1)
     for p in arith.primes(P):
         prod *= factor(p)
-    return prod, mpf(3) / P
+    return prod
 
 
 def _t_3_3a():
-    v, _ = _euler_product(lambda p: mpf(p * p - 2) / (p * p - 1))
-    return mp.exp(-v)
+    return mp.exp(-_euler_product(lambda p: mpf(p * p - 2) / (p * p - 1)))
 
 
 def _t_3_7a():
@@ -545,8 +537,7 @@ def _t_3_9a():
 
 
 def _t_3_15a():
-    v, _ = _euler_product(lambda p: 1 + mpf(p) / ((p - 1) * (p * p - 1)))
-    return mp.exp(-v)
+    return mp.exp(-_euler_product(lambda p: 1 + mpf(p) / ((p - 1) * (p * p - 1))))
 
 
 def _t_3_33_1():
@@ -557,8 +548,7 @@ def _t_3_43a(k):
     if k == 1:
         return mp.exp(mpf(-1))
     w = 1 + mp.expjpi(mpf(1) / k)
-    prod, _ = _euler_product(lambda p: 1 + w / mpf(p * p - 1))
-    return mp.exp(-prod)
+    return mp.exp(-_euler_product(lambda p: 1 + w / mpf(p * p - 1)))
 
 
 _limit_cache: list = []
@@ -683,6 +673,8 @@ def limit_lookup(id: str) -> LimitTarget:
 # limit engine
 
 _LIMIT_J = tuple(range(3, 11))
+# the ladder x_j = 2^-j = 1 - q_j, exact at every precision
+_LIMIT_X = tuple(mp.ldexp(1, -j) for j in _LIMIT_J)
 _ESCAPE_HI = mpf(1000)
 _ESCAPE_LO = mpf("0.001")
 _TREND_MIN_STEP = mpf("0.05")
@@ -698,11 +690,10 @@ def _sing_basis(sing):
     return funcs
 
 
-def _limit_exponent(rec: LimitTarget, j: int, abs_tol):
-    """The log of the limit statistic at q = 1 - 2^-j, to within abs_tol."""
-    x = mpf(2) ** (-j)
+def _limit_exponent(rec: LimitTarget, x, abs_tol):
+    """The log of the limit statistic at q = 1 - x, to within abs_tol."""
     scale = x if rec.form == "A" else mpf(1)
-    kern = KernelForm("minus" if rec.form == "A" else "plus", "over_n")
+    kern = _series_kernel(rec.form, "over_n")
     s = _with_table(rec.f_key, lambda f: lambert_sum(
         f, kern, QPoint(1 - x, 1), tol=abs_tol / scale, max_terms=2 * DEFAULT_MAX_TERMS))
     return rec.sign * scale * s.value
@@ -720,14 +711,13 @@ def limit_check(id: str, limit_tol=DEFAULT_LIMIT_TOL) -> LimitReport:
 
     # the point nearest 1 first: it fetches the longest table, which the
     # other points then slice instead of rebuilding it at each doubling of N*
-    ys = [_limit_exponent(rec, j, mpf("1e-13")) for j in reversed(_LIMIT_J)][::-1]
-    xs = [mpf(2) ** (-j) for j in _LIMIT_J]
-    qs = [1 - x for x in xs]
+    ys = [_limit_exponent(rec, x, mpf("1e-13")) for x in reversed(_LIMIT_X)][::-1]
+    qs = [1 - x for x in _LIMIT_X]
     # extrapolate toward x = 0 (nodes must decrease toward the target)
     if rec.sing:
-        Lstar, err_L = basis_extrapolate(xs, ys, _sing_basis(rec.sing))
+        Lstar, err_L = basis_extrapolate(_LIMIT_X, ys, _sing_basis(rec.sing))
     else:
-        Lstar, err_L = richardson_extrapolate(xs, ys)
+        Lstar, err_L = richardson_extrapolate(_LIMIT_X, ys)
     estimate = mp.exp(Lstar)
     est_err = abs(estimate) * mp.expm1(err_L) if err_L < 50 else mp.inf
     target = rec.target_fn()
@@ -743,9 +733,9 @@ def _divergence_check(rec: LimitTarget) -> LimitReport:
     """Threshold escape, or a monotone-trend certificate for log-divergence."""
     want = 1 if rec.verdict == DIVERGES else -1
     qs, Ls = [], []
-    for j in _LIMIT_J:
-        Ls.append(_limit_exponent(rec, j, mpf("1e-6")))
-        qs.append(1 - mpf(2) ** (-j))
+    for x in _LIMIT_X:
+        Ls.append(_limit_exponent(rec, x, mpf("1e-6")))
+        qs.append(1 - x)
         v = mp.exp(Ls[-1])
         if (v > _ESCAPE_HI if want > 0 else v < _ESCAPE_LO):
             passed, mode, note = True, "escape", ""

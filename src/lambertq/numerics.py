@@ -38,11 +38,16 @@ class ConvergenceError(RuntimeError):
     """A certified tolerance could not be reached within the term budget."""
 
 
+def _int_at_least(x, k, name, unit=""):
+    """x, an int (not a bool) >= k: the rule of the term cap and the precision."""
+    if type(x) is not int or x < k:
+        raise DomainError(f"{name} must be >= {k}{unit} and an integer, got {x!r}")
+    return x
+
+
 def set_precision(bits: int) -> None:
     """Set the working binary precision (significand bits, >= 53)."""
-    if bits < 53:
-        raise DomainError(f"precision must be >= 53 bits, got {bits}")
-    mp.prec = bits
+    mp.prec = _int_at_least(bits, 53, "precision", " bits")
 
 
 def _positive(x, name):
@@ -61,10 +66,8 @@ def _tol(tol, shift=0):
 
 
 def _max_terms(m):
-    """m, an int >= 1: the one rule of every term cap (max_terms, --max-terms)."""
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"max_terms must be >= 1 and an integer, got {m!r}")
-    return m
+    """m, an int >= 1: every term cap (max_terms, --max-terms)."""
+    return _int_at_least(m, 1, "max_terms")
 
 
 @contextmanager

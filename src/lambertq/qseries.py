@@ -122,6 +122,17 @@ class QPoint(namedtuple("QPoint", "q z")):
             raise DomainError(f"Re(z) must be positive, got {z}")
         return super().__new__(cls, q, z)
 
+    def qz(self):
+        """q^z at the working precision: exp(z log q) for an mpc z."""
+        return mp.exp(self.z * mp.log(self.q)) if isinstance(self.z, mpc) else self.q**self.z
+
+
+def _weight_exp(weight):
+    """w of the weight 1/n^w: 1 for "over_n", 0 for "plain"."""
+    if weight not in ("over_n", "plain"):
+        raise DomainError(f"weight must be 'over_n' or 'plain', got {weight!r}")
+    return 1 if weight == "over_n" else 0
+
 
 class KernelForm(namedtuple("KernelForm", "kernel weight")):
     """Lambert-sum kernel 1/(1-q^n) or 1/(1+q^n), with f(n)/n or plain f(n)."""
@@ -131,8 +142,7 @@ class KernelForm(namedtuple("KernelForm", "kernel weight")):
     def __new__(cls, kernel="minus", weight="over_n"):
         if kernel not in ("minus", "plus"):
             raise DomainError(f"kernel must be 'minus' or 'plus', got {kernel!r}")
-        if weight not in ("over_n", "plain"):
-            raise DomainError(f"weight must be 'over_n' or 'plain', got {weight!r}")
+        _weight_exp(weight)
         return super().__new__(cls, kernel, weight)
 
 
@@ -912,17 +922,16 @@ _LAMBERT_PLANS = {}
 _LambertPlan = namedtuple("_LambertPlan", "N F Q br bi bounds")
 
 
-def _lambert_plan(growth, kernel, q, z, tol):
-    """lambert_sum's plan at (q, z, tol) for a table of growth (C, beta), C > 0,
-    at the working precision: N*, F, Q = q and (br, bi) = q^z at F bits, and
+def _lambert_plan(growth, kernel, pt, tol):
+    """lambert_sum's plan at pt = (q, z) and tol for a table of growth (C, beta),
+    C > 0, at the working precision: N*, F, Q = q and (br, bi) = q^z at F bits, and
     the bound tail + _MARGIN units u of a real sum (bounds[0]) and of a
     complex one (bounds[1]), to which a call adds the _roundoff cover of its
     value.  Only N is set where N* = inf."""
+    q, z = pt
     C, beta = map(mpf, growth)
-    complex_z = isinstance(z, mpc)
-    w = 1 if kernel.weight == "over_n" else 0
-    p = beta - w
-    r = q ** (z.real if complex_z else z)
+    p = beta - _weight_exp(kernel.weight)
+    r = q ** z.real
     pref = C / (1 - q)
     N = _truncation(pref, p, r, tol)
     if N == math.inf:
@@ -930,8 +939,7 @@ def _lambert_plan(growth, kernel, q, z, tol):
     # the minus kernel carries the error of q^n into the term by 1/(1-q^n)^2
     F = mp.prec + 32 + 2 * math.ceil(-math.log2(float(1 - q)))
     with mp.workprec(F + 16):
-        qz = mp.exp(z * mp.log(q)) if complex_z else q**z
-    br, bi = _fx(qz, F)
+        br, bi = _fx(pt.qz(), F)
     u = mp.ldexp(1, -F)
     dmin = 1 - q if kernel.kernel == "minus" else mpf(1)
     eq = 2 / (1 - q - u)
@@ -1000,14 +1008,14 @@ def lambert_sum(
     key = (q._mpf_, z._mpc_ if complex_z else z._mpf_, mp.prec, growth, kernel, tol._mpf_)
     plan = _LAMBERT_PLANS.get(key)
     if plan is None:
-        plan = _lambert_plan(growth, kernel, q, z, tol)
+        plan = _lambert_plan(growth, kernel, pt, tol)
         if len(_LAMBERT_PLANS) >= _PLAN_CAP:
             del _LAMBERT_PLANS[next(iter(_LAMBERT_PLANS))]
         _LAMBERT_PLANS[key] = plan
     N, F, Q, br, bi, bounds = plan
     _check_terms(N, f, max_terms, "lambert_sum")
 
-    w = 1 if kernel.weight == "over_n" else 0
+    w = _weight_exp(kernel.weight)
     one = 1 << F
     minus = kernel.kernel == "minus"
     ar = ai = xi = 0
@@ -1091,17 +1099,15 @@ def weighted_product_log(
     """
     if form not in ("A", "B"):
         raise DomainError(f"form must be 'A' or 'B', got {form!r}")
-    if weight not in ("over_n", "plain"):
-        raise DomainError(f"weight must be 'over_n' or 'plain', got {weight!r}")
+    w = _weight_exp(weight)
     q, z = pt.q, pt.z
     tol, max_terms = _tol(tol), _max_terms(max_terms)
     C, beta = map(mpf, g.growth)
     complex_z = isinstance(z, mpc)
     if C == 0:
         return SeriesValue(mpc(0) if complex_z else mpf(0), mpf(0), 0)
-    w = 1 if weight == "over_n" else 0
     p = beta - w
-    r = q ** (z.real if complex_z else z)
+    r = q ** z.real
     # r rounds to 1 once Re z is below about 2^-prec; no N certifies then
     pref = (2 if form == "B" else 1) * C / ((1 - q) * (1 - r)) if r < 1 else mp.inf
     N = _truncation(pref, p, r, tol)
@@ -1110,7 +1116,7 @@ def weighted_product_log(
     prec, F = mp.prec, mp.prec + _GUARD
     inner_tol, lt, u3, lprec = mp.ldexp(1, -prec), -prec * _LN2, math.ldexp(3, -F), prec * _LN2
     with mp.workprec(F + 16):
-        qz = mp.exp(z * mp.log(q)) if complex_z else q**z
+        qz = pt.qz()
         ws, base = ((qz,), q) if form == "A" else ((qz * q, qz), q * q)
     mods = (r,) if form == "A" else (r * q, r)
     # the numerator's power sequence q^(nz) (q^(n(z+1)) in form B) and form

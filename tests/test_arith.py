@@ -229,6 +229,8 @@ def test_mobius_invert_round_trip(tables):
     f = dirichlet_convolve(tables["one"], tables["divisor_d"])
     g = mobius_invert(f)
     assert all(g[n] == tables["divisor_d"][n] for n in range(1, N + 1))
+    label = str(f.fid)
+    assert str(g.fid) == f"custom:mobius_invert({label})" and str(f.fid) == label
 
 
 def test_convolution_requires_matching_size(tables):

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import inspect
 import io
 import json
@@ -113,6 +114,38 @@ def test_sieve_to_file(tmp_path, capsys):
     code, out, _ = run(capsys, "sieve", "mobius", "4", "--out", str(path))
     assert code == 0 and out == ""
     assert path.read_text().splitlines()[0] == "n,value"
+
+
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_sieve_to_an_unwritable_path_exits_2(tmp_path, capsys, where):
+    # a path in no directory, and a directory: one line naming it, no traceback
+    path = str(tmp_path / where)
+    code, out, err = run(capsys, "sieve", "mobius", "4", "--out", path)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("lambertq: ") and path in err
+
+
+# every value type of the text output (int, Fraction, mpf, mpc, None, bool)
+# in every format, from the one text rule: sha256 of the concatenated stdout
+_TEXT_PIN_ARGV = (
+    ("eval", "lambert", "--f", "mu_k:2", "--q", "0.5", "--z", "1+0.5j"),
+    ("eval", "product", "--g", "totient", "--q", "0.5", "--z", "1"),
+    ("eval", "qpoch", "--q", "0.5", "--z", "0.3+0.2j"),
+    ("eval", "eta", "--tau", "1j"),
+    ("verify", "EQ3.44-k2", "--q", "0.5", "--z", "1+0.5j"),
+    ("verify", "EQ2.6"),
+    ("limit", "EQ3.6-lim"),
+)
+_TEXT_PIN_SIEVES = ("mobius", "phi_over_n", "log_n", "mu_k:2", "sigma:-1", "h_of_d")
+_TEXT_PIN = (14715, "fbf3b6fa825b3cb9bd4aa04d7bee9ffdd2af06dcad3806c15256005dad2880e5")
+
+
+def test_value_text_is_pinned(capsys):
+    argvs = [(*argv, "--format", fmt) for fmt in ("json", "csv", "human")
+             for argv in _TEXT_PIN_ARGV]
+    argvs += [("sieve", spec, "64") for spec in _TEXT_PIN_SIEVES]
+    text = "".join(run(capsys, *argv)[1] for argv in argvs).encode()
+    assert (len(text), hashlib.sha256(text).hexdigest()) == _TEXT_PIN
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,12 @@ def test_near_one_q_exhausts_term_budget():
         verify("THM-2.2", mpf("0.99"), 1, max_terms=2000)
 
 
+def test_a_bool_term_cap_is_a_domain_error():
+    # before any term is summed: True is not the cap 1
+    with pytest.raises(DomainError, match="^max_terms must be >= 1"):
+        verify("EQ3.11", q=mpf("0.5"), z=1, max_terms=True)
+
+
 def test_verify_is_deterministic():
     a = verify("EQ3.25", mpf("0.7"), 2)
     b = verify("EQ3.25", mpf("0.7"), 2)

@@ -5,6 +5,7 @@ from mpmath import mp, mpf, mpc
 
 from lambertq.numerics import (
     DomainError,
+    _max_terms,
     basis_extrapolate,
     catalan,
     dirichlet_beta,
@@ -103,6 +104,21 @@ def test_precision_context_restores():
     assert mp.prec == before
     with pytest.raises(DomainError):
         set_precision(20)
+
+
+@pytest.mark.parametrize("bad", [64.5, True, "64"])
+def test_precision_must_be_an_int(bad):
+    with pytest.raises(DomainError, match="^precision must be >= 53 bits"):
+        set_precision(bad)
+    set_precision(64)
+    assert mp.prec == 64
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 0])
+def test_max_terms_must_be_an_int_not_a_bool(bad):
+    with pytest.raises(DomainError, match="^max_terms must be >= 1"):
+        _max_terms(bad)
+    assert _max_terms(7) == 7
 
 
 # both extrapolators take their nodes through the same check; a basis of one
